@@ -6,14 +6,20 @@ The deterministic fill fixes entries in row-major order. For every
 tracked column subset S it maintains the exact probability that a random
 completion of the matrix still realizes enough distinct unit rows inside
 M(S), and it picks each bit to maximize the sum of those probabilities.
-The sum never decreases, and at the threshold row count it starts above
-(number of subsets) - 1, so it ends with every subset satisfied.
+At the threshold row count the sum starts above (number of subsets) - 1
+and a greedy choice never lowers it, so it ends with every subset
+satisfied; the fill checks that invariant after every entry. Entry (r, c)
+can change only the subsets that contain column c, and a static
+per-column index lists exactly those, so a fill costs at most
+m * sum_j j*C(n,j) subset evaluations over the constrained levels j.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from itertools import compress
+from math import comb
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -109,11 +115,29 @@ def _colex_combinations(n: int, j: int) -> list:
 class DerandState:
     """Fill state of the deterministic construction.
 
-    Entries are fixed row-major. Per tracked subset S it keeps: the set of
-    unit patterns already realized in completed rows, and the current
-    row's prefix shape over S (no ones yet, a lone one at some column, or
-    dead with two or more ones). `expectation` is the running sum of
-    per-subset success probabilities under the bits fixed so far.
+    Entries are fixed row-major. Only the subsets S that contain the
+    current column c can change at entry (r, c), so a static per-column
+    index lists, for every column c, those subsets together with the
+    number of columns of S after c. A step evaluates both hypotheses for
+    the listed subsets only and picks the bit from their two sums; the
+    untouched subsets add the same amount to both sides. A fill therefore
+    does at most m * sum_j j*C(n,j) subset evaluations instead of
+    m * n * #subsets.
+
+    Per subset S the state is its column mask, the mask of its columns
+    whose unit pattern no completed row has realized yet, and its class:
+    (level, patterns realized so far). The shape of the current row's
+    prefix over S (no ones, one lone one, dead) is read off the row's
+    fixed bits, so nothing is reset between rows. The f-values a class
+    needs are the same for the whole row and are looked up once per row.
+    A subset that has realized enough patterns is certain to succeed and
+    leaves the index.
+
+    `expectation` is the running sum of per-subset success probabilities
+    under the bits fixed so far. Each subset's current probability is the
+    average of its two hypotheses weighted by Pr[entry = 0] = x, so fixing
+    the bit to 0 adds (1-x)(T0 - T1) and fixing it to 1 adds x(T1 - T0),
+    where T0, T1 are the hypothesis sums over the listed subsets.
     """
 
     def __init__(self, spec: SuperSelectorSpec, m: int = None,
@@ -125,196 +149,248 @@ class DerandState:
         n, p = spec.n, spec.p
         self.n = n
         self.x = (p - 1) / p
-        self.cols = []
-        self.vj = []
-        for j in spec.levels():
-            for cols in _colex_combinations(n, j):
-                self.cols.append(cols)
-                self.vj.append(spec.v[j - 1])
+        self._omx = 1.0 - self.x
+        levels = spec.levels()
+        self.cols = [S for j in levels for S in _colex_combinations(n, j)]
         self.ns = len(self.cols)
         _budget_guard(self.m * n * max(1, self.ns), budget)
-        self._index = {cols: i for i, cols in enumerate(self.cols)}
         self._tables = {
-            j: build_f_table(self.m, j, spec.v[j - 1], self.x)
-            for j in spec.levels()
+            j: build_f_table(self.m, j, spec.v[j - 1], self.x) for j in levels
         }
-        self._tab = [self._tables[len(cols)]._tab for cols in self.cols]
         self._xpow = [self.x ** q for q in range(p + 1)]
-        # Pattern bookkeeping across rows.
-        self.realized = [0] * self.ns
-        self.acount = [0] * self.ns
-        # Row-scoped prefix state.
-        self.ptr = [0] * self.ns
-        self.nextcol = [cols[0] if cols else n for cols in self.cols]
-        self.cnt1 = [0] * self.ns
-        self.onecol = [-1] * self.ns
-        self.onealive = [False] * self.ns
-        self.ua = [len(cols) for cols in self.cols]
-        self.xcur = [
-            self._tables[len(cols)].f(self.m, self.vj[i], len(cols))
-            for i, cols in enumerate(self.cols)
-        ]
-        self.expectation = sum(self.xcur)
+        # First subset index of each level, for colex ranking.
+        self._offset = {}
+        # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
+        # one of each level is satisfied.
+        self._classes = []
+        base = {}
+        for j in levels:
+            self._offset[j] = sum(comb(n, t) for t in levels if t < j)
+            base[j] = len(self._classes)
+            self._classes.extend((j, a) for a in range(spec.v[j - 1] + 1))
+        self._satisfied = [a == spec.v[j - 1] for j, a in self._classes]
+        self._cls = [base[len(S)] for S in self.cols]
+        self._live = [True] * self.ns
+        # Per-column index: subsets containing c (ascending), how many of
+        # their columns follow c, and the subsets whose last column is c.
+        self._hits = hits = [[] for _ in range(n)]
+        self._after = after = [[] for _ in range(n)]
+        self._ends = [[] for _ in range(n)]
+        self._mask = []
+        for i, S in enumerate(self.cols):
+            j = len(S)
+            mask = 0
+            for pos, col in enumerate(S):
+                hits[col].append(i)
+                after[col].append(j - pos - 1)
+                mask |= 1 << col
+            self._ends[S[-1]].append(i)
+            self._mask.append(mask)
+        self._alive = list(self._mask)
+        # Columns whose index still lists a subset that became satisfied.
+        self._stale = [False] * n
+        self._f0 = [1.0] * len(self._classes)
+        self._f1 = [1.0] * len(self._classes)
         # Ties between the two hypotheses resolve to 0; the slack absorbs
         # summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
-        self.trace = [self.expectation] if keep_trace else None
         self.r = 0
         self.c = 0
         self.row_bits = 0
         self.rows = []
-        self._start_row()
+        self._load_row()
+        # Every subset starts at f(m, v_j, j); summed in subset order.
+        self.expectation = sum([
+            f for j in levels
+            for f in [self._tables[j].f(self.m, spec.v[j - 1], j)] * comb(n, j)
+        ])
+        self.trace = [self.expectation] if keep_trace else None
 
     @property
     def position(self) -> tuple:
         return (self.r, self.c)
 
-    def _hypotheses(self, i: int, c: int) -> tuple:
-        """Success probabilities for subset i if entry (r, c) is set to 0
-        or to 1. Requires nextcol[i] == c."""
-        cols = self.cols[i]
-        j = len(cols)
-        a = self.acount[i]
-        need = self.vj[i] - a
-        pool = j - a
+    def _load_row(self):
+        """f-values of every class for the current row: f0 = f(rem, need,
+        pool) and f1 = f(rem, need-1, pool-1), rem rows after this one."""
         rem = self.m - self.r - 1
-        tab = self._tab[i]
-        # f(rem, need, pool) and f(rem, need-1, pool-1) with boundary rules.
-        if need <= 0:
-            return (1.0, 1.0)
-        f0 = 0.0 if (need > pool or need > rem) else tab[rem][need][pool]
-        if need - 1 <= 0:
-            f1 = 1.0
-        elif need - 1 > pool - 1 or need - 1 > rem:
-            f1 = 0.0
-        else:
-            f1 = tab[rem][need - 1][pool - 1]
-        cnt1 = self.cnt1[i]
-        if cnt1 >= 2:
-            return (f0, f0)
-        q_after = j - self.ptr[i] - 1
-        xq = self._xpow[q_after]
-        c_alive = not (self.realized[i] >> c) & 1
-        if cnt1 == 1:
-            if self.onealive[i]:
-                x0 = xq * f1 + (1.0 - xq) * f0
-            else:
-                x0 = f0
-            return (x0, f0)
-        # cnt1 == 0: the prefix over S is all zeros.
-        x1 = xq * f1 + (1.0 - xq) * f0 if c_alive else f0
-        if q_after == 0:
-            x0 = f0
-        else:
-            b_cand = self.ua[i] - (1 if c_alive else 0)
-            pr_new = b_cand * self._xpow[q_after - 1] * (1.0 - self.x)
-            x0 = pr_new * f1 + (1.0 - pr_new) * f0
-        return (x0, x1)
+        for k, (j, a) in enumerate(self._classes):
+            need = self.spec.v[j - 1] - a
+            if need > 0:
+                row = self._tables[j]._tab[rem]
+                # need <= pool always, and the table holds exact zeros
+                # where need > rem, so no boundary cases remain.
+                self._f0[k] = row[need][j - a]
+                self._f1[k] = row[need - 1][j - a - 1]
 
-    def _apply(self, i: int, c: int, bit: int, value: float):
-        """Advance subset i past entry (r, c) fixed to bit."""
-        c_alive = not (self.realized[i] >> c) & 1
-        if bit:
-            cnt1 = self.cnt1[i]
-            if cnt1 == 0:
-                self.cnt1[i] = 1
-                self.onecol[i] = c
-                self.onealive[i] = c_alive
-            elif cnt1 == 1:
-                self.cnt1[i] = 2
-        if c_alive:
-            self.ua[i] -= 1
-        self.ptr[i] += 1
-        cols = self.cols[i]
-        if self.ptr[i] < len(cols):
-            self.nextcol[i] = cols[self.ptr[i]]
-        else:
-            self.nextcol[i] = self.n
-            if self.cnt1[i] == 1 and self.onealive[i]:
-                self.realized[i] |= 1 << self.onecol[i]
-                self.acount[i] += 1
-        self.xcur[i] = value
+    def _drop_satisfied(self, c: int):
+        live = self._live.__getitem__
+        hits, ends = self._hits[c], self._ends[c]
+        keep = list(map(live, hits))
+        self._hits[c] = list(compress(hits, keep))
+        self._after[c] = list(compress(self._after[c], keep))
+        self._ends[c] = list(compress(ends, map(live, ends)))
+        self._stale[c] = False
 
-    def _start_row(self):
-        for i, cols in enumerate(self.cols):
-            self.ptr[i] = 0
-            self.nextcol[i] = cols[0]
-            self.cnt1[i] = 0
-            self.onecol[i] = -1
-            self.onealive[i] = False
-            self.ua[i] = len(cols) - self.acount[i]
-        self.row_bits = 0
+    def _locate(self, S) -> int:
+        S = tuple(S)
+        start = self._offset.get(len(S))
+        if start is None or list(S) != sorted(set(S)) or S[0] < 0 \
+                or S[-1] >= self.n:
+            raise InputError(f"{S} is not a tracked subset")
+        return start + sum(comb(col, k + 1) for k, col in enumerate(S))
+
+    def _current(self, i: int) -> float:
+        """Success probability of subset i given the entries fixed so far."""
+        if not self._live[i]:
+            return 1.0
+        k = self._cls[i]
+        c, mask, alive = self.c, self._mask[i], self._alive[i]
+        j, a = self._classes[k]
+        unfixed = (mask >> c).bit_count()
+        if unfixed == 0 or unfixed == j:
+            # Row r over S is complete, or not begun: whole rows remain.
+            rows = self.m - self.r - (1 if unfixed == 0 else 0)
+            return self._tables[j].f(rows, self.spec.v[j - 1] - a, j - a)
+        f0, f1 = self._f0[k], self._f1[k]
+        pre = self.row_bits & mask
+        if not pre:
+            pr = (alive >> c).bit_count() * self._xpow[unfixed - 1] * self._omx
+            return pr * f1 + (1.0 - pr) * f0
+        if pre & (pre - 1) or not pre & alive:
+            return f0
+        xq = self._xpow[unfixed]
+        return xq * f1 + (1.0 - xq) * f0
+
+    @property
+    def xcur(self) -> list:
+        """Per tracked subset, its success probability given the entries
+        fixed so far (derived from the state on each access)."""
+        return [self._current(i) for i in range(self.ns)]
 
     def counters(self, S: tuple) -> dict:
-        """Bookkeeping snapshot for one tracked subset (testing hook)."""
-        i = self._index[tuple(S)]
+        """Bookkeeping snapshot for one tracked subset (testing hook).
+        `cnt1` counts the ones, capped at 2, that the current row has
+        placed in S so far."""
+        i = self._locate(S)
+        mask, alive = self._mask[i], self._alive[i]
         return {
-            "a": self.acount[i],
-            "realized": self.realized[i],
-            "cnt1": self.cnt1[i],
-            "one_col": self.onecol[i],
-            "one_alive": self.onealive[i],
-            "unfixed_alive": self.ua[i],
-            "ptr": self.ptr[i],
-            "expectation": self.xcur[i],
+            "a": self._classes[self._cls[i]][1],
+            "realized": mask & ~alive,
+            "cnt1": min(2, (self.row_bits & mask).bit_count()),
+            "unfixed_alive": (alive >> self.c).bit_count(),
+            "expectation": self._current(i),
         }
 
     def conditional(self, S: tuple, bit: int) -> float:
         """Probability that subset S still succeeds if the entry at the
         current position is fixed to `bit`."""
-        i = self._index[tuple(S)]
-        if self.nextcol[i] != self.c:
-            return self.xcur[i]
-        pair = self._hypotheses(i, self.c)
-        return pair[1] if bit else pair[0]
+        i = self._locate(S)
+        c = self.c
+        mask = self._mask[i]
+        k = self._cls[i]
+        if not (mask >> c) & 1 or not self._live[i]:
+            return self._current(i)
+        q = (mask >> (c + 1)).bit_count()
+        f0, f1 = self._f0[k], self._f1[k]
+        alive = self._alive[i]
+        pre = self.row_bits & mask
+        if pre:
+            if pre & (pre - 1) or not pre & alive or bit:
+                return f0
+            xq = self._xpow[q]
+            return xq * f1 + (1.0 - xq) * f0
+        if bit:
+            if not (alive >> c) & 1:
+                return f0
+            xq = self._xpow[q]
+            return xq * f1 + (1.0 - xq) * f0
+        if q == 0:
+            return f0
+        pr = (alive >> (c + 1)).bit_count() * self._xpow[q - 1] * self._omx
+        return pr * f1 + (1.0 - pr) * f0
 
     def step(self, bit: int = None) -> int:
         """Fix the next entry and return the bit used. With bit=None the
-        choice is greedy (expectation must not drop); a forced bit is a
-        replay/testing hook exempt from the monotonicity check."""
+        choice is greedy, and a step that takes the expectation from above
+        #subsets - 1 to at most that raises PrecisionFault (the proof's
+        invariant). A forced bit is a replay/testing hook exempt from the
+        check."""
         if self.r >= self.m:
             raise InputError("matrix already complete")
         c = self.c
-        nextcol = self.nextcol
-        xcur = self.xcur
-        base = 0.0
-        touched = []
+        if self._stale[c]:
+            self._drop_satisfied(c)
+        cbit = 1 << c
+        c1 = c + 1
+        rb = self.row_bits
+        masks, alive, cls = self._mask, self._alive, self._cls
+        f0s, f1s, xpow, omx = self._f0, self._f1, self._xpow, self._omx
+        # Hypothesis sums over the subsets that contain c, inlined.
         t0 = 0.0
         t1 = 0.0
-        for i in range(self.ns):
-            if nextcol[i] != c:
-                base += xcur[i]
+        for i, q in zip(self._hits[c], self._after[c]):
+            pre = rb & masks[i]
+            k = cls[i]
+            f0 = f0s[k]
+            if pre:
+                # Two ones, or a lone one whose pattern is already
+                # realized: the row is dead for S and both bits give f0.
+                if pre & (pre - 1) or not pre & alive[i]:
+                    continue
+                xq = xpow[q]
+                t0 += xq * f1s[k] + (1.0 - xq) * f0
+                t1 += f0
             else:
-                h0, h1 = self._hypotheses(i, c)
-                t0 += h0
-                t1 += h1
-                touched.append((i, h0, h1))
-        t0 += base
-        t1 += base
+                f1 = f1s[k]
+                am = alive[i]
+                if am & cbit:
+                    xq = xpow[q]
+                    t1 += xq * f1 + (1.0 - xq) * f0
+                else:
+                    t1 += f0
+                if q:
+                    pr = (am >> c1).bit_count() * xpow[q - 1] * omx
+                    t0 += pr * f1 + (1.0 - pr) * f0
+                else:
+                    t0 += f0
         forced = bit is not None
         if not forced:
             bit = 0 if t0 >= t1 - self._tie_tol else 1
-        chosen = t0 if bit == 0 else t1
-        if not forced and chosen < self.expectation - 1e-9 * max(1, self.ns):
+        before = self.expectation
+        after = before + (self.x * (t1 - t0) if bit else omx * (t0 - t1))
+        floor = self.ns - 1
+        if not forced and before > floor >= after:
             raise PrecisionFault(
-                f"expectation dropped at entry ({self.r},{c}): "
-                f"{self.expectation} -> {chosen}"
+                f"expectation fell to {after} <= {floor} at entry "
+                f"({self.r},{c}), from {before}"
             )
-        self.expectation = chosen
+        self.expectation = after
         if self.trace is not None:
-            self.trace.append(chosen)
+            self.trace.append(after)
         if bit:
-            self.row_bits |= 1 << c
-        for i, h0, h1 in touched:
-            self._apply(i, c, bit, h1 if bit else h0)
-        self.c += 1
-        if self.c == self.n:
-            self.rows.append(self.row_bits)
+            rb |= cbit
+            self.row_bits = rb
+        # Row over S complete: a lone one at an unrealized column realizes it.
+        sat = self._satisfied
+        for i in self._ends[c]:
+            pre = rb & masks[i]
+            if pre and not pre & (pre - 1) and pre & alive[i]:
+                alive[i] ^= pre
+                k = cls[i] + 1
+                cls[i] = k
+                if sat[k]:
+                    self._live[i] = False
+                    for col in self.cols[i]:
+                        self._stale[col] = True
+        self.c = c1
+        if c1 == self.n:
+            self.rows.append(rb)
+            self.row_bits = 0
             self.c = 0
             self.r += 1
-            # Reset row-scoped counters now so conditional() stays honest
-            # at row boundaries.
-            self._start_row()
+            if self.r < self.m:
+                self._load_row()
         return bit
 
     def run(self) -> BitMatrix:
@@ -374,10 +450,8 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
     raise ConstructionFailure(max_attempts)
 
 
-def construct_derandomized(spec: SuperSelectorSpec,
-                           budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
-    """Deterministic threshold-size construction by conditional
-    expectations; verifies its own output by brute force."""
+def _fill(spec: SuperSelectorSpec, budget: int) -> BitMatrix:
+    """The conditional-expectations fill at the threshold, unverified."""
     state = DerandState(spec, budget=budget)
     # At the threshold the expected failure mass is below one, so the
     # greedy fill cannot strand any subset.
@@ -386,7 +460,14 @@ def construct_derandomized(spec: SuperSelectorSpec,
             f"initial expectation {state.expectation} does not clear "
             f"{state.ns - 1}"
         )
-    M = state.run()
+    return state.run()
+
+
+def construct_derandomized(spec: SuperSelectorSpec,
+                           budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
+    """Deterministic threshold-size construction by conditional
+    expectations; verifies its own output by brute force."""
+    M = _fill(spec, budget)
     if not is_superselector(M, spec, budget):
         raise PrecisionFault("verification failed on the finished matrix")
     return M
@@ -396,21 +477,17 @@ def construct_stacked(spec: SuperSelectorSpec,
                       budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
     """Split at the level where the linear coefficient overtakes the
     quadratic one; build that prefix at full strength and the remainder
-    separately, then stack."""
+    separately, then stack. Only the stacked matrix is verified."""
     split = split_level(spec)
-    tail = (0,) * split + spec.v[split:]
     if split == 0:
         return construct_derandomized(spec, budget)
-    m1 = construct_derandomized(
-        SuperSelectorSpec(spec.n, split, tuple(range(1, split + 1))), budget
-    )
-    if all(t == 0 for t in tail):
-        M = m1
-    else:
-        m2 = construct_derandomized(
-            SuperSelectorSpec(spec.n, spec.p, tail), budget
-        )
-        M = m1.stack(m2)
+    M = _fill(SuperSelectorSpec(spec.n, split, tuple(range(1, split + 1))),
+              budget)
+    tail = spec.v[split:]
+    if any(tail):
+        M = M.stack(_fill(
+            SuperSelectorSpec(spec.n, spec.p, (0,) * split + tail), budget
+        ))
     if not is_superselector(M, spec, budget):
         raise PrecisionFault("stacked matrix failed verification")
     return M

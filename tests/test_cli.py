@@ -101,6 +101,35 @@ def test_build_random_and_stacked(tmp_path, manifest):
         assert is_superselector(parse_matrix((tmp_path / f"{method}.txt").read_text()), spec)
 
 
+@pytest.mark.parametrize("method, spec", [
+    ("derand", SuperSelectorSpec(8, 2, (1, 2))),
+    ("random", SuperSelectorSpec(8, 2, (1, 2))),
+    ("stacked", SuperSelectorSpec(8, 5, (1, 2, 3, 1, 1))),
+])
+def test_build_verifies_emitted_matrix_once(tmp_path, manifest, capsys,
+                                            monkeypatch, method, spec):
+    import superselect.cli
+    import superselect.construct
+
+    checked = []
+
+    def counting(M, spec, *args, **kwargs):
+        checked.append(M)
+        return is_superselector(M, spec, *args, **kwargs)
+
+    monkeypatch.setattr(superselect.construct, "is_superselector", counting)
+    monkeypatch.setattr(superselect.cli, "is_superselector", counting)
+    out = tmp_path / "m.txt"
+    # Seed 2 passes on its first sample, so only the emitted matrix is
+    # checked on every method.
+    rc = main(["build", "--spec", spec_file(tmp_path, spec), "--method",
+               method, "--seed", "2", "--out", str(out),
+               "--manifest", manifest])
+    assert rc == 0
+    assert "verify=ok" in capsys.readouterr().out
+    assert checked == [parse_matrix(out.read_text())]
+
+
 def test_build_random_exhausts_attempts(tmp_path, manifest, capsys):
     spec = SuperSelectorSpec(12, 2, (1, 2))
     rc = main(["build", "--spec", spec_file(tmp_path, spec),
@@ -206,6 +235,19 @@ def test_bench_reports_slope(tmp_path, manifest, capsys):
 def test_bench_needs_two_sizes(tmp_path, manifest):
     assert main(["bench", "--p", "2", "--n", "4",
                  "--manifest", manifest]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "8,8"],
+    ["--n", "8,x"],
+    ["--n", "4,8", "--repeat", "0"],
+], ids=["equal-sizes", "non-integer-size", "zero-repeats"])
+def test_bench_bad_input_is_one_line_usage_error(manifest, capsys, flags):
+    assert main(["bench", "--p", "2", *flags, "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ------------------------------------------------- compression round trip

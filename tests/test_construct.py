@@ -14,6 +14,7 @@ from superselect import (
     DerandState,
     FTable,
     InputError,
+    PrecisionFault,
     SuperSelectorSpec,
     build_f_table,
     conditional_probability,
@@ -275,6 +276,49 @@ def test_derandomized_expectation_never_drops():
     for before, after in zip(state.trace, state.trace[1:]):
         assert after >= before - tol
     assert state.expectation > state.ns - 1
+
+
+def test_expectation_stays_above_invariant_on_tightest_spec():
+    # The tightest corpus spec starts only 1.9e-4 above #subsets - 1; the
+    # proof's invariant must hold after every entry, not just on average.
+    spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
+    state = DerandState(spec, keep_trace=True)
+    assert 0 < state.expectation - (state.ns - 1) < 1e-3
+    state.run()
+    assert len(state.trace) == state.m * spec.n + 1
+    assert all(value > state.ns - 1 for value in state.trace)
+
+
+def _near_floor_before_a_one():
+    # Advance greedily to an entry where bit 1 is clearly better, then
+    # put the expectation just above #subsets - 1.
+    spec = SuperSelectorSpec(6, 2, (1, 2))
+    state = DerandState(spec)
+    while True:
+        totals = [sum(state.conditional(S, bit) for S in state.cols)
+                  for bit in (0, 1)]
+        if totals[1] > totals[0] + 1e-6:
+            break
+        state.step()
+    state.expectation = state.ns - 1 + 1e-12
+    return state
+
+
+def test_greedy_step_below_invariant_raises():
+    state = _near_floor_before_a_one()
+    # An unbounded tie slack makes the greedy choice take the losing bit,
+    # as a float overturn of the comparison would.
+    state._tie_tol = float("inf")
+    position = state.position
+    with pytest.raises(PrecisionFault):
+        state.step()
+    assert state.position == position
+
+
+def test_forced_step_is_exempt_from_invariant():
+    state = _near_floor_before_a_one()
+    assert state.step(0) == 0
+    assert state.expectation <= state.ns - 1
 
 
 def test_derandomized_heavier_spec():
