@@ -19,6 +19,7 @@ from .core import (
     InputError,
     SuperSelectorSpec,
     boolean_sum,
+    column_mask,
     covered_columns,
 )
 from .construct import construct_derandomized
@@ -135,6 +136,8 @@ class MonotoneEncoding:
         return sum(M.m for M, _ in self.levels)
 
     def encode(self, S: Sequence[int]) -> tuple:
+        S = tuple(S)
+        column_mask(S, self.n)  # rejects out-of-range and repeated members
         residual = set(S)
         if len(residual) > self.k:
             raise InputError(f"|S| = {len(residual)} exceeds k = {self.k}")

@@ -2,8 +2,14 @@
 verification of selector-type properties.
 
 A matrix row is stored as a Python int whose bit c is the entry M[r,c].
-Column sums and coverage tests then reduce to one mask operation per row,
-which keeps the exhaustive verifiers usable at desk scale.
+Column sums and coverage tests then reduce to one mask operation per row.
+
+The exhaustive selector checks transpose the matrix once per call into a
+column view (an int per column whose bit r is M[r,c]) and walk the
+j-sets of columns depth first, carrying the rows the current prefix hits
+once and more than once. A level j then costs C(n,j) subsets times O(j)
+word operations, with no per-subset scan of the m rows, which keeps the
+verifiers usable at desk scale.
 """
 
 from __future__ import annotations
@@ -12,9 +18,6 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
-
-# Sorted, duplicate-free column indices.
-ColumnSet = tuple
 
 DEFAULT_SUBSET_BUDGET = 10**8
 
@@ -227,20 +230,55 @@ def _budget_guard(checks: int, budget: int):
         )
 
 
-def _selector_holds(M: BitMatrix, p: int, k: int) -> bool:
-    # Unguarded inner loop shared by the verifiers.
-    for S in itertools.combinations(range(M.n), p):
-        mask = 0
-        for c in S:
-            mask |= 1 << c
-        seen = 0
-        for row in M.rows:
-            z = row & mask
-            if z and not (z & (z - 1)):
-                seen |= z
-        if seen.bit_count() < k:
-            return False
-    return True
+def _columns(M: BitMatrix) -> list:
+    """Column view of M: cols[c] is an int whose bit r is M[r,c]."""
+    cols = [0] * M.n
+    for r, row in enumerate(M.rows):
+        bit = 1 << r
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
+
+
+def _selector_holds(cols: list, j: int, k: int) -> bool:
+    # Unguarded kernel shared by the verifiers: every j-set of columns has
+    # >= k isolated columns (columns owning a row where they hold the only
+    # 1 within the set). The j-sets are visited depth first in the order
+    # of itertools.combinations. A prefix carries `hit`, the rows it hits
+    # (once | multi), and `alone`, the nonzero cols[a] & once of its
+    # columns a, where `once` is the rows it hits exactly once. Adding
+    # column x keeps y & ~x of each y in `alone` and appends x & ~hit.
+    n = len(cols)
+
+    def extend(start, depth, hit, alone):
+        free = ~hit
+        if depth == j - 1:
+            for c in range(start, n):
+                x = cols[c]
+                need = k - 1 if x & free else k
+                if need:
+                    nx = ~x
+                    for y in alone:
+                        if y & nx:
+                            need -= 1
+                            if not need:
+                                break
+                    else:
+                        return False
+            return True
+        for a in range(start, n - j + depth + 1):
+            x = cols[a]
+            nx = ~x
+            nxt = [z for y in alone if (z := y & nx)]
+            if x & free:
+                nxt.append(x & free)
+            if not extend(a + 1, depth + 1, hit | x, nxt):
+                return False
+        return True
+
+    return extend(0, 0, 0, [])
 
 
 def is_selector(
@@ -252,7 +290,7 @@ def is_selector(
     if p > M.n:
         raise InputError(f"p={p} exceeds n={M.n}")
     _budget_guard(comb(M.n, p), budget)
-    return _selector_holds(M, p, k)
+    return _selector_holds(_columns(M), p, k)
 
 
 def is_superselector(
@@ -263,7 +301,8 @@ def is_superselector(
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
     _budget_guard(sum(comb(M.n, j) for j in levels), budget)
-    return all(_selector_holds(M, j, spec.v[j - 1]) for j in levels)
+    cols = _columns(M)
+    return all(_selector_holds(cols, j, spec.v[j - 1]) for j in levels)
 
 
 def is_list_disjunct(
@@ -273,26 +312,27 @@ def is_list_disjunct(
 
     Checking |S| = d and |T| = l suffices: shrinking S only removes miss
     constraints, and the guarantee for larger T follows from any l-subset.
+    A d-set S fails exactly when at least l columns outside S are
+    uncovered by the rows that miss S, so each S costs one scan of the
+    rows. The budget still counts the (S, T) pairs this decides.
     """
     if d < 1 or l < 1:
         raise InputError("need d >= 1 and l >= 1")
     if d + l > M.n:
         raise InputError(f"d + l = {d + l} exceeds n = {M.n}")
     _budget_guard(comb(M.n, d) * comb(M.n - d, l), budget)
-    cols = range(M.n)
-    for S in itertools.combinations(cols, d):
+    full = (1 << M.n) - 1
+    for S in itertools.combinations(range(M.n), d):
         smask = 0
         for c in S:
             smask |= 1 << c
-        rest = [c for c in cols if not (smask >> c) & 1]
-        # Rows that miss S; T must be hit by one of them.
+        # Rows that miss S; every l-set T outside S must meet them.
         free = 0
         for row in M.rows:
             if not row & smask:
                 free |= row
-        for T in itertools.combinations(rest, l):
-            if not any((free >> c) & 1 for c in T):
-                return False
+        if (full & ~free & ~smask).bit_count() >= l:
+            return False
     return True
 
 

@@ -183,6 +183,12 @@ def test_encode_rejects_oversized_sets():
         monotone_encode(6, 2, (0, 1, 2))
 
 
+@pytest.mark.parametrize("S", [(1, 1), (0, 3, 0)], ids=str)
+def test_encode_rejects_repeated_members(S):
+    with pytest.raises(InputError):
+        monotone_encode(6, 3, S)
+
+
 def test_decode_rejects_wrong_length():
     enc = monotone_chain(6, 2)
     with pytest.raises(InputError):

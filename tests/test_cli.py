@@ -303,6 +303,15 @@ def test_me_encode_rejects_bad_set(tmp_path, manifest):
                  "--manifest", manifest]) == 2
 
 
+def test_me_encode_rejects_repeated_member(tmp_path, manifest, capsys):
+    assert main(["me-encode", "--n", "4", "--k", "2", "--set", "1,1",
+                 "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_me_decode_rejects_non_binary_word(tmp_path, manifest):
     assert main(["me-decode", "--n", "6", "--k", "2", "--word", "01x",
                  "--manifest", manifest]) == 2
