@@ -2,9 +2,13 @@
 
 Subcommands cover the whole pipeline: size bounds, matrix construction,
 brute-force verification, the three decoders, the application codecs,
-and a scaling benchmark. Every run appends one tab-separated line to a
-manifest file, and every command prints a machine-readable result line
-(`bounds` prints its four labeled lines) on standard output.
+and a scaling benchmark. `main` is the one run path: it times each run
+from the end of flag parsing, maps errors to exit codes, and appends one
+tab-separated line to the manifest file for every run that passes flag
+parsing, including failed runs, whose verdict is `error:<Class>`
+(argparse rejections write none). A command prints one machine-readable
+result line (`bounds` prints its four labeled lines) on standard output,
+or one `error: ...` line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
@@ -14,11 +18,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
+import timeit
 from dataclasses import dataclass
+from functools import partial
+from statistics import linear_regression
 
 from .core import (
+    DEFAULT_SUBSET_BUDGET,
     BitMatrix,
     BudgetError,
     InputError,
@@ -97,24 +106,26 @@ def _append_manifest(path: str, entry: RunManifest):
         fh.write(entry.line() + "\n")
 
 
-def read_matrix(path: str) -> BitMatrix:
+def _read(path: str, parse):
     with open(path) as fh:
-        return parse_matrix(fh.read(), source=path)
+        return parse(fh.read(), source=path)
 
 
-def write_matrix(M: BitMatrix, path: str):
+def _write(path: str, text: str):
     with open(path, "w") as fh:
-        fh.write(format_matrix(M))
+        fh.write(text)
 
 
-def read_spec(path: str) -> SuperSelectorSpec:
-    with open(path) as fh:
-        return parse_spec(fh.read(), source=path)
+def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
+    spec = _read(args.spec, parse_spec)
+    run.spec_digest = _digest(format_spec(spec))
+    return spec
 
 
-def read_vector(path: str) -> tuple:
-    with open(path) as fh:
-        return parse_vector(fh.read(), source=path)
+def _read_matrix(args, run: RunManifest) -> BitMatrix:
+    M = _read(args.matrix, parse_matrix)
+    run.matrix_digest = _digest(format_matrix(M))
+    return M
 
 
 def _csv_columns(text: str) -> tuple:
@@ -126,11 +137,12 @@ def _csv_columns(text: str) -> tuple:
         raise InputError(f"bad column list {text!r}")
 
 
-def cmd_bounds(args) -> int:
-    spec = read_spec(args.spec)
-    upper = superselector_upper_bound(spec)
-    lower = superselector_lower_bound(spec)
-    threshold = derand_threshold(spec)
+def _cols(columns) -> str:
+    return ",".join(map(str, columns))
+
+
+def cmd_bounds(args, run) -> tuple:
+    spec = _read_spec(args, run)
     levels = spec.levels()
     if levels:
         # The selector bound is read at the strongest single level.
@@ -138,91 +150,56 @@ def cmd_bounds(args) -> int:
         sel_m = selector_upper_bound(top, spec.v[top - 1], spec.n).m
     else:
         sel_m = 1
-    print(f"upper={upper.m}")
-    print(f"lower={lower.m}")
-    print(f"threshold={threshold}")
-    print(f"selector={sel_m}")
-    _append_manifest(args.manifest, RunManifest(
-        "bounds", spec_digest=_digest(format_spec(spec)), verdict="ok",
-    ))
-    return 0
+    return 0, (f"upper={superselector_upper_bound(spec).m}\n"
+               f"lower={superselector_lower_bound(spec).m}\n"
+               f"threshold={derand_threshold(spec)}\n"
+               f"selector={sel_m}")
 
 
-def cmd_build(args) -> int:
-    spec = read_spec(args.spec)
-    start = time.perf_counter()
-    seed = "-"
+def cmd_build(args, run) -> tuple:
+    spec = _read_spec(args, run)
     if args.method == "random":
-        M, attempts = construct_randomized(spec, args.seed,
-                                           args.max_attempts)
-        seed = str(args.seed)
+        M, _ = construct_randomized(spec, args.seed, args.max_attempts)
+        run.seed = str(args.seed)
     elif args.method == "derand":
         M = construct_derandomized(spec)
     else:
         M = construct_stacked(spec)
     # Every construction has already certified M by the exhaustive check
     # (it raises otherwise), so --verify only chooses what is reported.
-    verdict = "ok" if args.verify == "on" else "skip"
-    wall = time.perf_counter() - start
-    write_matrix(M, args.out)
-    _append_manifest(args.manifest, RunManifest(
-        "build", spec_digest=_digest(format_spec(spec)),
-        matrix_digest=_digest(format_matrix(M)), seed=seed,
-        wall_time=wall, output_path=args.out, verdict=verdict,
-    ))
-    print(f"m={M.m} n={M.n} method={args.method} out={args.out} "
-          f"verify={verdict}")
-    return 0
+    run.verdict = "ok" if args.verify == "on" else "skip"
+    text = format_matrix(M)
+    run.matrix_digest = _digest(text)
+    _write(args.out, text)
+    run.output_path = args.out
+    return 0, (f"m={M.m} n={M.n} method={args.method} out={args.out} "
+               f"verify={run.verdict}")
 
 
-def cmd_verify(args) -> int:
-    spec = read_spec(args.spec)
-    M = read_matrix(args.matrix)
-    start = time.perf_counter()
-    if args.budget is None:
-        ok = is_superselector(M, spec)
-    else:
-        ok = is_superselector(M, spec, args.budget)
-    wall = time.perf_counter() - start
-    verdict = "ok" if ok else "fail"
-    _append_manifest(args.manifest, RunManifest(
-        "verify", spec_digest=_digest(format_spec(spec)),
-        matrix_digest=_digest(format_matrix(M)), wall_time=wall,
-        verdict=verdict,
-    ))
-    print(verdict)
-    return 0 if ok else 1
+def cmd_verify(args, run) -> tuple:
+    spec = _read_spec(args, run)
+    M = _read_matrix(args, run)
+    ok = is_superselector(M, spec, args.budget)
+    run.verdict = "ok" if ok else "fail"
+    return (0 if ok else 1), run.verdict
 
 
-def cmd_decode(args) -> int:
-    spec = read_spec(args.spec)
-    M = read_matrix(args.matrix)
-    obs = read_vector(args.obs)
-    start = time.perf_counter()
-    verdict = "ok"
+def cmd_decode(args, run) -> tuple:
+    spec = _read_spec(args, run)
+    M = _read_matrix(args, run)
+    obs = _read(args.obs, parse_vector)
     if args.mode == "union":
         res = identify_from_union(M, spec, obs)
-        line = (f"identified={','.join(map(str, res.identified))} "
-                f"candidates={','.join(map(str, res.candidates))} "
-                f"spurious={res.spurious_bound}")
-    elif args.mode == "approx":
+        return 0, (f"identified={_cols(res.identified)} "
+                   f"candidates={_cols(res.candidates)} "
+                   f"spurious={res.spurious_bound}")
+    if args.mode == "approx":
         low, high = approx_decode(M, spec, obs, args.e0, args.e1)
-        line = (f"low={','.join(map(str, low))} "
-                f"high={','.join(map(str, high))}")
-    else:
-        support = additive_decode(M, spec, obs)
-        line = f"support={','.join(map(str, support))}"
-    wall = time.perf_counter() - start
-    _append_manifest(args.manifest, RunManifest(
-        "decode", spec_digest=_digest(format_spec(spec)),
-        matrix_digest=_digest(format_matrix(M)), wall_time=wall,
-        verdict=verdict,
-    ))
-    print(line)
-    return 0
+        return 0, f"low={_cols(low)} high={_cols(high)}"
+    return 0, f"support={_cols(additive_decode(M, spec, obs))}"
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, run) -> tuple:
     try:
         sizes = [int(t) for t in args.n.split(",")]
     except ValueError:
@@ -231,115 +208,64 @@ def cmd_bench(args) -> int:
         raise InputError("need at least two distinct n values to fit a slope")
     if args.repeat < 1:
         raise InputError(f"--repeat must be >= 1, got {args.repeat}")
+    run.seed = str(args.seed)
     points = []
     for n in sizes:
         spec = SuperSelectorSpec(n, args.p, tuple(range(1, args.p + 1)))
-        best = None
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            if args.method == "derand":
-                construct_derandomized(spec)
-            else:
-                construct_randomized(spec, args.seed)
-            wall = time.perf_counter() - start
-            best = wall if best is None else min(best, wall)
-        points.append((n, best))
+        if args.method == "derand":
+            build = partial(construct_derandomized, spec)
+        else:
+            build = partial(construct_randomized, spec, args.seed)
+        points.append((n, min(timeit.repeat(build, number=1,
+                                            repeat=args.repeat))))
     # Least-squares slope on log-log axes.
-    import math
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    slope = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / \
-        sum((a - mx) ** 2 for a in xs)
+    slope = linear_regression([math.log(n) for n, _ in points],
+                              [math.log(t) for _, t in points]).slope
+    run.verdict = f"slope={slope:.3f}"
     detail = " ".join(f"n={n}:{t:.6f}" for n, t in points)
-    _append_manifest(args.manifest, RunManifest(
-        "bench", seed=str(args.seed), wall_time=sum(t for _, t in points),
-        verdict=f"slope={slope:.3f}",
-    ))
-    print(f"slope={slope:.3f} {detail}")
-    return 0
+    return 0, f"{run.verdict} {detail}"
 
 
-def cmd_compress(args) -> int:
-    M = read_matrix(args.matrix)
-    x = read_vector(getattr(args, "in"))
-    start = time.perf_counter()
-    word = compress(M, args.p, x)
-    wall = time.perf_counter() - start
-    with open(args.out, "w") as fh:
-        fh.write(format_vector(word.bits))
-    _append_manifest(args.manifest, RunManifest(
-        "compress", matrix_digest=_digest(format_matrix(M)),
-        wall_time=wall, output_path=args.out, verdict="ok",
-    ))
-    print(f"out={args.out} length={len(word.bits)}")
-    return 0
+def cmd_compress(args, run) -> tuple:
+    M = _read_matrix(args, run)
+    word = compress(M, args.p, _read(getattr(args, "in"), parse_vector))
+    _write(args.out, format_vector(word.bits))
+    run.output_path = args.out
+    return 0, f"out={args.out} length={len(word.bits)}"
 
 
-def cmd_decompress(args) -> int:
-    M = read_matrix(args.matrix)
-    bits = read_vector(getattr(args, "in"))
+def cmd_decompress(args, run) -> tuple:
+    M = _read_matrix(args, run)
+    bits = _read(getattr(args, "in"), parse_vector)
     if len(bits) != M.m + 2 * args.p:
         raise InputError(
             f"expected {M.m + 2 * args.p} bits, got {len(bits)}"
         )
-    start = time.perf_counter()
     word = CompressedWord(tuple(bits[:M.m]), tuple(bits[M.m:]))
     x = decompress(M, args.p, word)
-    wall = time.perf_counter() - start
-    with open(args.out, "w") as fh:
-        fh.write(format_vector(x))
-    _append_manifest(args.manifest, RunManifest(
-        "decompress", matrix_digest=_digest(format_matrix(M)),
-        wall_time=wall, output_path=args.out, verdict="ok",
-    ))
-    print(f"out={args.out} support="
-          f"{','.join(str(c) for c, b in enumerate(x) if b)}")
-    return 0
+    _write(args.out, format_vector(x))
+    run.output_path = args.out
+    return 0, f"out={args.out} support={_cols(c for c, b in enumerate(x) if b)}"
 
 
-def cmd_me_encode(args) -> int:
-    S = _csv_columns(args.set)
-    start = time.perf_counter()
-    word = monotone_encode(args.n, args.k, S)
-    wall = time.perf_counter() - start
-    _append_manifest(args.manifest, RunManifest(
-        "me-encode", wall_time=wall, verdict="ok",
-    ))
-    print("word=" + "".join(map(str, word)))
-    return 0
+def cmd_me_encode(args, run) -> tuple:
+    word = monotone_encode(args.n, args.k, _csv_columns(args.set))
+    return 0, "word=" + "".join(map(str, word))
 
 
-def cmd_me_decode(args) -> int:
+def cmd_me_decode(args, run) -> tuple:
     if set(args.word) - {"0", "1"}:
         raise InputError("codeword must be a 0/1 string")
     bits = tuple(int(ch) for ch in args.word)
-    start = time.perf_counter()
-    S = monotone_decode(args.n, args.k, bits)
-    wall = time.perf_counter() - start
-    _append_manifest(args.manifest, RunManifest(
-        "me-decode", wall_time=wall, verdict="ok",
-    ))
-    print("set=" + ",".join(map(str, S)))
-    return 0
+    return 0, "set=" + _cols(monotone_decode(args.n, args.k, bits))
 
 
-def cmd_mut_decode(args) -> int:
-    spec = read_spec(args.spec)
-    M = read_matrix(args.matrix)
-    obs = read_vector(args.obs)
-    start = time.perf_counter()
-    res = mut_decode(M, spec, obs)
-    wall = time.perf_counter() - start
-    _append_manifest(args.manifest, RunManifest(
-        "mut-decode", spec_digest=_digest(format_spec(spec)),
-        matrix_digest=_digest(format_matrix(M)), wall_time=wall,
-        verdict="ok",
-    ))
-    print(f"identified={','.join(map(str, res.identified))} "
-          f"candidates={','.join(map(str, res.candidates))}")
-    return 0
+def cmd_mut_decode(args, run) -> tuple:
+    spec = _read_spec(args, run)
+    M = _read_matrix(args, run)
+    res = mut_decode(M, spec, _read(args.obs, parse_vector))
+    return 0, (f"identified={_cols(res.identified)} "
+               f"candidates={_cols(res.candidates)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
-    q.add_argument("--budget", type=int, default=None)
+    q.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("decode", help="decode an observation vector",
@@ -441,19 +367,36 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        return args.func(args)
-    # Inconsistent observations are decode failures, not usage errors.
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    run = RunManifest(args.command, verdict="ok")
+    start = time.perf_counter()
+    error = None
+    try:
+        code, out = args.func(args, run)
+    # Inconsistent observations are decode failures, not usage errors;
+    # InconsistentObservationError subclasses InputError, so this clause
+    # comes first.
     except (InconsistentObservationError, ConstructionFailure,
             PrecisionFault) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
     except (InputError, ParseError, BudgetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
+    if error is not None:
+        run.verdict = f"error:{type(error).__name__}"
+    run.wall_time = time.perf_counter() - start
+    try:
+        _append_manifest(args.manifest, run)
+    except OSError as exc:
+        # A run that already failed reports its own error.
+        if error is None:
+            code, error = 2, exc
+    if error is None:
+        print(out)
+    else:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -99,15 +99,6 @@ class FTable:
         return self._tab[a][b][c]
 
 
-def build_f_table(m: int, p: int, k_max: int, x: float = None) -> FTable:
-    """Fill the f-table for width-p submatrices by dynamic programming.
-
-    x defaults to (p-1)/p; pass the outer construction's x explicitly when
-    p is an inner subset size.
-    """
-    return FTable(m, p, k_max, SampleDistribution(p, x))
-
-
 def _colex_combinations(n: int, j: int) -> list:
     return sorted(itertools.combinations(range(n), j), key=lambda s: s[::-1])
 
@@ -151,11 +142,14 @@ class DerandState:
         self.x = (p - 1) / p
         self._omx = 1.0 - self.x
         levels = spec.levels()
+        # The per-column index makes at most m * sum_j j*C(n,j) subset
+        # evaluations; charge that before enumerating the subsets.
+        _budget_guard(self.m * sum(j * comb(n, j) for j in levels), budget)
         self.cols = [S for j in levels for S in _colex_combinations(n, j)]
         self.ns = len(self.cols)
-        _budget_guard(self.m * n * max(1, self.ns), budget)
         self._tables = {
-            j: build_f_table(self.m, j, spec.v[j - 1], self.x) for j in levels
+            j: FTable(self.m, j, spec.v[j - 1],
+                      SampleDistribution(j, self.x)) for j in levels
         }
         self._xpow = [self.x ** q for q in range(p + 1)]
         # First subset index of each level, for colex ranking.
@@ -397,22 +391,6 @@ class DerandState:
         while self.r < self.m:
             self.step()
         return BitMatrix(self.n, self.rows)
-
-
-def conditional_probability(state: DerandState, S: tuple, ftable: FTable,
-                            position: tuple, bit: int) -> float:
-    """Success probability for subset S with the entry at `position`
-    hypothetically fixed to `bit`, per the running state's counters."""
-    S = tuple(S)
-    if tuple(position) != state.position:
-        raise InputError(
-            f"state is at {state.position}, cannot evaluate {tuple(position)}"
-        )
-    expected = state._tables.get(len(S))
-    if expected is None or ftable.distribution != expected.distribution \
-            or ftable.m != expected.m:
-        raise InputError("f-table does not match the state's level table")
-    return state.conditional(S, bit)
 
 
 def sample_random_matrix(m: int, n: int, p: int, seed: int) -> BitMatrix:

@@ -314,13 +314,13 @@ def is_list_disjunct(
     constraints, and the guarantee for larger T follows from any l-subset.
     A d-set S fails exactly when at least l columns outside S are
     uncovered by the rows that miss S, so each S costs one scan of the
-    rows. The budget still counts the (S, T) pairs this decides.
+    rows, and the budget counts the C(n, d) sets S.
     """
     if d < 1 or l < 1:
         raise InputError("need d >= 1 and l >= 1")
     if d + l > M.n:
         raise InputError(f"d + l = {d + l} exceeds n = {M.n}")
-    _budget_guard(comb(M.n, d) * comb(M.n - d, l), budget)
+    _budget_guard(comb(M.n, d), budget)
     full = (1 << M.n) - 1
     for S in itertools.combinations(range(M.n), d):
         smask = 0

@@ -17,6 +17,8 @@ import time
 import pytest
 
 from superselect import (
+    FTable,
+    SampleDistribution,
     SuperSelectorSpec,
     additive_decode,
     additive_gt_spec,
@@ -24,7 +26,6 @@ from superselect import (
     approx_gt_spec,
     arithmetic_sum,
     boolean_sum,
-    build_f_table,
     compress,
     construct_derandomized,
     decompress,
@@ -89,7 +90,7 @@ def test_criterion_04_f_table_against_monte_carlo():
     cases = ((6, 1, 2, 3), (8, 2, 3, 4))
     samples = 100_000
     for m, want, designated, p in cases:
-        table = build_f_table(m, p, designated)
+        table = FTable(m, p, designated, SampleDistribution(p))
         value = table.f(m, want, designated)
         x = (p - 1) / p
         rng = random.Random(97 + m)

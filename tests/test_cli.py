@@ -356,6 +356,73 @@ def test_manifest_accumulates_runs(tmp_path, manifest, capsys):
     assert build_fields[6] == "ok"
 
 
+def _malformed_matrix(tmp_path):
+    spec = SuperSelectorSpec(4, 2, (1, 2))
+    return ["verify", "--matrix", write(tmp_path / "bad.txt", "3 4\n0101\n01\n0101\n"),
+            "--spec", spec_file(tmp_path, spec)]
+
+
+def _over_budget(tmp_path):
+    spec = SuperSelectorSpec(6, 2, (1, 2))
+    return ["verify", "--matrix", matrix_file(tmp_path, construct_derandomized(spec)),
+            "--spec", spec_file(tmp_path, spec), "--budget", "1"]
+
+
+def _attempts_exhausted(tmp_path):
+    return ["build", "--spec", spec_file(tmp_path, SuperSelectorSpec(12, 2, (1, 2))),
+            "--method", "random", "--seed", "1", "--max-attempts", "1",
+            "--out", str(tmp_path / "m.txt")]
+
+
+def _inconsistent_additive(tmp_path):
+    return ["decode", "--mode", "additive",
+            "--matrix", matrix_file(tmp_path, BitMatrix.identity(2)),
+            "--spec", spec_file(tmp_path, SuperSelectorSpec(2, 1, (1,))),
+            "--obs", vector_file(tmp_path, (2, 1))]
+
+
+def _failing_verify(tmp_path):
+    return ["verify", "--matrix", matrix_file(tmp_path, BitMatrix.zeros(3, 4)),
+            "--spec", spec_file(tmp_path, SuperSelectorSpec(4, 2, (1, 2)))]
+
+
+@pytest.mark.parametrize("make_argv, code, verdict", [
+    (_malformed_matrix, 2, "error:ParseError"),
+    (_over_budget, 2, "error:BudgetError"),
+    (_attempts_exhausted, 1, "error:ConstructionFailure"),
+    (_inconsistent_additive, 1, "error:InconsistentObservationError"),
+    (_failing_verify, 1, "fail"),
+], ids=["malformed-matrix", "over-budget", "attempts-exhausted",
+        "inconsistent-observation", "failing-verify"])
+def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
+                                             make_argv, code, verdict):
+    argv = make_argv(tmp_path)
+    assert main(argv + ["--manifest", manifest]) == code
+    captured = capsys.readouterr()
+    if verdict.startswith("error:"):
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert (captured.out, captured.err) == (verdict + "\n", "")
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert len(lines) == 1
+    fields = lines[0].split("\t")
+    assert len(fields) == 7
+    assert fields[0] == argv[0] and fields[6] == verdict
+    assert float(fields[4]) >= 0.0
+
+
+def test_unwritable_manifest_is_one_line_usage_error(tmp_path, capsys):
+    spec_path = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
+    assert main(["bounds", "--spec", spec_path,
+                 "--manifest", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_parse_error_reports_file_and_line(tmp_path, manifest, capsys):
     bad = write(tmp_path / "bad.txt", "3 4\n0101\n01\n0101\n")
     spec = SuperSelectorSpec(4, 2, (1, 2))

@@ -15,9 +15,8 @@ from superselect import (
     FTable,
     InputError,
     PrecisionFault,
+    SampleDistribution,
     SuperSelectorSpec,
-    build_f_table,
-    conditional_probability,
     construct_derandomized,
     construct_randomized,
     construct_stacked,
@@ -32,7 +31,7 @@ from superselect import (
 
 
 def test_f_table_boundaries():
-    tab = build_f_table(5, 3, 3)
+    tab = FTable(5, 3, 3, SampleDistribution(3))
     assert tab.f(0, 0, 0) == 1.0
     assert tab.f(4, 0, 2) == 1.0
     assert tab.f(2, 3, 3) == 0.0  # more patterns than rows
@@ -41,14 +40,14 @@ def test_f_table_boundaries():
 
 
 def test_f_table_single_step_is_alpha():
-    tab = build_f_table(3, 2, 2)
+    tab = FTable(3, 2, 2, SampleDistribution(2))
     alpha = tab.distribution.alpha
     assert tab.f(1, 1, 1) == pytest.approx(alpha)
     assert tab.f(1, 1, 2) == pytest.approx(2 * alpha)
 
 
 def test_f_table_recurrence_residual():
-    tab = build_f_table(8, 4, 4)
+    tab = FTable(8, 4, 4, SampleDistribution(4))
     alpha = tab.distribution.alpha
     for a in range(1, 9):
         for b in range(1, 5):
@@ -59,7 +58,7 @@ def test_f_table_recurrence_residual():
 
 
 def test_f_table_monotonicity():
-    tab = build_f_table(10, 3, 3)
+    tab = FTable(10, 3, 3, SampleDistribution(3))
     for b in range(1, 4):
         for c in range(b, 4):
             for a in range(1, 11):
@@ -71,7 +70,7 @@ def test_f_table_monotonicity():
 
 
 def test_f_table_range_checks():
-    tab = build_f_table(4, 3, 2)
+    tab = FTable(4, 3, 2, SampleDistribution(3))
     with pytest.raises(InputError):
         tab.f(5, 1, 2)
     with pytest.raises(InputError):
@@ -79,13 +78,13 @@ def test_f_table_range_checks():
     with pytest.raises(InputError):
         tab.f(2, 3, 3)
     with pytest.raises(InputError):
-        build_f_table(3, 2, 5)
+        FTable(3, 2, 5, SampleDistribution(2))
 
 
 def test_f_table_against_simulation():
     # Count distinct designated unit rows among a = 6 samples of width 3.
     width, a, samples = 3, 6, 100_000
-    tab = build_f_table(a, width, width)
+    tab = FTable(a, width, width, SampleDistribution(width))
     x = tab.distribution.x
     rng = random.Random(1009)
     hits = {(1, 2): 0, (2, 3): 0, (1, 1): 0}
@@ -210,19 +209,6 @@ def test_conditional_last_singleton_column():
     assert state.conditional((0,), 0) == pytest.approx(1 - 0.5 ** rem)
 
 
-def test_conditional_probability_validates_inputs():
-    spec = SuperSelectorSpec(4, 2, (1, 2))
-    state = DerandState(spec)
-    good = build_f_table(state.m, 2, 2, state.x)
-    value = conditional_probability(state, (0, 1), good, (0, 0), 0)
-    assert value == state.conditional((0, 1), 0)
-    with pytest.raises(InputError):
-        conditional_probability(state, (0, 1), good, (0, 1), 0)
-    bad = build_f_table(state.m + 1, 2, 2, state.x)
-    with pytest.raises(InputError):
-        conditional_probability(state, (0, 1), bad, (0, 0), 0)
-
-
 def test_conditional_matches_step_totals():
     # Summing per-subset conditionals for both bits must reproduce the
     # greedy choice made by step().
@@ -344,6 +330,16 @@ def test_derandomized_budget_guard():
     spec = SuperSelectorSpec(12, 3, (1, 2, 3))
     with pytest.raises(BudgetError):
         construct_derandomized(spec, budget=10)
+
+
+def test_derandomized_budget_charges_the_index_work():
+    # The fill makes m * (200 + 2*C(200, 2)) = 1,480,000 subset
+    # evaluations at m = 37, well under the default budget; the scan's
+    # m * n * #subsets would have been 148,740,000.
+    spec = SuperSelectorSpec(200, 2, (1, 2))
+    M = construct_derandomized(spec)
+    assert M.m == derand_threshold(spec) == 37
+    assert is_superselector(M, spec)
 
 
 def test_state_rejects_zero_rows():

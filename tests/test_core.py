@@ -254,6 +254,17 @@ def test_brute_force_refuses_oversized_enumeration():
         is_selector(M, 15, 2, budget=1000)
 
 
+def test_list_disjunct_budget_counts_d_sets():
+    # C(40, 3) = 9,880 d-sets, although the (S, T) pairs number about
+    # 2.3e10; each d-set costs one scan of the rows.
+    assert is_list_disjunct(BitMatrix.identity(40), 3, 6)
+
+
+def test_list_disjunct_refuses_too_many_d_sets():
+    with pytest.raises(BudgetError):
+        is_list_disjunct(BitMatrix.identity(10), 2, 1, budget=44)
+
+
 # --- matrix behaviors ---
 
 def test_entry_column_row_consistency():
