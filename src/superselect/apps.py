@@ -196,7 +196,8 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
     M must be a certified (2p, p+1, n)-selector; that caps the candidate
-    list at 2p - 1 entries, so the fixed-size mask always fits.
+    list at 2p - 1 entries, so the fixed-size mask always fits. A list
+    longer than 2p shows that M is not such a selector: InputError.
     """
     if len(x) != M.n:
         raise InputError(f"vector length {len(x)} != n={M.n}")
@@ -206,7 +207,7 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     y = boolean_sum(M, support)
     L = covered_columns(M, y)
     if len(L) > 2 * p:
-        raise RuntimeError(
+        raise InputError(
             f"candidate list has {len(L)} entries; matrix is not a "
             f"(2p, p+1) selector for p={p}"
         )

@@ -12,6 +12,11 @@ or one `error: ...` line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
+
+The argument parser is built once, when this module is imported, and
+every `main` call reuses it. A caller that runs `main` many times in one
+process pays for the parser once; a shell invocation of `superselect`
+still pays for it once per process.
 """
 
 from __future__ import annotations
@@ -72,10 +77,17 @@ from .apps import (
 
 DEFAULT_MANIFEST = "runs.tsv"
 
+_FIELD_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t",
+                                "\n": "\\n", "\r": "\\r"})
+
 
 @dataclass
 class RunManifest:
-    """One line of provenance per run, tab-separated in field order."""
+    r"""One line of provenance per run, tab-separated in field order.
+
+    Backslash, tab, LF and CR inside a field are written as `\\`, `\t`,
+    `\n` and `\r`, so every run is one line of exactly seven fields.
+    """
 
     command: str
     spec_digest: str = "-"
@@ -86,7 +98,7 @@ class RunManifest:
     verdict: str = "-"
 
     def line(self) -> str:
-        return "\t".join([
+        return "\t".join(field.translate(_FIELD_ESCAPES) for field in [
             self.command,
             self.spec_digest,
             self.matrix_digest,
@@ -364,10 +376,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     run = RunManifest(args.command, verdict="ok")

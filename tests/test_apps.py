@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from superselect import (
+    BitMatrix,
     CompressedWord,
     InputError,
     MonotoneEncoding,
@@ -243,6 +244,14 @@ def test_compress_rejects_dense_vectors(compressor):
         compress(M, p, x)
     with pytest.raises(InputError):
         compress(M, p, (0,) * (M.n - 1))
+
+
+def test_compress_rejects_matrix_that_is_not_a_selector():
+    # All-ones rows cover every column, so the candidate list (3) is longer
+    # than the 2p = 2 bit mask.
+    M = BitMatrix.from_entries([[1, 1, 1], [1, 1, 1]])
+    with pytest.raises(InputError, match="candidate list has 3 entries"):
+        compress(M, 1, (1, 0, 0))
 
 
 def test_tampered_mask_flips_one_column(compressor):

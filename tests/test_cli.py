@@ -6,6 +6,8 @@ manifest path under tmp_path, so nothing leaks between tests.
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from superselect import (
@@ -273,6 +275,24 @@ def test_compress_decompress_files(tmp_path, manifest, capsys):
     assert parse_vector((tmp_path / "y.txt").read_text()) == x
 
 
+def test_compress_with_non_selector_matrix_is_usage_error(tmp_path, manifest,
+                                                         capsys):
+    M = BitMatrix.from_entries([[1, 1, 1], [1, 1, 1]])
+    rc = main(["compress", "--matrix", matrix_file(tmp_path, M), "--p", "1",
+               "--in", vector_file(tmp_path, (1, 0, 0), "x.txt"),
+               "--out", str(tmp_path / "w.txt"), "--manifest", manifest])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: candidate list")
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert len(lines) == 1
+    fields = lines[0].split("\t")
+    assert len(fields) == 7
+    assert fields[0] == "compress" and fields[6] == "error:InputError"
+
+
 def test_decompress_rejects_wrong_length(tmp_path, manifest):
     p = 2
     M = construct_derandomized(selector_spec(2 * p, p + 1, 10))
@@ -413,6 +433,27 @@ def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
     assert float(fields[4]) >= 0.0
 
 
+@pytest.mark.parametrize("name, escaped", [
+    ("m\tx.txt", "m\\tx.txt"),
+    ("m\nx.txt", "m\\nx.txt"),
+    ("m\rx.txt", "m\\rx.txt"),
+    ("m\\tx.txt", "m\\\\tx.txt"),
+], ids=["tab", "newline", "carriage-return", "backslash"])
+def test_manifest_escapes_control_characters(tmp_path, manifest, capsys,
+                                             name, escaped):
+    out = tmp_path / name
+    assert main(["build", "--spec",
+                 spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2))),
+                 "--out", str(out), "--manifest", manifest]) == 0
+    capsys.readouterr()
+    assert out.exists()
+    lines = (tmp_path / "runs.tsv").read_text().split("\n")
+    assert lines[1:] == [""]
+    fields = lines[0].split("\t")
+    assert len(fields) == 7
+    assert fields[5] == str(tmp_path / escaped)
+
+
 def test_unwritable_manifest_is_one_line_usage_error(tmp_path, capsys):
     spec_path = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
     assert main(["bounds", "--spec", spec_path,
@@ -446,3 +487,69 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["build", "--out", "x.txt"]) == 2
+
+
+# ------------------------------------------------ one parser, many runs
+
+
+def _decode_argv(tmp_path):
+    M = BitMatrix.identity(5)
+    spec = SuperSelectorSpec(5, 2, (1, 2))
+    return ["decode", "--matrix", matrix_file(tmp_path, M),
+            "--spec", spec_file(tmp_path, spec),
+            "--obs", vector_file(tmp_path, boolean_sum(M, (1, 3)))]
+
+
+def test_plain_decode_after_approx_decode_uses_defaults(tmp_path, manifest,
+                                                        capsys):
+    argv = _decode_argv(tmp_path) + ["--manifest", manifest]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert main(argv + ["--mode", "approx", "--e0", "1", "--e1", "1"]) == 0
+    assert capsys.readouterr().out.startswith("low=")
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+    assert first.out == "identified=1,3 candidates=1,3 spurious=0\n"
+
+
+def test_bounds_after_argparse_rejection(tmp_path, manifest, capsys):
+    spath = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)), "bounds.txt")
+    bounds = ["bounds", "--spec", spath, "--manifest", manifest]
+    assert main(bounds) == 0
+    expected = capsys.readouterr().out
+    assert main(_decode_argv(tmp_path) + ["--mode", "xor",
+                                          "--manifest", manifest]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(bounds) == 0
+    out = capsys.readouterr().out
+    assert out == expected and len(out.splitlines()) == 4
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert [ln.split("\t")[0] for ln in lines] == ["bounds", "bounds"]
+
+
+def test_derand_build_after_random_build_records_no_seed(tmp_path, manifest,
+                                                         capsys):
+    build = ["build", "--spec",
+             spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2))),
+             "--out", str(tmp_path / "m.txt"), "--manifest", manifest]
+    assert main(build + ["--method", "random", "--seed", "5"]) == 0
+    assert main(build) == 0
+    assert "method=derand" in capsys.readouterr().out
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert [ln.split("\t")[3] for ln in lines] == ["5", "-"]
+
+
+def test_main_builds_no_parser_per_call(tmp_path, manifest, monkeypatch,
+                                        capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    spath = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
+    for _ in range(2):
+        assert main(["bounds", "--spec", spath, "--manifest", manifest]) == 0
+    assert built == []
