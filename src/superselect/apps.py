@@ -21,6 +21,9 @@ from .core import (
     boolean_sum,
     column_mask,
     covered_columns,
+    identify,
+    row_mask,
+    row_vector,
 )
 from .construct import construct_derandomized
 from .decode import DecodeResult, identify_from_union
@@ -142,10 +145,13 @@ class MonotoneEncoding:
         if len(residual) > self.k:
             raise InputError(f"|S| = {len(residual)} exceeds k = {self.k}")
         word = []
-        for M, spec in self.levels:
-            a = boolean_sum(M, sorted(residual))
-            word.extend(a)
-            residual -= set(identify_from_union(M, spec, a).identified)
+        for M, _ in self.levels:
+            cols = M.cols
+            hit = 0
+            for c in residual:
+                hit |= cols[c]
+            word.extend(row_vector(hit, M.m))
+            residual.difference_update(identify(cols, hit)[0])
         if residual:
             raise RuntimeError(f"chain failed to drain {sorted(residual)}")
         return tuple(word)
@@ -157,10 +163,10 @@ class MonotoneEncoding:
             )
         members = set()
         offset = 0
-        for M, spec in self.levels:
-            block = tuple(word[offset:offset + M.m])
+        for M, _ in self.levels:
+            hit = row_mask(word[offset:offset + M.m])
+            members.update(identify(M.cols, hit)[0])
             offset += M.m
-            members |= set(identify_from_union(M, spec, block).identified)
         return tuple(sorted(members))
 
 
@@ -192,15 +198,24 @@ class CompressedWord:
         return self.y + self.z
 
 
+def _check_bits(values: Sequence[int], what: str):
+    if not {0, 1}.issuperset(values):
+        k, bit = next((k, bit) for k, bit in enumerate(values)
+                      if bit not in (0, 1))
+        raise InputError(f"{what} entry {k} is {bit!r}, not a bit")
+
+
 def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
     M must be a certified (2p, p+1, n)-selector; that caps the candidate
     list at 2p - 1 entries, so the fixed-size mask always fits. A list
-    longer than 2p shows that M is not such a selector: InputError.
+    longer than 2p shows that M is not such a selector: InputError. So
+    does an entry of x other than 0 or 1.
     """
     if len(x) != M.n:
         raise InputError(f"vector length {len(x)} != n={M.n}")
+    _check_bits(x, "vector")
     support = [c for c, bit in enumerate(x) if bit]
     if len(support) > p:
         raise InputError(f"support size {len(support)} exceeds p={p}")
@@ -220,11 +235,13 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
 
 def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     """Invert compress: recompute the candidate list from y and read the
-    support off the mask."""
+    support off the mask. An entry of y or z other than 0 or 1 raises
+    InputError."""
     if len(w.y) != M.m:
         raise InputError(f"union part has length {len(w.y)}, matrix m={M.m}")
     if len(w.z) != 2 * p:
         raise InputError(f"mask length {len(w.z)} != 2p = {2 * p}")
+    _check_bits((*w.y, *w.z), "word")
     L = covered_columns(M, w.y)
     support = set()
     for k, bit in enumerate(w.z):

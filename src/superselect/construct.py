@@ -41,8 +41,11 @@ class ConstructionFailure(RuntimeError):
 
 
 class PrecisionFault(RuntimeError):
-    """Float rounding overturned a conditional-expectation comparison;
-    the caller may retry with extended precision."""
+    """The derandomized construction lost its guarantee: float rounding
+    broke the proof's invariant E > #subsets - 1 (at the start of the
+    fill or at a greedy step), or the finished matrix failed the
+    exhaustive check. The construction stops; nothing retries, and the
+    CLI exits 1."""
 
 
 class FTable:

@@ -1,15 +1,21 @@
-"""Bit matrices over {0,1}: column sums, coverage, and exhaustive
-verification of selector-type properties.
+"""Bit matrices over {0,1}: column sums, coverage, identification, and
+exhaustive verification of selector-type properties.
 
 A matrix row is stored as a Python int whose bit c is the entry M[r,c].
-Column sums and coverage tests then reduce to one mask operation per row.
+Each matrix also carries one column view, `BitMatrix.cols` (an int per
+column whose bit r is M[r,c]), built on first use and then cached; the
+verifiers and the decoders share it.
 
-The exhaustive selector checks transpose the matrix once per call into a
-column view (an int per column whose bit r is M[r,c]) and walk the
-j-sets of columns depth first, carrying the rows the current prefix hits
-once and more than once. A level j then costs C(n,j) subsets times O(j)
-word operations, with no per-subset scan of the m rows, which keeps the
+The exhaustive selector checks walk the j-sets of columns of that view
+depth first, carrying the rows the current prefix hits once and more
+than once. A level j then costs C(n,j) subsets times O(j) word
+operations, with no per-subset scan of the m rows, which keeps the
 verifiers usable at desk scale.
+
+Identification (`identify`) works on the same view from the mask of
+rows an observation hits: the candidates are the columns inside that
+mask, and a candidate is identified when it owns a row no other
+candidate hits. A call costs O(n + |candidates|) word operations.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ def selector_spec(p: int, k: int, n: int) -> SuperSelectorSpec:
 class BitMatrix:
     """Immutable m x n binary matrix. rows[r] holds row r, bit c = M[r,c]."""
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "rows", "_cols")
 
     def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -89,6 +95,14 @@ class BitMatrix:
         self.m = len(rows)
         self.n = n
         self.rows = rows
+        self._cols = None
+
+    @property
+    def cols(self) -> tuple:
+        """Column view, built on first use: cols[c] has bit r = M[r,c]."""
+        if self._cols is None:
+            self._cols = _columns(self)
+        return self._cols
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
@@ -159,21 +173,39 @@ def column_mask(S: Iterable[int], n: int) -> int:
     return mask
 
 
-def _bits_to_columns(mask: int) -> tuple:
-    cols = []
-    c = 0
-    while mask:
-        if mask & 1:
-            cols.append(c)
-        mask >>= 1
-        c += 1
-    return tuple(cols)
+# A 0/1 vector of length m and a row mask convert through one byte per
+# row: bit r of the mask is character r of the reversed binary string.
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = b"0" + b"1" * 255
+
+
+def row_mask(a: Sequence[int]) -> int:
+    """Mask of the rows r where a[r] is nonzero."""
+    try:
+        raw = bytes(a)
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) != len(a):
+        # Entries outside 0..255 or not integers, or a buffer of items
+        # wider than a byte: only the truth of each entry counts.
+        raw = bytes(map(bool, a))
+    return int(raw.translate(_TO_DIGITS)[::-1], 2)
+
+
+def row_vector(mask: int, m: int) -> tuple:
+    """The length-m 0/1 tuple whose entry r is bit r of mask."""
+    return tuple(format(mask, f"0{m}b")[::-1].encode().translate(_TO_BITS))
 
 
 def boolean_sum(M: BitMatrix, S: Iterable[int]) -> tuple:
     """Componentwise OR of the columns in S; empty S gives the zero vector."""
-    mask = column_mask(S, M.n)
-    return tuple(1 if row & mask else 0 for row in M.rows)
+    S = tuple(S)
+    column_mask(S, M.n)
+    cols = M.cols
+    hit = 0
+    for c in S:
+        hit |= cols[c]
+    return row_vector(hit, M.m)
 
 
 def arithmetic_sum(M: BitMatrix, S: Iterable[int]) -> tuple:
@@ -189,6 +221,29 @@ def is_covered(x: Sequence[int], y: Sequence[int]) -> bool:
     return all(a <= b for a, b in zip(x, y))
 
 
+def identify(cols: Sequence[int], hit: int) -> tuple:
+    """Private-1 identification from the mask of rows an observation hits.
+
+    `cols` is a column view (`BitMatrix.cols`, or a selection of its
+    entries). Returns (identified, candidates), ascending indices into
+    cols: the candidates are the columns whose every 1 lies in `hit`,
+    and the identified ones are the candidates owning a row that no
+    other candidate hits. One pass accumulates the rows the candidates
+    hit once and more than once, so a call costs O(n + |candidates|)
+    word operations.
+    """
+    free = ~hit
+    candidates = []
+    seen = multi = 0
+    for c, x in enumerate(cols):
+        if not x & free:
+            candidates.append(c)
+            multi |= seen & x
+            seen |= x
+    once = seen & ~multi
+    return tuple([c for c in candidates if cols[c] & once]), tuple(candidates)
+
+
 def covered_columns(M: BitMatrix, a: Sequence[int]) -> tuple:
     """Columns whose every 1 sits in a row where a is nonzero.
 
@@ -197,12 +252,7 @@ def covered_columns(M: BitMatrix, a: Sequence[int]) -> tuple:
     """
     if len(a) != M.m:
         raise InputError(f"observation length {len(a)} != m={M.m}")
-    blocked = 0
-    for r, row in enumerate(M.rows):
-        if not a[r]:
-            blocked |= row
-    full = (1 << M.n) - 1
-    return _bits_to_columns(full & ~blocked)
+    return identify(M.cols, row_mask(a))[1]
 
 
 def count_identity_rows(M: BitMatrix, S: Iterable[int]) -> int:
@@ -211,15 +261,13 @@ def count_identity_rows(M: BitMatrix, S: Iterable[int]) -> int:
     Duplicated unit rows count once; equivalently, the number of columns
     of S owning a row where they hold the only 1 within S.
     """
-    mask = column_mask(S, M.n)
-    if mask == 0:
+    S = tuple(S)
+    if column_mask(S, M.n) == 0:
         raise InputError("S must be nonempty")
-    seen = 0
-    for row in M.rows:
-        z = row & mask
-        if z and not (z & (z - 1)):
-            seen |= z
-    return seen.bit_count()
+    # With every row hit, each column of S is a candidate, and identify
+    # keeps those owning a row no other column of S hits.
+    cols = M.cols
+    return len(identify([cols[c] for c in S], -1)[0])
 
 
 def _budget_guard(checks: int, budget: int):
@@ -230,8 +278,8 @@ def _budget_guard(checks: int, budget: int):
         )
 
 
-def _columns(M: BitMatrix) -> list:
-    """Column view of M: cols[c] is an int whose bit r is M[r,c]."""
+def _columns(M: BitMatrix) -> tuple:
+    """Transpose M into its column view; `BitMatrix.cols` caches it."""
     cols = [0] * M.n
     for r, row in enumerate(M.rows):
         bit = 1 << r
@@ -239,10 +287,10 @@ def _columns(M: BitMatrix) -> list:
             low = row & -row
             cols[low.bit_length() - 1] |= bit
             row ^= low
-    return cols
+    return tuple(cols)
 
 
-def _selector_holds(cols: list, j: int, k: int) -> bool:
+def _selector_holds(cols: tuple, j: int, k: int) -> bool:
     # Unguarded kernel shared by the verifiers: every j-set of columns has
     # >= k isolated columns (columns owning a row where they hold the only
     # 1 within the set). The j-sets are visited depth first in the order
@@ -290,7 +338,7 @@ def is_selector(
     if p > M.n:
         raise InputError(f"p={p} exceeds n={M.n}")
     _budget_guard(comb(M.n, p), budget)
-    return _selector_holds(_columns(M), p, k)
+    return _selector_holds(M.cols, p, k)
 
 
 def is_superselector(
@@ -301,8 +349,7 @@ def is_superselector(
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
     _budget_guard(sum(comb(M.n, j) for j in levels), budget)
-    cols = _columns(M)
-    return all(_selector_holds(cols, j, spec.v[j - 1]) for j in levels)
+    return all(_selector_holds(M.cols, j, spec.v[j - 1]) for j in levels)
 
 
 def is_list_disjunct(
@@ -346,6 +393,10 @@ def is_list_disjunct(
 # ---------------------------------------------------------------------------
 
 
+# Deletes 0 and 1, leaving the characters a matrix row may not hold.
+_NOT_BITS = str.maketrans("", "", "01")
+
+
 def _lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -368,13 +419,12 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
         raw = lines[ln - 1]
         if len(raw) != n:
             raise ParseError(source, ln, f"row has {len(raw)} characters, expected {n}")
-        bits = 0
-        for c, ch in enumerate(raw):
-            if ch == "1":
-                bits |= 1 << c
-            elif ch != "0":
-                raise ParseError(source, ln, f"invalid character {ch!r}")
-        rows.append(bits)
+        # int(_, 2) would also take "_", spaces and non-ASCII digits, so
+        # every character other than 0 and 1 is rejected first.
+        bad = raw.translate(_NOT_BITS)
+        if bad:
+            raise ParseError(source, ln, f"invalid character {bad[0]!r}")
+        rows.append(int(raw[::-1], 2))
     for extra in range(m + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(source, extra + 1, "trailing content after matrix")
@@ -382,10 +432,10 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
 
 
 def format_matrix(M: BitMatrix) -> str:
-    out = [f"{M.m} {M.n}"]
-    for row in M.rows:
-        out.append("".join("1" if (row >> c) & 1 else "0" for c in range(M.n)))
-    return "\n".join(out) + "\n"
+    width = f"0{M.n}b"
+    return f"{M.m} {M.n}\n" + "".join(
+        format(row, width)[::-1] + "\n" for row in M.rows
+    )
 
 
 def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:

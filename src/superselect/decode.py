@@ -5,6 +5,11 @@ a superset of S, and any row with a 1 whose only covered support is a
 single column pins that column inside S. Arithmetic sums allow more: the
 pinned columns can be subtracted from the observation and the residual
 decoded again, which recovers S exactly on matrices built for it.
+
+Every decoder reduces its observation to the mask of rows it hits and
+calls `core.identify`, which reads the matrix's cached column view: one
+identification costs O(n + |candidates|) word operations, not a pass
+over the m rows.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from .core import (
     BitMatrix,
     InputError,
     SuperSelectorSpec,
-    covered_columns,
+    identify,
+    row_mask,
 )
 
 
@@ -54,19 +60,7 @@ def identify_from_union(M: BitMatrix, spec: SuperSelectorSpec,
     members are identified, where y counts the spurious candidates.
     """
     _check_observation(M, spec, a)
-    candidates = covered_columns(M, a)
-    cand_mask = 0
-    for c in candidates:
-        cand_mask |= 1 << c
-    ident_mask = 0
-    for r, row in enumerate(M.rows):
-        if not a[r]:
-            continue
-        z = row & cand_mask
-        # A single surviving 1 in a hit row belongs to a member of S.
-        if z and not z & (z - 1):
-            ident_mask |= z
-    identified = tuple(c for c in candidates if (ident_mask >> c) & 1)
+    identified, candidates = identify(M.cols, row_mask(a))
     return DecodeResult(identified, candidates,
                         len(candidates) - len(identified))
 
@@ -99,13 +93,14 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
         raise InconsistentObservationError("negative count in observation")
     residual = list(s)
     found = set()
+    cols = M.cols
     # Consistent inputs identify >= 1 column per round, so n rounds
     # suffice even when the |P| <= p promise is broken.
     for _ in range(M.n + 1):
-        if not any(residual):
+        hit = row_mask(residual)
+        if not hit:
             return tuple(sorted(found))
-        shadow = tuple(1 if e else 0 for e in residual)
-        newly = identify_from_union(M, spec, shadow).identified
+        newly = identify(cols, hit)[0]
         if not newly:
             raise InconsistentObservationError(
                 "residual nonzero but no column identifiable"
@@ -116,11 +111,16 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
                     f"column {c} identified twice"
                 )
             found.add(c)
-            for r, row in enumerate(M.rows):
-                if (row >> c) & 1:
-                    residual[r] -= 1
-                    if residual[r] < 0:
-                        raise InconsistentObservationError(
-                            f"residual went negative at row {r}"
-                        )
+            # Lowest row first, so an error names the first row to go
+            # negative.
+            x = cols[c]
+            while x:
+                low = x & -x
+                r = low.bit_length() - 1
+                residual[r] -= 1
+                if residual[r] < 0:
+                    raise InconsistentObservationError(
+                        f"residual went negative at row {r}"
+                    )
+                x ^= low
     raise InconsistentObservationError("decode did not converge")

@@ -254,6 +254,30 @@ def test_compress_rejects_matrix_that_is_not_a_selector():
         compress(M, 1, (1, 0, 0))
 
 
+@pytest.mark.parametrize("value", [2, -1])
+def test_compress_rejects_entries_that_are_not_bits(compressor, value):
+    # A 2 or a -1 used to count as a one, so the round trip was lossy.
+    M, p = compressor
+    x = [0] * M.n
+    x[0], x[3] = value, 1
+    with pytest.raises(InputError, match=f"vector entry 0 is {value}, not a bit"):
+        compress(M, p, x)
+
+
+def test_decompress_rejects_entries_that_are_not_bits(compressor):
+    M, p = compressor
+    w = compress(M, p, tuple(1 if c in (1, 4) else 0 for c in range(M.n)))
+    k = w.z.index(1)
+    z = list(w.z)
+    z[k] = 2
+    with pytest.raises(InputError, match=f"word entry {M.m + k} is 2, not a bit"):
+        decompress(M, p, CompressedWord(w.y, tuple(z)))
+    y = list(w.y)
+    y[y.index(1)] = 3
+    with pytest.raises(InputError, match=f"word entry {w.y.index(1)} is 3"):
+        decompress(M, p, CompressedWord(tuple(y), w.z))
+
+
 def test_tampered_mask_flips_one_column(compressor):
     M, p = compressor
     x = tuple(1 if c in (1, 4) else 0 for c in range(M.n))

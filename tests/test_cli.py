@@ -15,6 +15,7 @@ from superselect import (
     SuperSelectorSpec,
     arithmetic_sum,
     boolean_sum,
+    compress,
     construct_derandomized,
     derand_threshold,
     format_matrix,
@@ -291,6 +292,43 @@ def test_compress_with_non_selector_matrix_is_usage_error(tmp_path, manifest,
     fields = lines[0].split("\t")
     assert len(fields) == 7
     assert fields[0] == "compress" and fields[6] == "error:InputError"
+
+
+def _one_error_line(tmp_path, capsys, command):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().split("\n")
+    assert len(lines) == 1
+    fields = (tmp_path / "runs.tsv").read_text().splitlines()[-1].split("\t")
+    assert len(fields) == 7
+    assert fields[0] == command and fields[6] == "error:InputError"
+    return lines[0]
+
+
+def test_compress_and_decompress_reject_entries_that_are_not_bits(
+        tmp_path, manifest, capsys):
+    # On a (4,3,12) selector a 2 in the input vector used to compress with
+    # exit 0 and decompress to a 1: a lossy round trip with no error.
+    p = 2
+    M = construct_derandomized(selector_spec(2 * p, p + 1, 12))
+    mpath = matrix_file(tmp_path, M)
+    x = (2, 0, 0, 1) + (0,) * 8
+    rc = main(["compress", "--matrix", mpath, "--p", str(p),
+               "--in", vector_file(tmp_path, x, "x.txt"),
+               "--out", str(tmp_path / "w.txt"), "--manifest", manifest])
+    assert rc == 2
+    line = _one_error_line(tmp_path, capsys, "compress")
+    assert line == "error: vector entry 0 is 2, not a bit"
+    assert not (tmp_path / "w.txt").exists()
+    word = list(compress(M, p, (1, 0, 0, 1) + (0,) * 8).bits)
+    word[M.m] = 2  # first bit of the mask part
+    rc = main(["decompress", "--matrix", mpath, "--p", str(p),
+               "--in", vector_file(tmp_path, word, "w.txt"),
+               "--out", str(tmp_path / "y.txt"), "--manifest", manifest])
+    assert rc == 2
+    line = _one_error_line(tmp_path, capsys, "decompress")
+    assert line == f"error: word entry {M.m} is 2, not a bit"
+    assert not (tmp_path / "y.txt").exists()
 
 
 def test_decompress_rejects_wrong_length(tmp_path, manifest):

@@ -1,0 +1,274 @@
+"""Differential tests of the column-view decoders and the word-at-a-time
+matrix codec against the frozen row-scan versions in
+`reference_decode.py`.
+
+Every comparison asks for the same result, or for the same exception
+class with the same message.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from array import array
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_decode as ref
+import superselect.core as core
+from superselect import (
+    BitMatrix,
+    CompressedWord,
+    InconsistentObservationError,
+    ParseError,
+    SuperSelectorSpec,
+    additive_decode,
+    additive_gt_spec,
+    approx_gt_spec,
+    arithmetic_sum,
+    boolean_sum,
+    compress,
+    construct_derandomized,
+    count_identity_rows,
+    covered_columns,
+    decompress,
+    format_matrix,
+    identify_from_union,
+    is_selector,
+    is_superselector,
+    monotone_chain,
+    mut_spec,
+    parse_matrix,
+    selector_spec,
+)
+
+
+def outcome(f, *args):
+    """f's result, or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the reference may raise anything
+        return type(exc), str(exc)
+
+
+def assert_same_decodes(M, a):
+    """Every decoder gives the reference's answer on observation a."""
+    spec = SuperSelectorSpec(M.n, 1, (1,))
+    assert outcome(covered_columns, M, a) == outcome(ref.covered_columns, M, a)
+    assert (outcome(identify_from_union, M, spec, a)
+            == outcome(ref.identify_from_union, M, spec, a))
+    assert (outcome(additive_decode, M, spec, a)
+            == outcome(ref.additive_decode, M, spec, a))
+
+
+def assert_same_on_set(M, S):
+    """Sums of S, the decoders on them and on a broken arithmetic sum."""
+    assert boolean_sum(M, S) == ref.boolean_sum(M, S)
+    if S:
+        assert count_identity_rows(M, S) == ref.count_identity_rows(M, S)
+    assert_same_decodes(M, boolean_sum(M, S))
+    s = list(arithmetic_sum(M, S))
+    assert_same_decodes(M, s)
+    for r in (0, len(s) - 1):
+        broken = list(s)
+        broken[r] += 1
+        assert_same_decodes(M, broken)
+        if broken[r] > 1:
+            broken[r] -= 2
+            assert_same_decodes(M, broken)
+
+
+# ------------------------------------------------ drawn and seeded inputs
+
+
+def random_matrix(rng, n, m, density):
+    return BitMatrix(n, [sum((rng.random() < density) << c for c in range(n))
+                         for _ in range(m)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_drawn_matrices_decode_like_row_scan(n, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    M = BitMatrix(n, rows)
+    S = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 5)))
+    assert_same_on_set(M, S)
+    # Observations that are no sum at all, counts above one, entries past
+    # a byte and negative entries included.
+    values = st.sampled_from((0, 0, 1, 1, 2, 3, 255, 256, 1000, -1))
+    a = data.draw(st.lists(values, min_size=M.m, max_size=M.m))
+    assert_same_decodes(M, a)
+    assert_same_decodes(M, tuple(a))
+    assert_same_decodes(M, a[:-1])
+    # Buffers hand bytes() their raw items, one byte wide or wider.
+    assert_same_decodes(M, array("q", a))
+    assert_same_decodes(M, array("b", [max(-128, min(e, 127)) for e in a]))
+    assert_same_decodes(M, bytes(e & 0xFF for e in a))
+
+
+def test_seeded_pool_decodes_like_row_scan():
+    rng = random.Random(2010)
+    errors = 0
+    for case in range(1500):
+        n, m = rng.randint(1, 14), rng.randint(1, 20)
+        M = random_matrix(rng, n, m, rng.uniform(0.05, 0.7))
+        if case % 5 == 0:
+            # A zero row and a zero column.
+            zero = rng.randrange(n)
+            rows = [row & ~(1 << zero) for row in M.rows]
+            rows[rng.randrange(m)] = 0
+            M = BitMatrix(n, rows)
+        S = rng.sample(range(n), rng.randint(0, min(n, 5)))
+        assert_same_on_set(M, S)
+        a = [rng.choice((0, 0, 1, 1, 2, 5)) for _ in range(m)]
+        assert_same_decodes(M, a)
+        try:
+            additive_decode(M, SuperSelectorSpec(n, 1, (1,)), a)
+        except InconsistentObservationError:
+            errors += 1
+    # The pool reaches the error paths of additive_decode, not just results.
+    assert errors >= 300, errors
+
+
+@pytest.mark.parametrize("M", [
+    BitMatrix.zeros(3, 4),
+    BitMatrix.identity(1),
+    BitMatrix(5, [0b11111] * 4),
+    BitMatrix(6, [0, *(1 << c for c in range(6)), 0]),
+], ids=["zeros", "one-column", "all-ones", "identity-plus-zero-rows"])
+def test_edge_matrices_decode_like_row_scan(M):
+    for j in range(min(M.n, 3) + 1):
+        for S in itertools.combinations(range(M.n), j):
+            assert_same_on_set(M, S)
+
+
+# ------------------------------------------- the benchmark's decoder specs
+
+
+DECODER_SPECS = {
+    "union": (SuperSelectorSpec(16, 3, (1, 2, 3)), 2),
+    "approx": (approx_gt_spec(2, 1, 1, 12), 2),
+    "additive": (additive_gt_spec(2, 12), 2),
+    "mut": (mut_spec(3, 2, 10), 3),
+    "compress": (selector_spec(4, 3, 12), 2),
+}
+
+
+@lru_cache(maxsize=None)
+def decoder_matrix(key):
+    return construct_derandomized(DECODER_SPECS[key][0])
+
+
+@pytest.mark.parametrize("key", DECODER_SPECS)
+def test_decoder_specs_decode_planted_sets_like_row_scan(key):
+    spec, most = DECODER_SPECS[key]
+    M = decoder_matrix(key)
+    for j in range(most + 1):
+        for S in itertools.combinations(range(spec.n), j):
+            a = boolean_sum(M, S)
+            assert identify_from_union(M, spec, a) == ref.identify_from_union(M, spec, a)
+            s = arithmetic_sum(M, S)
+            assert (outcome(additive_decode, M, spec, s)
+                    == outcome(ref.additive_decode, M, spec, s))
+            if key == "additive":
+                assert additive_decode(M, spec, s) == S
+
+
+# ------------------------------------------------------- application codecs
+
+
+def test_monotone_chain_gives_the_row_scan_codewords():
+    chain = monotone_chain(8, 4)
+    for j in range(5):
+        for S in itertools.combinations(range(8), j):
+            word = chain.encode(S)
+            assert word == ref.monotone_encode(chain, S)
+            assert chain.decode(word) == ref.monotone_decode(chain, word) == S
+    rng = random.Random(7)
+    for _ in range(300):
+        word = tuple(rng.randint(0, 1) for _ in range(chain.total_length))
+        assert chain.decode(word) == ref.monotone_decode(chain, word)
+
+
+def test_compress_gives_the_row_scan_words():
+    p = 2
+    M = decoder_matrix("compress")
+    for j in range(p + 1):
+        for S in itertools.combinations(range(M.n), j):
+            x = tuple(1 if c in S else 0 for c in range(M.n))
+            w = compress(M, p, x)
+            assert w == ref.compress(M, p, x)
+            assert decompress(M, p, w) == ref.decompress(M, p, w) == x
+    rng = random.Random(11)
+    for _ in range(300):
+        w = CompressedWord(tuple(rng.randint(0, 1) for _ in range(M.m)),
+                           tuple(rng.randint(0, 1) for _ in range(2 * p)))
+        assert outcome(decompress, M, p, w) == outcome(ref.decompress, M, p, w)
+
+
+# ----------------------------------------------------------- matrix codec
+
+
+def test_codec_matches_character_codec_on_random_matrices():
+    rng = random.Random(3)
+    for _ in range(500):
+        n, m = rng.randint(1, 70), rng.randint(1, 30)
+        M = random_matrix(rng, n, m, rng.random())
+        text = format_matrix(M)
+        assert text == ref.format_matrix(M)
+        assert parse_matrix(text) == ref.parse_matrix(text) == M
+        crlf = text.replace("\n", "\r\n")
+        assert parse_matrix(crlf) == M
+
+
+@pytest.mark.parametrize("row", [
+    "0120", "01_0", " 101", "1١01", "\t101", "1 1\t", "010", "01010", "0b10",
+], ids=["two", "underscore", "leading-space", "arabic-indic-one", "tab",
+        "inner-space", "short", "long", "prefix"])
+def test_codec_rejects_malformed_rows_like_character_codec(row):
+    lines = ["3 4", "0110", "1001", "0000"]
+    for r in (1, 3):
+        bad = list(lines)
+        bad[r] = row
+        text = "\n".join(bad) + "\n"
+        with pytest.raises(ParseError) as got:
+            parse_matrix(text, source="m.txt")
+        with pytest.raises(ParseError) as want:
+            ref.parse_matrix(text, source="m.txt")
+        assert str(got.value) == str(want.value)
+        assert got.value.line == want.value.line == r + 1
+
+
+# ------------------------------------------------------------ column view
+
+
+def test_column_view_is_the_transposition():
+    rng = random.Random(5)
+    for _ in range(200):
+        M = random_matrix(rng, rng.randint(1, 14), rng.randint(1, 20), rng.random())
+        assert M.cols == core._columns(M)
+        assert all(M.cols[c] == sum(bit << r for r, bit in enumerate(M.column(c)))
+                   for c in range(M.n))
+
+
+def test_column_view_is_built_once_per_matrix(monkeypatch):
+    spec = SuperSelectorSpec(8, 2, (1, 2))
+    M = BitMatrix(8, construct_derandomized(spec).rows)
+    calls = []
+    transpose = core._columns
+
+    def counting(M):
+        calls.append(M)
+        return transpose(M)
+
+    monkeypatch.setattr(core, "_columns", counting)
+    assert is_superselector(M, spec)
+    assert calls == [M]
+    # The second check, the selector check and a decode reuse the view.
+    assert is_superselector(M, spec)
+    assert is_selector(M, 2, 1)
+    identify_from_union(M, spec, boolean_sum(M, (1, 5)))
+    assert calls == [M]
