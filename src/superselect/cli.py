@@ -58,7 +58,6 @@ from .construct import (
     PrecisionFault,
     construct_derandomized,
     construct_randomized,
-    construct_stacked,
 )
 from .decode import (
     InconsistentObservationError,
@@ -173,10 +172,8 @@ def cmd_build(args, run) -> tuple:
     if args.method == "random":
         M, _ = construct_randomized(spec, args.seed, args.max_attempts)
         run.seed = str(args.seed)
-    elif args.method == "derand":
-        M = construct_derandomized(spec)
     else:
-        M = construct_stacked(spec)
+        M = construct_derandomized(spec)
     # Every construction has already certified M by the exhaustive check
     # (it raises otherwise), so --verify only chooses what is reported.
     run.verdict = "ok" if args.verify == "on" else "skip"
@@ -298,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("build", help="construct a matrix for a spec",
                        parents=[common])
     q.add_argument("--spec", required=True)
-    q.add_argument("--method", choices=["random", "derand", "stacked"],
+    q.add_argument("--method", choices=["random", "derand"],
                    default="derand")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--max-attempts", type=int, default=100)

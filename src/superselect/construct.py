@@ -1,6 +1,5 @@
-"""Superselector constructions: random sampling with verification, the
-fully deterministic conditional-expectations fill, and the two-part
-stacked variant.
+"""Superselector constructions: random sampling with verification, and
+the fully deterministic conditional-expectations fill.
 
 The deterministic fill fixes entries in row-major order. For every
 tracked column subset S it maintains the exact probability that a random
@@ -29,7 +28,7 @@ from .core import (
     _budget_guard,
     is_superselector,
 )
-from .sizing import SampleDistribution, derand_threshold, split_level
+from .sizing import SampleDistribution, derand_threshold
 
 
 class ConstructionFailure(RuntimeError):
@@ -135,7 +134,7 @@ class DerandState:
     """
 
     def __init__(self, spec: SuperSelectorSpec, m: int = None,
-                 budget: int = DEFAULT_SUBSET_BUDGET, keep_trace: bool = False):
+                 budget: int = DEFAULT_SUBSET_BUDGET):
         self.spec = spec
         self.m = derand_threshold(spec) if m is None else m
         if self.m < 1:
@@ -155,14 +154,11 @@ class DerandState:
                       SampleDistribution(j, self.x)) for j in levels
         }
         self._xpow = [self.x ** q for q in range(p + 1)]
-        # First subset index of each level, for colex ranking.
-        self._offset = {}
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
         # one of each level is satisfied.
         self._classes = []
         base = {}
         for j in levels:
-            self._offset[j] = sum(comb(n, t) for t in levels if t < j)
             base[j] = len(self._classes)
             self._classes.extend((j, a) for a in range(spec.v[j - 1] + 1))
         self._satisfied = [a == spec.v[j - 1] for j, a in self._classes]
@@ -201,11 +197,6 @@ class DerandState:
             f for j in levels
             for f in [self._tables[j].f(self.m, spec.v[j - 1], j)] * comb(n, j)
         ])
-        self.trace = [self.expectation] if keep_trace else None
-
-    @property
-    def position(self) -> tuple:
-        return (self.r, self.c)
 
     def _load_row(self):
         """f-values of every class for the current row: f0 = f(rem, need,
@@ -228,14 +219,6 @@ class DerandState:
         self._after[c] = list(compress(self._after[c], keep))
         self._ends[c] = list(compress(ends, map(live, ends)))
         self._stale[c] = False
-
-    def _locate(self, S) -> int:
-        S = tuple(S)
-        start = self._offset.get(len(S))
-        if start is None or list(S) != sorted(set(S)) or S[0] < 0 \
-                or S[-1] >= self.n:
-            raise InputError(f"{S} is not a tracked subset")
-        return start + sum(comb(col, k + 1) for k, col in enumerate(S))
 
     def _current(self, i: int) -> float:
         """Success probability of subset i given the entries fixed so far."""
@@ -264,48 +247,6 @@ class DerandState:
         """Per tracked subset, its success probability given the entries
         fixed so far (derived from the state on each access)."""
         return [self._current(i) for i in range(self.ns)]
-
-    def counters(self, S: tuple) -> dict:
-        """Bookkeeping snapshot for one tracked subset (testing hook).
-        `cnt1` counts the ones, capped at 2, that the current row has
-        placed in S so far."""
-        i = self._locate(S)
-        mask, alive = self._mask[i], self._alive[i]
-        return {
-            "a": self._classes[self._cls[i]][1],
-            "realized": mask & ~alive,
-            "cnt1": min(2, (self.row_bits & mask).bit_count()),
-            "unfixed_alive": (alive >> self.c).bit_count(),
-            "expectation": self._current(i),
-        }
-
-    def conditional(self, S: tuple, bit: int) -> float:
-        """Probability that subset S still succeeds if the entry at the
-        current position is fixed to `bit`."""
-        i = self._locate(S)
-        c = self.c
-        mask = self._mask[i]
-        k = self._cls[i]
-        if not (mask >> c) & 1 or not self._live[i]:
-            return self._current(i)
-        q = (mask >> (c + 1)).bit_count()
-        f0, f1 = self._f0[k], self._f1[k]
-        alive = self._alive[i]
-        pre = self.row_bits & mask
-        if pre:
-            if pre & (pre - 1) or not pre & alive or bit:
-                return f0
-            xq = self._xpow[q]
-            return xq * f1 + (1.0 - xq) * f0
-        if bit:
-            if not (alive >> c) & 1:
-                return f0
-            xq = self._xpow[q]
-            return xq * f1 + (1.0 - xq) * f0
-        if q == 0:
-            return f0
-        pr = (alive >> (c + 1)).bit_count() * self._xpow[q - 1] * self._omx
-        return pr * f1 + (1.0 - pr) * f0
 
     def step(self, bit: int = None) -> int:
         """Fix the next entry and return the bit used. With bit=None the
@@ -363,8 +304,6 @@ class DerandState:
                 f"({self.r},{c}), from {before}"
             )
         self.expectation = after
-        if self.trace is not None:
-            self.trace.append(after)
         if bit:
             rb |= cbit
             self.row_bits = rb
@@ -423,6 +362,8 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
     passes the exhaustive check; returns (matrix, attempts used)."""
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
+    # Each check visits sum_j C(n,j) subsets; refuse before sampling.
+    _budget_guard(sum(comb(spec.n, j) for j in spec.levels()), budget)
     m = derand_threshold(spec)
     for attempt in range(max_attempts):
         M = sample_random_matrix(m, spec.n, spec.p, seed + attempt)
@@ -431,8 +372,10 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
     raise ConstructionFailure(max_attempts)
 
 
-def _fill(spec: SuperSelectorSpec, budget: int) -> BitMatrix:
-    """The conditional-expectations fill at the threshold, unverified."""
+def construct_derandomized(spec: SuperSelectorSpec,
+                           budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
+    """Deterministic threshold-size construction by conditional
+    expectations; verifies its own output by brute force."""
     state = DerandState(spec, budget=budget)
     # At the threshold the expected failure mass is below one, so the
     # greedy fill cannot strand any subset.
@@ -441,34 +384,7 @@ def _fill(spec: SuperSelectorSpec, budget: int) -> BitMatrix:
             f"initial expectation {state.expectation} does not clear "
             f"{state.ns - 1}"
         )
-    return state.run()
-
-
-def construct_derandomized(spec: SuperSelectorSpec,
-                           budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
-    """Deterministic threshold-size construction by conditional
-    expectations; verifies its own output by brute force."""
-    M = _fill(spec, budget)
+    M = state.run()
     if not is_superselector(M, spec, budget):
         raise PrecisionFault("verification failed on the finished matrix")
-    return M
-
-
-def construct_stacked(spec: SuperSelectorSpec,
-                      budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
-    """Split at the level where the linear coefficient overtakes the
-    quadratic one; build that prefix at full strength and the remainder
-    separately, then stack. Only the stacked matrix is verified."""
-    split = split_level(spec)
-    if split == 0:
-        return construct_derandomized(spec, budget)
-    M = _fill(SuperSelectorSpec(spec.n, split, tuple(range(1, split + 1))),
-              budget)
-    tail = spec.v[split:]
-    if any(tail):
-        M = M.stack(_fill(
-            SuperSelectorSpec(spec.n, spec.p, (0,) * split + tail), budget
-        ))
-    if not is_superselector(M, spec, budget):
-        raise PrecisionFault("stacked matrix failed verification")
     return M

@@ -140,12 +140,6 @@ class BitMatrix:
             raise InputError(f"column {c} out of range")
         return tuple((row >> c) & 1 for row in self.rows)
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        """Vertical concatenation; both operands keep their rows."""
-        if other.n != self.n:
-            raise InputError("width mismatch in stack")
-        return BitMatrix(self.n, self.rows + other.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, BitMatrix)

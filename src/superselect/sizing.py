@@ -46,11 +46,10 @@ class SampleDistribution:
 @dataclass(frozen=True)
 class SizeBound:
     """An evaluated bound: m rows, with the per-level coefficients that
-    produced it and a tag naming the formula."""
+    produced it."""
 
     m: int
     per_level: tuple
-    formula_id: str
 
 
 def _constrained(spec: SuperSelectorSpec) -> list:
@@ -69,7 +68,7 @@ def superselector_upper_bound(spec: SuperSelectorSpec) -> SizeBound:
         kj = min(3.0 * spec.p * e * j / r, e * j * j / LOG2_E)
         per_level.append((j, kj))
         best = max(best, kj * log2(spec.n / j))
-    return SizeBound(max(1, ceil(best)), tuple(per_level), "superselector-upper")
+    return SizeBound(max(1, ceil(best)), tuple(per_level))
 
 
 def selector_upper_bound(p: int, k: int, n: int) -> SizeBound:
@@ -89,7 +88,7 @@ def selector_upper_bound(p: int, k: int, n: int) -> SizeBound:
         coeff = 1.0 / log2(e / (e - 1.0 + k / p))
     a_const = (2 * p - k + 1) * LOG2_E + (p - k + 1) * log2(p / (p - k + 1))
     m = coeff * (p * log2(n / p) + a_const)
-    return SizeBound(max(1, ceil(m)), ((p, coeff),), "selector-upper")
+    return SizeBound(max(1, ceil(m)), ((p, coeff),))
 
 
 def superselector_lower_bound(spec: SuperSelectorSpec) -> SizeBound:
@@ -107,7 +106,7 @@ def superselector_lower_bound(spec: SuperSelectorSpec) -> SizeBound:
         value = (j * j / r) * log2(spec.n / j) / (log2(j / r) + 1.0)
         per_level.append((j, value))
         best = max(best, value)
-    return SizeBound(max(0, ceil(best)), tuple(per_level), "superselector-lower")
+    return SizeBound(max(0, ceil(best)), tuple(per_level))
 
 
 def _log_failure_terms(spec: SuperSelectorSpec) -> list:
@@ -167,17 +166,3 @@ def derand_threshold(spec: SuperSelectorSpec) -> int:
             lo = mid
     return hi
 
-
-def split_level(spec: SuperSelectorSpec) -> int:
-    """Largest constrained j whose linear coefficient exceeds the quadratic
-    one, i.e. 3*p*e*j/(j-v_j+1) > e*j^2/log2(e); 0 when there is none.
-
-    Levels up to this point are cheaper to satisfy in full than at their
-    requested strength, which is what the stacked construction exploits.
-    """
-    split = 0
-    for j, vj in _constrained(spec):
-        r = j - vj + 1
-        if 3.0 * spec.p * e * j / r > e * j * j / LOG2_E:
-            split = max(split, j)
-    return split

@@ -93,21 +93,27 @@ def test_build_derand_is_deterministic(tmp_path, manifest, capsys):
     assert is_superselector(M, spec)
 
 
-def test_build_random_and_stacked(tmp_path, manifest):
+def test_build_random_and_stacked(tmp_path, manifest, capsys):
+    # Random builds; argparse rejects stacked, which is not a method,
+    # before a run starts, so no output and no manifest line appear.
     spec = SuperSelectorSpec(8, 2, (1, 2))
     spath = spec_file(tmp_path, spec)
-    for method in ("random", "stacked"):
-        out = str(tmp_path / f"{method}.txt")
-        rc = main(["build", "--spec", spath, "--method", method,
-                   "--out", out, "--seed", "3", "--manifest", manifest])
-        assert rc == 0
-        assert is_superselector(parse_matrix((tmp_path / f"{method}.txt").read_text()), spec)
+    out = tmp_path / "random.txt"
+    assert main(["build", "--spec", spath, "--method", "random",
+                 "--out", str(out), "--seed", "3", "--manifest", manifest]) == 0
+    assert is_superselector(parse_matrix(out.read_text()), spec)
+    capsys.readouterr()
+    rc = main(["build", "--spec", spath, "--method", "stacked",
+               "--out", str(tmp_path / "stacked.txt"), "--manifest", manifest])
+    assert rc == 2
+    assert "invalid choice: 'stacked'" in capsys.readouterr().err
+    assert not (tmp_path / "stacked.txt").exists()
+    assert len((tmp_path / "runs.tsv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize("method, spec", [
     ("derand", SuperSelectorSpec(8, 2, (1, 2))),
     ("random", SuperSelectorSpec(8, 2, (1, 2))),
-    ("stacked", SuperSelectorSpec(8, 5, (1, 2, 3, 1, 1))),
 ])
 def test_build_verifies_emitted_matrix_once(tmp_path, manifest, capsys,
                                             monkeypatch, method, spec):
@@ -432,6 +438,12 @@ def _attempts_exhausted(tmp_path):
             "--out", str(tmp_path / "m.txt")]
 
 
+def _random_over_budget(tmp_path):
+    # C(200000, 2) subsets per check: refused before the first sample.
+    return ["build", "--spec", spec_file(tmp_path, SuperSelectorSpec(200_000, 2, (1, 2))),
+            "--method", "random", "--out", str(tmp_path / "m.txt")]
+
+
 def _inconsistent_additive(tmp_path):
     return ["decode", "--mode", "additive",
             "--matrix", matrix_file(tmp_path, BitMatrix.identity(2)),
@@ -447,11 +459,12 @@ def _failing_verify(tmp_path):
 @pytest.mark.parametrize("make_argv, code, verdict", [
     (_malformed_matrix, 2, "error:ParseError"),
     (_over_budget, 2, "error:BudgetError"),
+    (_random_over_budget, 2, "error:BudgetError"),
     (_attempts_exhausted, 1, "error:ConstructionFailure"),
     (_inconsistent_additive, 1, "error:InconsistentObservationError"),
     (_failing_verify, 1, "fail"),
-], ids=["malformed-matrix", "over-budget", "attempts-exhausted",
-        "inconsistent-observation", "failing-verify"])
+], ids=["malformed-matrix", "over-budget", "random-over-budget",
+        "attempts-exhausted", "inconsistent-observation", "failing-verify"])
 def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
                                              make_argv, code, verdict):
     argv = make_argv(tmp_path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -19,11 +20,9 @@ from superselect import (
     SuperSelectorSpec,
     construct_derandomized,
     construct_randomized,
-    construct_stacked,
     derand_threshold,
     is_superselector,
     sample_random_matrix,
-    split_level,
 )
 
 
@@ -167,6 +166,19 @@ def test_randomized_single_attempt_outcomes():
         construct_randomized(spec, seed=0, max_attempts=0)
 
 
+def test_randomized_budget_guard_precedes_sampling(monkeypatch):
+    import superselect.construct
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an over-budget spec")
+
+    monkeypatch.setattr(superselect.construct, "sample_random_matrix", no_sampling)
+    with pytest.raises(BudgetError):
+        construct_randomized(SuperSelectorSpec(200_000, 2, (1, 2)), seed=0)
+    with pytest.raises(BudgetError):
+        construct_randomized(SuperSelectorSpec(12, 3, (1, 2, 3)), seed=0, budget=10)
+
+
 def test_randomized_retries_past_bad_seed():
     spec = SuperSelectorSpec(12, 2, (1, 2))
     M, attempts = construct_randomized(spec, seed=1, max_attempts=100)
@@ -177,15 +189,33 @@ def test_randomized_retries_past_bad_seed():
 # ----------------------------------------------- conditional probabilities
 
 
+def _forced(state, bit):
+    """A copy of `state` with its next entry fixed to `bit`; its `xcur`
+    holds each subset's probability conditioned on that bit."""
+    trial = copy.deepcopy(state)
+    trial.step(bit)
+    return trial
+
+
+def _greedy_trace(state):
+    """Run the greedy fill to the end; the expectation after every entry."""
+    trace = [state.expectation]
+    while state.r < state.m:
+        state.step()
+        trace.append(state.expectation)
+    return trace
+
+
 def test_conditional_satisfied_subset_is_certain():
     spec = SuperSelectorSpec(2, 2, (1, 2))
     state = DerandState(spec)
     state.step(1)
     state.step(0)
     # Row [1, 0] realizes the singleton {0} and one unit row of the pair.
-    assert state.counters((0,))["a"] == 1
-    assert state.conditional((0,), 0) == 1.0
-    assert state.conditional((0,), 1) == 1.0
+    i = state.cols.index((0,))
+    assert state.xcur[i] == 1.0
+    for bit in (0, 1):
+        assert _forced(state, bit).xcur[i] == 1.0
 
 
 def test_conditional_dead_row_ignores_bit():
@@ -193,36 +223,34 @@ def test_conditional_dead_row_ignores_bit():
     state = DerandState(spec)
     state.step(1)
     state.step(1)
-    S = (0, 1, 2)
-    assert state.counters(S)["cnt1"] == 2
+    # Two ones in the row over S: it can no longer be a unit row.
+    i = state.cols.index((0, 1, 2))
     rem = state.m - 1
     stuck = state._tables[3].f(rem, 1, 3)
-    assert state.conditional(S, 0) == pytest.approx(stuck)
-    assert state.conditional(S, 1) == pytest.approx(stuck)
+    assert state.xcur[i] == pytest.approx(stuck)
+    for bit in (0, 1):
+        assert _forced(state, bit).xcur[i] == pytest.approx(stuck)
 
 
 def test_conditional_last_singleton_column():
     spec = SuperSelectorSpec(2, 2, (1, 0))
     state = DerandState(spec)
     rem = state.m - 1
-    assert state.conditional((0,), 1) == 1.0
-    assert state.conditional((0,), 0) == pytest.approx(1 - 0.5 ** rem)
+    i = state.cols.index((0,))
+    assert _forced(state, 1).xcur[i] == 1.0
+    assert _forced(state, 0).xcur[i] == pytest.approx(1 - 0.5 ** rem)
 
 
 def test_conditional_matches_step_totals():
-    # Summing per-subset conditionals for both bits must reproduce the
-    # greedy choice made by step().
+    # The conditional sums of both bits, read off forced copies, must
+    # reproduce the greedy choice and the incremental expectation.
     spec = SuperSelectorSpec(6, 2, (1, 2))
     state = DerandState(spec)
     for _ in range(3 * spec.n):
-        totals = {0: 0.0, 1: 0.0}
-        for bit in (0, 1):
-            for S in state.cols:
-                totals[bit] += state.conditional(tuple(S), bit)
-        before = dict(enumerate(state.xcur))
+        totals = [sum(_forced(state, bit).xcur) for bit in (0, 1)]
         bit = state.step()
-        want = totals[bit]
-        assert state.expectation == pytest.approx(want, rel=1e-12)
+        assert state.expectation == pytest.approx(totals[bit], rel=1e-12)
+        assert state.expectation == pytest.approx(sum(state.xcur), rel=1e-12)
         assert totals[bit] >= totals[1 - bit] - 1e-9
 
 
@@ -256,10 +284,10 @@ def test_derandomized_is_deterministic():
 
 def test_derandomized_expectation_never_drops():
     spec = SuperSelectorSpec(5, 2, (1, 2))
-    state = DerandState(spec, keep_trace=True)
-    state.run()
+    state = DerandState(spec)
+    trace = _greedy_trace(state)
     tol = 1e-9 * state.ns
-    for before, after in zip(state.trace, state.trace[1:]):
+    for before, after in zip(trace, trace[1:]):
         assert after >= before - tol
     assert state.expectation > state.ns - 1
 
@@ -268,11 +296,11 @@ def test_expectation_stays_above_invariant_on_tightest_spec():
     # The tightest corpus spec starts only 1.9e-4 above #subsets - 1; the
     # proof's invariant must hold after every entry, not just on average.
     spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
-    state = DerandState(spec, keep_trace=True)
+    state = DerandState(spec)
     assert 0 < state.expectation - (state.ns - 1) < 1e-3
-    state.run()
-    assert len(state.trace) == state.m * spec.n + 1
-    assert all(value > state.ns - 1 for value in state.trace)
+    trace = _greedy_trace(state)
+    assert len(trace) == state.m * spec.n + 1
+    assert all(value > state.ns - 1 for value in trace)
 
 
 def _near_floor_before_a_one():
@@ -281,8 +309,7 @@ def _near_floor_before_a_one():
     spec = SuperSelectorSpec(6, 2, (1, 2))
     state = DerandState(spec)
     while True:
-        totals = [sum(state.conditional(S, bit) for S in state.cols)
-                  for bit in (0, 1)]
+        totals = [sum(_forced(state, bit).xcur) for bit in (0, 1)]
         if totals[1] > totals[0] + 1e-6:
             break
         state.step()
@@ -295,10 +322,10 @@ def test_greedy_step_below_invariant_raises():
     # An unbounded tie slack makes the greedy choice take the losing bit,
     # as a float overturn of the comparison would.
     state._tie_tol = float("inf")
-    position = state.position
+    position = (state.r, state.c)
     with pytest.raises(PrecisionFault):
         state.step()
-    assert state.position == position
+    assert (state.r, state.c) == position
 
 
 def test_forced_step_is_exempt_from_invariant():
@@ -353,47 +380,3 @@ def test_step_past_completion_fails():
     state.run()
     with pytest.raises(InputError):
         state.step()
-
-
-# --------------------------------------------------- stacked construction
-
-
-def test_stacked_degenerates_to_plain_build():
-    spec = SuperSelectorSpec(10, 5, (0, 0, 0, 0, 1))
-    assert split_level(spec) == 0
-    assert construct_stacked(spec).rows == construct_derandomized(spec).rows
-
-
-def test_stacked_full_strength_single_block():
-    spec = SuperSelectorSpec(6, 3, (1, 2, 3))
-    assert split_level(spec) == 3
-    assert construct_stacked(spec).rows == construct_derandomized(spec).rows
-
-
-def test_stacked_promotes_single_block():
-    # All levels fall below the crossover, so the whole spec is promoted
-    # to full strength and built as one block.
-    spec = SuperSelectorSpec(10, 3, (1, 2, 2))
-    assert split_level(spec) == 3
-    M = construct_stacked(spec)
-    assert M.rows == construct_derandomized(
-        SuperSelectorSpec(10, 3, (1, 2, 3))
-    ).rows
-    assert is_superselector(M, spec)
-
-
-def test_stacked_two_blocks():
-    # A weak top level sits past the crossover, so the build splits: a
-    # full-strength prefix block plus a tail block for the rest.
-    spec = SuperSelectorSpec(8, 5, (1, 2, 3, 1, 1))
-    split = split_level(spec)
-    assert 0 < split < 5
-    M = construct_stacked(spec)
-    head = construct_derandomized(
-        SuperSelectorSpec(8, split, tuple(range(1, split + 1)))
-    )
-    tail = construct_derandomized(
-        SuperSelectorSpec(8, 5, (0,) * split + spec.v[split:])
-    )
-    assert M.rows == head.rows + tail.rows
-    assert is_superselector(M, spec)

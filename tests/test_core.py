@@ -275,11 +275,12 @@ def test_entry_column_row_consistency():
             assert col[r] == M.entry(r, c)
 
 
-def test_stack_concatenates_rows():
-    A = matrix_of([[1, 0], [0, 1]])
-    B = matrix_of([[1, 1]])
-    S = A.stack(B)
-    assert (S.m, S.n) == (3, 2)
-    assert S.rows == A.rows + B.rows
-    with pytest.raises(InputError):
-        A.stack(BitMatrix.identity(3))
+def test_every_public_name_resolves():
+    import superselect
+
+    namespace = {}
+    # A name in __all__ that the package lacks raises AttributeError here.
+    exec("from superselect import *", namespace)
+    assert set(superselect.__all__) <= set(namespace)
+    for gone in ("construct_stacked", "split_level"):
+        assert gone not in superselect.__all__ and not hasattr(superselect, gone)

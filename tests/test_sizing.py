@@ -12,7 +12,6 @@ from superselect.sizing import (
     selector_upper_bound,
     superselector_lower_bound,
     superselector_upper_bound,
-    split_level,
 )
 
 
@@ -225,16 +224,3 @@ def test_threshold_can_exceed_upper_bound_at_full_strength_levels():
     spec = SuperSelectorSpec(10, 3, (1, 2, 3))
     assert derand_threshold(spec) > superselector_upper_bound(spec).m
 
-
-# --- stacked-construction split level ---
-
-def test_split_level_full_strength_prefix():
-    # With v_i = i every constrained level keeps the linear coefficient
-    # ahead, so the split covers the whole spec.
-    assert split_level(SuperSelectorSpec(16, 4, (1, 2, 3, 4))) == 4
-
-
-def test_split_level_zero_when_linear_branch_never_wins():
-    # A single weak constraint at a high level: j*(j - v_j + 1) is large,
-    # so the quadratic coefficient is the minimum already at j = 5.
-    assert split_level(SuperSelectorSpec(10, 5, (0, 0, 0, 0, 1))) == 0
