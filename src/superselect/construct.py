@@ -2,15 +2,17 @@
 the fully deterministic conditional-expectations fill.
 
 The deterministic fill fixes entries in row-major order. For every
-tracked column subset S it maintains the exact probability that a random
-completion of the matrix still realizes enough distinct unit rows inside
-M(S), and it picks each bit to maximize the sum of those probabilities.
-At the threshold row count the sum starts above (number of subsets) - 1
-and a greedy choice never lowers it, so it ends with every subset
-satisfied; the fill checks that invariant after every entry. Entry (r, c)
-can change only the subsets that contain column c, and a static
-per-column index lists exactly those, so a fill costs at most
-m * sum_j j*C(n,j) subset evaluations over the constrained levels j.
+tracked column subset S, identified by its column mask, it maintains the
+exact probability that a random completion of the matrix still realizes
+enough distinct unit rows inside M(S), and it picks each bit to maximize
+the sum of those probabilities: bit 1 exactly when the difference d of
+the two hypothesis sums exceeds a tie slack. At the threshold row count
+the sum starts above (number of subsets) - 1 and a greedy choice never
+lowers it, so it ends with every subset satisfied; the fill checks that
+invariant after every entry. Entry (r, c) can change only the subsets
+that contain column c, and a static per-column index lists exactly
+those, so a fill costs at most m * sum_j j*C(n,j) subset evaluations
+over the constrained levels j, each one product added to d.
 """
 
 from __future__ import annotations
@@ -101,44 +103,41 @@ class FTable:
         return self._tab[a][b][c]
 
 
-def _colex_combinations(n: int, j: int) -> list:
-    return sorted(itertools.combinations(range(n), j), key=lambda s: s[::-1])
-
-
 class DerandState:
     """Fill state of the deterministic construction.
 
     Entries are fixed row-major. Only the subsets S that contain the
     current column c can change at entry (r, c), so a static per-column
     index lists, for every column c, those subsets together with the
-    number of columns of S after c. A step evaluates both hypotheses for
-    the listed subsets only and picks the bit from their two sums; the
+    number of columns of S after c. A step sums the greedy difference
+    d = T1 - T0 of the two hypotheses over the listed subsets only; the
     untouched subsets add the same amount to both sides. A fill therefore
     does at most m * sum_j j*C(n,j) subset evaluations instead of
     m * n * #subsets.
 
-    Per subset S the state is its column mask, the mask of its columns
-    whose unit pattern no completed row has realized yet, and its class:
-    (level, patterns realized so far). The shape of the current row's
-    prefix over S (no ones, one lone one, dead) is read off the row's
-    fixed bits, so nothing is reset between rows. The f-values a class
-    needs are the same for the whole row and are looked up once per row.
-    A subset that has realized enough patterns is certain to succeed and
-    leaves the index.
+    A subset is identified by its column mask alone: subsets are numbered
+    level by level in ascending mask order, which is colex order. Per
+    subset the state is that mask, the mask of its columns whose unit
+    pattern no completed row has realized yet, and its class: (level,
+    patterns realized so far). The shape of the current row's prefix over
+    S (no ones, one lone one, dead) is read off the row's fixed bits, so
+    nothing is reset between rows. Under either bit a subset succeeds
+    with probability w*f1 + (1-w)*f0, where w is the chance that the row
+    realizes a new unit pattern, so it adds (w1 - w0)*g to d with
+    g = f1 - f0. g is the same for a whole row and class and is looked up
+    once per row. A subset that has realized enough patterns is certain
+    to succeed and leaves the index.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far. Each subset's current probability is the
     average of its two hypotheses weighted by Pr[entry = 0] = x, so fixing
-    the bit to 0 adds (1-x)(T0 - T1) and fixing it to 1 adds x(T1 - T0),
-    where T0, T1 are the hypothesis sums over the listed subsets.
+    the bit to 1 adds x*d and fixing it to 0 adds -(1-x)*d.
     """
 
-    def __init__(self, spec: SuperSelectorSpec, m: int = None,
+    def __init__(self, spec: SuperSelectorSpec,
                  budget: int = DEFAULT_SUBSET_BUDGET):
         self.spec = spec
-        self.m = derand_threshold(spec) if m is None else m
-        if self.m < 1:
-            raise InputError("row count must be positive")
+        self.m = derand_threshold(spec)
         n, p = spec.n, spec.p
         self.n = n
         self.x = (p - 1) / p
@@ -147,8 +146,6 @@ class DerandState:
         # The per-column index makes at most m * sum_j j*C(n,j) subset
         # evaluations; charge that before enumerating the subsets.
         _budget_guard(self.m * sum(j * comb(n, j) for j in levels), budget)
-        self.cols = [S for j in levels for S in _colex_combinations(n, j)]
-        self.ns = len(self.cols)
         self._tables = {
             j: FTable(self.m, j, spec.v[j - 1],
                       SampleDistribution(j, self.x)) for j in levels
@@ -157,35 +154,40 @@ class DerandState:
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
         # one of each level is satisfied.
         self._classes = []
-        base = {}
+        self._cls = []
+        self._mask = []
+        bits = [1 << c for c in range(n)]
         for j in levels:
-            base[j] = len(self._classes)
+            k = len(self._classes)
             self._classes.extend((j, a) for a in range(spec.v[j - 1] + 1))
+            # Ascending masks are colex order, the order of `xcur` and of
+            # every sum over subsets.
+            masks = sorted(map(sum, itertools.combinations(bits, j)))
+            self._cls.extend([k] * len(masks))
+            self._mask.extend(masks)
         self._satisfied = [a == spec.v[j - 1] for j, a in self._classes]
-        self._cls = [base[len(S)] for S in self.cols]
-        self._live = [True] * self.ns
+        self.ns = len(self._mask)
         # Per-column index: subsets containing c (ascending), how many of
         # their columns follow c, and the subsets whose last column is c.
         self._hits = hits = [[] for _ in range(n)]
         self._after = after = [[] for _ in range(n)]
-        self._ends = [[] for _ in range(n)]
-        self._mask = []
-        for i, S in enumerate(self.cols):
-            j = len(S)
-            mask = 0
-            for pos, col in enumerate(S):
+        self._ends = ends = [[] for _ in range(n)]
+        for i, mask in enumerate(self._mask):
+            q = mask.bit_count()
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                col = low.bit_length() - 1
+                q -= 1
                 hits[col].append(i)
-                after[col].append(j - pos - 1)
-                mask |= 1 << col
-            self._ends[S[-1]].append(i)
-            self._mask.append(mask)
+                after[col].append(q)
+            ends[col].append(i)
         self._alive = list(self._mask)
         # Columns whose index still lists a subset that became satisfied.
-        self._stale = [False] * n
-        self._f0 = [1.0] * len(self._classes)
-        self._f1 = [1.0] * len(self._classes)
-        # Ties between the two hypotheses resolve to 0; the slack absorbs
-        # summation-order noise so exact ties do so reproducibly.
+        self._stale = 0
+        self._g = [0.0] * len(self._classes)
+        # A greedy difference d within this slack resolves to bit 0; it
+        # absorbs summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
         self.r = 0
         self.c = 0
@@ -199,8 +201,8 @@ class DerandState:
         ])
 
     def _load_row(self):
-        """f-values of every class for the current row: f0 = f(rem, need,
-        pool) and f1 = f(rem, need-1, pool-1), rem rows after this one."""
+        """g = f(rem, need-1, pool-1) - f(rem, need, pool) of every
+        unsatisfied class for the current row, rem rows after this one."""
         rem = self.m - self.r - 1
         for k, (j, a) in enumerate(self._classes):
             need = self.spec.v[j - 1] - a
@@ -208,31 +210,34 @@ class DerandState:
                 row = self._tables[j]._tab[rem]
                 # need <= pool always, and the table holds exact zeros
                 # where need > rem, so no boundary cases remain.
-                self._f0[k] = row[need][j - a]
-                self._f1[k] = row[need - 1][j - a - 1]
+                self._g[k] = row[need - 1][j - a - 1] - row[need][j - a]
 
     def _drop_satisfied(self, c: int):
-        live = self._live.__getitem__
+        sat, cls = self._satisfied, self._cls
         hits, ends = self._hits[c], self._ends[c]
-        keep = list(map(live, hits))
+        keep = [not sat[cls[i]] for i in hits]
         self._hits[c] = list(compress(hits, keep))
         self._after[c] = list(compress(self._after[c], keep))
-        self._ends[c] = list(compress(ends, map(live, ends)))
-        self._stale[c] = False
+        self._ends[c] = [i for i in ends if not sat[cls[i]]]
+        self._stale &= ~(1 << c)
 
     def _current(self, i: int) -> float:
         """Success probability of subset i given the entries fixed so far."""
-        if not self._live[i]:
-            return 1.0
         k = self._cls[i]
+        if self._satisfied[k]:
+            return 1.0
         c, mask, alive = self.c, self._mask[i], self._alive[i]
         j, a = self._classes[k]
+        need = self.spec.v[j - 1] - a
+        table = self._tables[j]
         unfixed = (mask >> c).bit_count()
         if unfixed == 0 or unfixed == j:
             # Row r over S is complete, or not begun: whole rows remain.
             rows = self.m - self.r - (1 if unfixed == 0 else 0)
-            return self._tables[j].f(rows, self.spec.v[j - 1] - a, j - a)
-        f0, f1 = self._f0[k], self._f1[k]
+            return table.f(rows, need, j - a)
+        rem = self.m - self.r - 1
+        f0 = table.f(rem, need, j - a)
+        f1 = table.f(rem, need - 1, j - a - 1)
         pre = self.row_bits & mask
         if not pre:
             pr = (alive >> c).bit_count() * self._xpow[unfixed - 1] * self._omx
@@ -257,46 +262,36 @@ class DerandState:
         if self.r >= self.m:
             raise InputError("matrix already complete")
         c = self.c
-        if self._stale[c]:
-            self._drop_satisfied(c)
         cbit = 1 << c
+        if self._stale & cbit:
+            self._drop_satisfied(c)
         c1 = c + 1
         rb = self.row_bits
         masks, alive, cls = self._mask, self._alive, self._cls
-        f0s, f1s, xpow, omx = self._f0, self._f1, self._xpow, self._omx
-        # Hypothesis sums over the subsets that contain c, inlined.
-        t0 = 0.0
-        t1 = 0.0
+        g, xpow, omx = self._g, self._xpow, self._omx
+        # d = T1 - T0 over the subsets that contain c, inlined: each adds
+        # (w1 - w0) * g, w the chance of a new unit pattern in this row.
+        d = 0.0
         for i, q in zip(self._hits[c], self._after[c]):
             pre = rb & masks[i]
-            k = cls[i]
-            f0 = f0s[k]
             if pre:
                 # Two ones, or a lone one whose pattern is already
-                # realized: the row is dead for S and both bits give f0.
+                # realized: the row is dead for S and both bits agree.
                 if pre & (pre - 1) or not pre & alive[i]:
                     continue
-                xq = xpow[q]
-                t0 += xq * f1s[k] + (1.0 - xq) * f0
-                t1 += f0
+                # Bit 1 kills the lone one; bit 0 keeps it with x^q.
+                d -= xpow[q] * g[cls[i]]
             else:
-                f1 = f1s[k]
                 am = alive[i]
-                if am & cbit:
-                    xq = xpow[q]
-                    t1 += xq * f1 + (1.0 - xq) * f0
-                else:
-                    t1 += f0
+                w = xpow[q] if am & cbit else 0.0
                 if q:
-                    pr = (am >> c1).bit_count() * xpow[q - 1] * omx
-                    t0 += pr * f1 + (1.0 - pr) * f0
-                else:
-                    t0 += f0
+                    w -= (am >> c1).bit_count() * xpow[q - 1] * omx
+                d += w * g[cls[i]]
         forced = bit is not None
         if not forced:
-            bit = 0 if t0 >= t1 - self._tie_tol else 1
+            bit = 0 if d <= self._tie_tol else 1
         before = self.expectation
-        after = before + (self.x * (t1 - t0) if bit else omx * (t0 - t1))
+        after = before + (self.x * d if bit else -omx * d)
         floor = self.ns - 1
         if not forced and before > floor >= after:
             raise PrecisionFault(
@@ -316,9 +311,7 @@ class DerandState:
                 k = cls[i] + 1
                 cls[i] = k
                 if sat[k]:
-                    self._live[i] = False
-                    for col in self.cols[i]:
-                        self._stale[col] = True
+                    self._stale |= masks[i]
         self.c = c1
         if c1 == self.n:
             self.rows.append(rb)

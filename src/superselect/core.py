@@ -353,26 +353,22 @@ def is_list_disjunct(
 
     Checking |S| = d and |T| = l suffices: shrinking S only removes miss
     constraints, and the guarantee for larger T follows from any l-subset.
-    A d-set S fails exactly when at least l columns outside S are
-    uncovered by the rows that miss S, so each S costs one scan of the
-    rows, and the budget counts the C(n, d) sets S.
+    A d-set S fails exactly when at least l columns outside S lie inside
+    the rows S hits, that is, when `identify` over those rows finds at
+    least d + l candidates (the columns of S are always among them). Each
+    S costs one `identify` call, and the budget counts the C(n, d) sets S.
     """
     if d < 1 or l < 1:
         raise InputError("need d >= 1 and l >= 1")
     if d + l > M.n:
         raise InputError(f"d + l = {d + l} exceeds n = {M.n}")
     _budget_guard(comb(M.n, d), budget)
-    full = (1 << M.n) - 1
-    for S in itertools.combinations(range(M.n), d):
-        smask = 0
-        for c in S:
-            smask |= 1 << c
-        # Rows that miss S; every l-set T outside S must meet them.
-        free = 0
-        for row in M.rows:
-            if not row & smask:
-                free |= row
-        if (full & ~free & ~smask).bit_count() >= l:
+    cols = M.cols
+    for S in itertools.combinations(cols, d):
+        hit = 0
+        for x in S:
+            hit |= x
+        if len(identify(cols, hit)[1]) >= d + l:
             return False
     return True
 
@@ -391,6 +387,14 @@ def is_list_disjunct(
 _NOT_BITS = str.maketrans("", "", "01")
 
 
+def _is_digits(token: str) -> bool:
+    """Whether token is one or more ASCII digits: the check every integer
+    field of the three formats passes (one leading '-' removed where a
+    range message reports negatives). str.isdigit alone takes superscript
+    digits, which int() rejects; int() takes '_', '+' and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -400,7 +404,7 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     if not lines or not lines[0].strip():
         raise ParseError(source, 1, "missing 'm n' header")
     head = lines[0].split()
-    if len(head) != 2 or not all(t.isdigit() for t in head):
+    if len(head) != 2 or not all(map(_is_digits, head)):
         raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'm n'")
     m, n = int(head[0]), int(head[1])
     if m < 1 or n < 1:
@@ -437,7 +441,7 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     if not lines or not lines[0].strip():
         raise ParseError(source, 1, "missing 'n p' header")
     head = lines[0].split()
-    if len(head) != 2 or not all(t.isdigit() for t in head):
+    if len(head) != 2 or not all(map(_is_digits, head)):
         raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'n p'")
     n, p = int(head[0]), int(head[1])
     if len(lines) < 2 or not lines[1].strip():
@@ -445,12 +449,10 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     parts = lines[1].split()
     if len(parts) != p:
         raise ParseError(source, 2, f"expected {p} values, got {len(parts)}")
-    try:
-        v = tuple(int(t) for t in parts)
-    except ValueError:
+    if not all(_is_digits(t.removeprefix("-")) for t in parts):
         raise ParseError(source, 2, f"non-integer entry in {lines[1]!r}")
     try:
-        return SuperSelectorSpec(n, p, v)
+        return SuperSelectorSpec(n, p, tuple(map(int, parts)))
     except InputError as exc:
         raise ParseError(source, 2, str(exc))
 
@@ -465,10 +467,9 @@ def parse_vector(text: str, source: str = "<vector>") -> tuple:
         s = raw.strip()
         if not s:
             continue
-        try:
-            val = int(s)
-        except ValueError:
+        if not _is_digits(s.removeprefix("-")):
             raise ParseError(source, ln, f"non-integer line {raw!r}")
+        val = int(s)
         if val < 0:
             raise ParseError(source, ln, "vector entries must be nonnegative")
         values.append(val)

@@ -3,11 +3,12 @@ verifiers.
 
 `selector_holds` walks every p-set of columns and, for each one, scans
 all m rows for unit rows within the set. `list_disjunct_holds`
-enumerates every l-set T outside each d-set S. Both are slow and are
-kept only so the column-view kernel and the counting form of
-`is_list_disjunct` in `superselect.core` can be checked against them.
-Neither checks its arguments or a budget. Do not use them outside the
-tests.
+enumerates every l-set T outside each d-set S. `list_disjunct_counts`
+is the counting form that scanned the rows once per d-set S, before
+`is_list_disjunct` moved onto the column view. All are slow and are kept
+only so the column-view kernels in `superselect.core` can be checked
+against them. None checks its arguments or a budget. Do not use them
+outside the tests.
 """
 
 from __future__ import annotations
@@ -55,4 +56,21 @@ def list_disjunct_holds(M: BitMatrix, d: int, l: int) -> bool:
         for T in itertools.combinations(rest, l):
             if not any((free >> c) & 1 for c in T):
                 return False
+    return True
+
+
+def list_disjunct_counts(M: BitMatrix, d: int, l: int) -> bool:
+    """A d-set S fails when at least l columns outside S are uncovered by
+    the rows that miss S; one scan of the rows per S."""
+    full = (1 << M.n) - 1
+    for S in itertools.combinations(range(M.n), d):
+        smask = 0
+        for c in S:
+            smask |= 1 << c
+        free = 0
+        for row in M.rows:
+            if not row & smask:
+                free |= row
+        if (full & ~free & ~smask).bit_count() >= l:
+            return False
     return True

@@ -426,6 +426,17 @@ def _malformed_matrix(tmp_path):
             "--spec", spec_file(tmp_path, spec)]
 
 
+def _superscript_matrix_header(tmp_path):
+    # str.isdigit accepts '\u00b2', int() does not.
+    spec = SuperSelectorSpec(4, 2, (1, 2))
+    return ["verify", "--matrix", write(tmp_path / "bad.txt", "\u00b2 4\n0101\n0110\n"),
+            "--spec", spec_file(tmp_path, spec)]
+
+
+def _superscript_spec_header(tmp_path):
+    return ["bounds", "--spec", write(tmp_path / "s.txt", "\u00b2 2\n1 2\n")]
+
+
 def _over_budget(tmp_path):
     spec = SuperSelectorSpec(6, 2, (1, 2))
     return ["verify", "--matrix", matrix_file(tmp_path, construct_derandomized(spec)),
@@ -458,12 +469,15 @@ def _failing_verify(tmp_path):
 
 @pytest.mark.parametrize("make_argv, code, verdict", [
     (_malformed_matrix, 2, "error:ParseError"),
+    (_superscript_matrix_header, 2, "error:ParseError"),
+    (_superscript_spec_header, 2, "error:ParseError"),
     (_over_budget, 2, "error:BudgetError"),
     (_random_over_budget, 2, "error:BudgetError"),
     (_attempts_exhausted, 1, "error:ConstructionFailure"),
     (_inconsistent_additive, 1, "error:InconsistentObservationError"),
     (_failing_verify, 1, "fail"),
-], ids=["malformed-matrix", "over-budget", "random-over-budget",
+], ids=["malformed-matrix", "superscript-matrix-header",
+        "superscript-spec-header", "over-budget", "random-over-budget",
         "attempts-exhausted", "inconsistent-observation", "failing-verify"])
 def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
                                              make_argv, code, verdict):

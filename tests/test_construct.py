@@ -197,6 +197,11 @@ def _forced(state, bit):
     return trial
 
 
+def _index(state, *S):
+    """Position of the subset S in the state, found by its column mask."""
+    return state._mask.index(sum(1 << c for c in S))
+
+
 def _greedy_trace(state):
     """Run the greedy fill to the end; the expectation after every entry."""
     trace = [state.expectation]
@@ -212,7 +217,7 @@ def test_conditional_satisfied_subset_is_certain():
     state.step(1)
     state.step(0)
     # Row [1, 0] realizes the singleton {0} and one unit row of the pair.
-    i = state.cols.index((0,))
+    i = _index(state, 0)
     assert state.xcur[i] == 1.0
     for bit in (0, 1):
         assert _forced(state, bit).xcur[i] == 1.0
@@ -224,7 +229,7 @@ def test_conditional_dead_row_ignores_bit():
     state.step(1)
     state.step(1)
     # Two ones in the row over S: it can no longer be a unit row.
-    i = state.cols.index((0, 1, 2))
+    i = _index(state, 0, 1, 2)
     rem = state.m - 1
     stuck = state._tables[3].f(rem, 1, 3)
     assert state.xcur[i] == pytest.approx(stuck)
@@ -236,7 +241,7 @@ def test_conditional_last_singleton_column():
     spec = SuperSelectorSpec(2, 2, (1, 0))
     state = DerandState(spec)
     rem = state.m - 1
-    i = state.cols.index((0,))
+    i = _index(state, 0)
     assert _forced(state, 1).xcur[i] == 1.0
     assert _forced(state, 0).xcur[i] == pytest.approx(1 - 0.5 ** rem)
 
@@ -367,11 +372,6 @@ def test_derandomized_budget_charges_the_index_work():
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec) == 37
     assert is_superselector(M, spec)
-
-
-def test_state_rejects_zero_rows():
-    with pytest.raises(InputError):
-        DerandState(SuperSelectorSpec(4, 2, (1, 2)), m=0)
 
 
 def test_step_past_completion_fails():

@@ -8,6 +8,7 @@ from superselect.core import (
     BitMatrix,
     BudgetError,
     InputError,
+    ParseError,
     SuperSelectorSpec,
     arithmetic_sum,
     boolean_sum,
@@ -17,6 +18,9 @@ from superselect.core import (
     is_list_disjunct,
     is_selector,
     is_superselector,
+    parse_matrix,
+    parse_spec,
+    parse_vector,
     selector_spec,
 )
 
@@ -284,3 +288,35 @@ def test_every_public_name_resolves():
     assert set(superselect.__all__) <= set(namespace)
     for gone in ("construct_stacked", "split_level"):
         assert gone not in superselect.__all__ and not hasattr(superselect, gone)
+
+
+# --- text formats ---
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\u00b2", "+1", "1.0", "-"],
+                         ids=["underscore", "arabic-indic-one", "superscript-two",
+                              "plus", "decimal-point", "bare-minus"])
+def test_integer_fields_take_ascii_digits_only(token):
+    # int() or str.isdigit would take some of these; every integer field
+    # of the three formats rejects them all.
+    with pytest.raises(ParseError) as exc:
+        parse_vector(f"3\n{token}\n", source="v.txt")
+    assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        parse_spec(f"2 2\n1 {token}\n", source="s.txt")
+    assert exc.value.line == 2
+    with pytest.raises(ParseError) as exc:
+        parse_spec(f"{token} 2\n1 2\n", source="s.txt")
+    assert exc.value.line == 1
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(f"1 {token}\n0\n", source="m.txt")
+    assert exc.value.line == 1
+
+
+def test_negative_values_keep_their_messages():
+    with pytest.raises(ParseError, match="v.txt:1: vector entries must be nonnegative"):
+        parse_vector("-3\n", source="v.txt")
+    with pytest.raises(ParseError, match=r"s.txt:2: v_1=-1 outside \[0, 1\]"):
+        parse_spec("2 2\n-1 2\n", source="s.txt")
+    assert parse_vector(" 10 \n0\n") == (10, 0)
+    assert parse_spec("3 2\n1 2\n") == SuperSelectorSpec(3, 2, (1, 2))

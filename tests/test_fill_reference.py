@@ -1,6 +1,10 @@
 """Differential tests of the per-column fill kernel against the frozen
 scan kernel in `reference_scan.py`, plus digests of the benchmark
-corpus pinned from the scan kernel's output."""
+corpus pinned from the scan kernel's output and of the other matrices
+the benchmark workloads and the monotone chain build.
+
+The two at-scale pins carry the `slow` marker (about 8 s each), which
+the default run deselects; `python -m pytest -m slow` runs them."""
 
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from superselect import (
     derand_threshold,
     format_matrix,
     fut_spec,
+    monotone_chain,
     mut_spec,
     selector_spec,
 )
@@ -53,6 +58,34 @@ CORPUS_DIGESTS = {
     SuperSelectorSpec(10, 6, (1, 2, 2, 2, 2, 4)): "491cc7fd1762",
     SuperSelectorSpec(12, 3, (1, 2, 3)): "928d439c96fc",
 }
+
+# (rows, sha256(format_matrix(M))[:12]) of the derandomized matrices of
+# the certify workload's specs and of the decode and cli workloads'
+# decoder specs (union, approx, additive, mut, compress), pinned from the
+# fill that summed both hypotheses before it summed their difference.
+WORKLOAD_DIGESTS = {
+    SuperSelectorSpec(40, 3, (1, 2, 3)): (65, "292917f051da"),
+    SuperSelectorSpec(64, 3, (1, 2, 2)): (36, "393b8af9b914"),
+    SuperSelectorSpec(24, 4, (1, 2, 2, 3)): (47, "20701625ac4b"),
+    SuperSelectorSpec(16, 3, (1, 2, 3)): (47, "21991d9f0d78"),
+    approx_gt_spec(2, 1, 1, 12): (41, "928d439c96fc"),
+    additive_gt_spec(2, 12): (44, "2b150c0fb64c"),
+    mut_spec(3, 2, 10): (39, "491cc7fd1762"),
+    selector_spec(4, 3, 12): (34, "5fa2479ed17c"),
+}
+
+# The levels t = 8, 4, 2 of the (8, 4) monotone chain, from the same fill.
+CHAIN_DIGESTS = ((41, "27aab001e4ba"), (27, "6336e8027744"), (14, "2c68fe0d2f7c"))
+
+# At-scale specs, from the same fill; each builds in about 8 s.
+SLOW_DIGESTS = {
+    SuperSelectorSpec(128, 3, (1, 2, 2)): (42, "3c22ae2bd2ee"),
+    SuperSelectorSpec(32, 5, (1, 2, 2, 3, 3)): (56, "1900518eda90"),
+}
+
+
+def _pin(M):
+    return M.m, hashlib.sha256(format_matrix(M).encode()).hexdigest()[:12]
 
 
 def _same_rows(spec):
@@ -98,5 +131,20 @@ def test_lockstep_probabilities_match_scan_kernel(spec):
 def test_corpus_digest_is_pinned(spec):
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec)
-    digest = hashlib.sha256(format_matrix(M).encode()).hexdigest()[:12]
-    assert digest == CORPUS_DIGESTS[spec]
+    assert _pin(M)[1] == CORPUS_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", list(WORKLOAD_DIGESTS), ids=str)
+def test_workload_digest_is_pinned(spec):
+    assert _pin(construct_derandomized(spec)) == WORKLOAD_DIGESTS[spec]
+
+
+def test_chain_level_digests_are_pinned():
+    chain = monotone_chain(8, 4)
+    assert tuple(_pin(M) for M, _ in chain.levels) == CHAIN_DIGESTS
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", list(SLOW_DIGESTS), ids=str)
+def test_at_scale_digest_is_pinned(spec):
+    assert _pin(construct_derandomized(spec)) == SLOW_DIGESTS[spec]

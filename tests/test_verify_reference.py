@@ -1,6 +1,7 @@
-"""Differential tests of the column-view verification kernel and the
-counting form of `is_list_disjunct` against the frozen row-scan
-verifiers in `reference_verify.py`."""
+"""Differential tests of the column-view verification kernel and of
+`is_list_disjunct` against the frozen row-scan verifiers in
+`reference_verify.py`: the l-set enumeration and the per-S row-scan
+counting form that `is_list_disjunct` replaced."""
 
 from __future__ import annotations
 
@@ -11,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_verify import list_disjunct_holds, selector_holds, superselector_holds
+from reference_verify import (
+    list_disjunct_counts,
+    list_disjunct_holds,
+    selector_holds,
+    superselector_holds,
+)
 from superselect import (
     BitMatrix,
     SuperSelectorSpec,
@@ -74,6 +80,17 @@ def test_drawn_matrices_match_row_scan(n, data):
     _same_selector_answers(M)
     if n >= 2:
         _same_list_disjunct_answers(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), data=st.data())
+def test_drawn_matrices_match_counting_row_scan(n, data):
+    # Every (d, l) with d + l <= n, against the per-S row scan.
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+    M = BitMatrix(n, rows)
+    for d in range(1, n):
+        for l in range(1, n - d + 1):
+            assert is_list_disjunct(M, d, l) == list_disjunct_counts(M, d, l), (d, l)
 
 
 def test_random_pool_matches_row_scan_on_both_outcomes():
