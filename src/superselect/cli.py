@@ -134,8 +134,14 @@ def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
 
 
 def _read_matrix(args, run: RunManifest) -> BitMatrix:
-    M = _read(args.matrix, parse_matrix)
-    run.matrix_digest = _digest(format_matrix(M))
+    # Text mode reads every line ending as LF, and the parser accepts
+    # lines 2 to m+1 only as exactly the canonical rows, so the digest
+    # of format_matrix(M) needs no second formatting of M.
+    with open(args.matrix) as fh:
+        text = fh.read()
+    M = parse_matrix(text, source=args.matrix)
+    rows = text.split("\n", M.m + 1)[1:M.m + 1]
+    run.matrix_digest = _digest("\n".join([f"{M.m} {M.n}", *rows, ""]))
     return M
 
 
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     run = RunManifest(args.command, verdict="ok")
     start = time.perf_counter()
+    # `error` keeps the message, not the exception: an exception held in
+    # a local of this frame would reach the frame again through its
+    # traceback, a cycle that only the cyclic collector frees.
     error = None
     try:
         code, out = args.func(args, run)
@@ -391,18 +400,16 @@ def main(argv=None) -> int:
     # comes first.
     except (InconsistentObservationError, ConstructionFailure,
             PrecisionFault) as exc:
-        code, error = 1, exc
+        code, error, run.verdict = 1, str(exc), f"error:{type(exc).__name__}"
     except (InputError, ParseError, BudgetError, OSError) as exc:
-        code, error = 2, exc
-    if error is not None:
-        run.verdict = f"error:{type(error).__name__}"
+        code, error, run.verdict = 2, str(exc), f"error:{type(exc).__name__}"
     run.wall_time = time.perf_counter() - start
     try:
         _append_manifest(args.manifest, run)
     except OSError as exc:
         # A run that already failed reports its own error.
         if error is None:
-            code, error = 2, exc
+            code, error = 2, str(exc)
     if error is None:
         print(out)
     else:

@@ -29,6 +29,7 @@ from .core import (
     SuperSelectorSpec,
     _budget_guard,
     is_superselector,
+    row_mask,
 )
 from .sizing import SampleDistribution, derand_threshold
 
@@ -332,20 +333,15 @@ def sample_random_matrix(m: int, n: int, p: int, seed: int) -> BitMatrix:
     """m x n matrix with i.i.d. entries, zero with probability (p-1)/p.
 
     Entries are drawn row-major (column-ascending), so a seed pins the
-    whole matrix.
+    whole matrix. A row is collected as its n flags and converted to an
+    int once, so it costs O(n) word work.
     """
     if m < 1 or n < 1 or p < 1:
         raise InputError("m, n, p must be positive")
     x = (p - 1) / p
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(m):
-        bits = 0
-        for c in range(n):
-            if rng.random() >= x:
-                bits |= 1 << c
-        rows.append(bits)
-    return BitMatrix(n, rows)
+    draw = random.Random(seed).random
+    return BitMatrix(n, [row_mask([draw() >= x for _ in range(n)])
+                         for _ in range(m)])
 
 
 def construct_randomized(spec: SuperSelectorSpec, seed: int,

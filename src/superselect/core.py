@@ -6,11 +6,16 @@ Each matrix also carries one column view, `BitMatrix.cols` (an int per
 column whose bit r is M[r,c]), built on first use and then cached; the
 verifiers and the decoders share it.
 
-The exhaustive selector checks walk the j-sets of columns of that view
-depth first, carrying the rows the current prefix hits once and more
-than once. A level j then costs C(n,j) subsets times O(j) word
-operations, with no per-subset scan of the m rows, which keeps the
-verifiers usable at desk scale.
+The exhaustive selector checks walk the (j-2)-column prefixes of the
+j-sets depth first, carrying the rows the prefix hits once and more
+than once, and settle every completion of a prefix by two more columns
+in one pass over bitsets indexed by column pairs. The bitsets come from
+per-call tables over the matrix's distinct nonzero rows, one 16-entry
+table per 4-row chunk, built on the first level j >= 3. With m' the
+distinct nonzero rows, a level j costs C(n, j-2) prefixes times
+O(j·m'/4) operations on n²-bit ints, plus, once per call, O(m')
+operations for the per-row bitsets and 8·m' table entries. No j-set is
+visited on its own.
 
 Identification (`identify`) works on the same view from the mask of
 rows an observation hits: the candidates are the columns inside that
@@ -22,7 +27,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
 DEFAULT_SUBSET_BUDGET = 10**8
@@ -273,54 +280,194 @@ def _budget_guard(checks: int, budget: int):
 
 
 def _columns(M: BitMatrix) -> tuple:
-    """Transpose M into its column view; `BitMatrix.cols` caches it."""
-    cols = [0] * M.n
-    for r, row in enumerate(M.rows):
-        bit = 1 << r
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(cols)
+    """Transpose M into its column view; `BitMatrix.cols` caches it.
+
+    The rows are written out as one binary string, last row first, so
+    every n-th character from position n-1-c spells column c with row 0
+    as its lowest bit."""
+    n = M.n
+    width = f"0{n}b"
+    text = "".join([format(row, width) for row in reversed(M.rows)])
+    return tuple([int(text[n - 1 - c::n], 2) for c in range(n)])
 
 
-def _selector_holds(cols: tuple, j: int, k: int) -> bool:
-    # Unguarded kernel shared by the verifiers: every j-set of columns has
-    # >= k isolated columns (columns owning a row where they hold the only
-    # 1 within the set). The j-sets are visited depth first in the order
-    # of itertools.combinations. A prefix carries `hit`, the rows it hits
-    # (once | multi), and `alone`, the nonzero cols[a] & once of its
-    # columns a, where `once` is the rows it hits exactly once. Adding
-    # column x keeps y & ~x of each y in `alone` and appends x & ~hit.
-    n = len(cols)
+# The selector checks ask of every j-set of columns that at least k of
+# them be isolated: own a row where they hold the only 1 within the set.
+# Level 1 reads the column view: a lone column is isolated when it is
+# nonzero. From level 2 on, a depth-first walk visits the (j-2)-column
+# prefixes of the j-sets in itertools.combinations order and settles
+# every completion of a prefix by two more columns b < c in one pass, on
+# bitsets over the pairs (b, c).
+#
+# The pair (b, c) is bit b*n + c of an n*n-bit int. The pairs of one b
+# fill one n-bit block, so those with b >= start are the bits from
+# start*n up, and the lowest set bit of a set of failing pairs is the
+# first failing j-set in itertools.combinations order. Only the bits
+# with c > b are ever set.
 
-    def extend(start, depth, hit, alone):
+_LOW_NIBBLE = bytes(x & 15 for x in range(256))
+_HIGH_NIBBLE = bytes(x >> 4 for x in range(256))
+
+
+def _chunk_tables(sets: list) -> list:
+    """Per 4-row chunk of `sets` (a multiple of 8 long), the 16 ORs of
+    its entries over every subset of the chunk: entry x ORs the rows
+    whose bits are set in x. Chunks are listed low nibbles first, then
+    high nibbles, the order `_PairKernel._union` reads them in."""
+    out = []
+    for i in range(0, len(sets), 4):
+        table = [0]
+        for pairs in sets[i:i + 4]:
+            table += [x | pairs for x in table]
+        out.append(table)
+    return out[0::2] + out[1::2]
+
+
+class _PairKernel:
+    """The level j >= 2 checks of one matrix, built on the first such
+    level and shared by the rest of the call.
+
+    Only distinct nonzero rows can isolate a column, so the kernel keeps
+    those, in first-seen order. Per row R it builds two pair bitsets:
+    `solo`, whose low n*n bits mark where R has 1 at b and 0 at c and
+    whose high n*n bits mark where R has 0 at b and 1 at c, and
+    `neither`, where R is 0 at both. Level 2 settles the empty prefix
+    with the OR of every row's `solo`.
+
+    The first level j >= 3 adds the rows' column view and, per 4-row
+    chunk, a table of each bitset (`_chunk_tables`), so that the OR over
+    a mask of rows costs one lookup per chunk. The walk carries the rows
+    the prefix hits and, per prefix column a, `alone`: the nonzero part
+    of cols[a] no other prefix column hits.
+    """
+
+    __slots__ = ("n", "size", "source", "solo", "neither", "tails", "cols",
+                 "full", "nbytes", "solo_tables", "neither_tables", "quiet")
+
+    def __init__(self, M: BitMatrix):
+        n = self.n = M.n
+        self.size = size = n * n
+        rows = [row for row in dict.fromkeys(M.rows) if row]
+        # The kernel's rows as a matrix, read for their column view: M
+        # itself when its rows are all distinct and nonzero, or all zero
+        # (then every level j >= 3 fails before the view is read).
+        self.source = M if len(rows) in (0, M.m) else BitMatrix(n, rows)
+        # Zero rows pad the rows to whole bytes of a row mask; they
+        # never isolate anything and no prefix ever leaves them free.
+        self.nbytes = (len(rows) + 7) // 8
+        rows += [0] * (8 * self.nbytes - len(rows))
+        self.full = (1 << len(rows)) - 1
+        ones = (1 << n) - 1
+        every = sum(1 << (b * n) for b in range(n))
+        slant = sum(1 << (b * (n - 1)) for b in range(n))
+        upper = sum((ones ^ ((2 << b) - 1)) << (b * n) for b in range(n))
+        self.solo = solo = []
+        self.neither = neither = []
+        for row in rows:
+            # Bit b*n for each 1 of the row at b: the copy of the row
+            # at b*(n-1) puts its bit b there. Bit 0 is added apart, as
+            # the only bit whose copies would meet.
+            spread = (row & ~1) * slant & every | row & 1
+            at_b = spread * ones & upper
+            at_c = row * every & upper
+            solo.append(at_b & ~at_c | (at_c & ~at_b) << size)
+            neither.append(upper ^ (at_b | at_c))
+        # tails[s]: the pairs with b >= s.
+        self.tails = [upper >> (s * n) << (s * n) for s in range(n)]
+        self.solo_tables = None
+
+    def _build_tables(self):
+        self.cols = cols = self.source.cols
+        self.solo_tables = _chunk_tables(self.solo)
+        self.neither_tables = _chunk_tables(self.neither)
+        # quiet[s]: the rows with no 1 in columns s and up, which
+        # isolate a prefix column from every pair with b >= s.
+        quiet = [self.full] * (self.n + 1)
+        for s in range(self.n - 1, -1, -1):
+            quiet[s] = quiet[s + 1] & ~cols[s]
+        self.quiet = quiet
+
+    def _union(self, tables: list, mask: int) -> int:
+        """OR of the pair bitsets of the rows in mask."""
+        raw = mask.to_bytes(self.nbytes, "little")
+        index = raw.translate(_LOW_NIBBLE) + raw.translate(_HIGH_NIBBLE)
+        return reduce(or_, map(getitem, tables, index))
+
+    def holds(self, j: int, k: int) -> bool:
+        """Every j-set (j >= 2) of columns has >= k isolated columns."""
+        if j == 2:
+            return self._settle(k, 0, reduce(or_, self.solo, 0), [])
+        if not self.nbytes:
+            return False
+        if self.solo_tables is None:
+            self._build_tables()
+        return self._walk(j - 2, k, 0, 0, [])
+
+    def _walk(self, left: int, k: int, start: int, hit: int,
+              alone: list) -> bool:
+        # Extend the prefix by `left` more columns from `start` on. A
+        # new column x keeps y & ~x of each y in `alone` and adds x & ~hit.
+        cols = self.cols
         free = ~hit
-        if depth == j - 1:
-            for c in range(start, n):
-                x = cols[c]
-                need = k - 1 if x & free else k
-                if need:
-                    nx = ~x
-                    for y in alone:
-                        if y & nx:
-                            need -= 1
-                            if not need:
-                                break
-                    else:
-                        return False
-            return True
-        for a in range(start, n - j + depth + 1):
+        for a in range(start, self.n - left - 1):
             x = cols[a]
             nx = ~x
             nxt = [z for y in alone if (z := y & nx)]
             if x & free:
                 nxt.append(x & free)
-            if not extend(a + 1, depth + 1, hit | x, nxt):
+            if left > 1:
+                ok = self._walk(left - 1, k, a + 1, hit | x, nxt)
+            else:
+                solo = self._union(self.solo_tables, self.full ^ (hit | x))
+                ok = self._settle(k, a + 1, solo, nxt)
+            if not ok:
                 return False
         return True
 
-    return extend(0, 0, 0, [])
+    def _settle(self, k: int, start: int, solo: int, alone: list) -> bool:
+        # Pair (b, c) gets one input per column that may be isolated:
+        # b and c by the `solo` OR of the rows the prefix misses, each
+        # prefix column by a row of its `alone` that is 0 at both. At
+        # least k of the len(alone) + 2 inputs must hold, so at most
+        # `spare` may miss; over[i] marks the pairs with more than i
+        # misses so far, bit-sliced.
+        spare = len(alone) + 2 - k
+        if spare < 0:
+            return False
+        inputs = [solo, solo >> self.size]
+        if alone:
+            # A quiet row of `alone` isolates its column from every pair.
+            quiet = self.quiet[start]
+            union, tables = self._union, self.neither_tables
+            inputs += [union(tables, y) for y in alone if not y & quiet]
+        tail = self.tails[start]
+        if not spare:
+            return not tail & ~reduce(and_, inputs)
+        over = [0] * (spare + 1)
+        for x in inputs:
+            miss = tail & ~x
+            for i in range(spare, 0, -1):
+                over[i] |= over[i - 1] & miss
+            over[0] |= miss
+        return not over[spare]
+
+
+def _levels_hold(M: BitMatrix, levels: list) -> bool:
+    """Unguarded check shared by the verifiers: every j-set of columns
+    has >= k isolated columns, for each (j, k) in levels. The pair
+    bitsets are built when level 2 or higher is reached, the tables
+    when level 3 or higher is."""
+    pairs = None
+    for j, k in levels:
+        if j == 1:
+            ok = all(M.cols)
+        else:
+            if pairs is None:
+                pairs = _PairKernel(M)
+            ok = pairs.holds(j, k)
+        if not ok:
+            return False
+    return True
 
 
 def is_selector(
@@ -332,7 +479,7 @@ def is_selector(
     if p > M.n:
         raise InputError(f"p={p} exceeds n={M.n}")
     _budget_guard(comb(M.n, p), budget)
-    return _selector_holds(M.cols, p, k)
+    return _levels_hold(M, [(p, k)])
 
 
 def is_superselector(
@@ -343,7 +490,7 @@ def is_superselector(
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
     _budget_guard(sum(comb(M.n, j) for j in levels), budget)
-    return all(_selector_holds(M.cols, j, spec.v[j - 1]) for j in levels)
+    return _levels_hold(M, [(j, spec.v[j - 1]) for j in levels])
 
 
 def is_list_disjunct(

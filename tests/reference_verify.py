@@ -5,8 +5,10 @@ verifiers.
 all m rows for unit rows within the set. `list_disjunct_holds`
 enumerates every l-set T outside each d-set S. `list_disjunct_counts`
 is the counting form that scanned the rows once per d-set S, before
-`is_list_disjunct` moved onto the column view. All are slow and are kept
-only so the column-view kernels in `superselect.core` can be checked
+`is_list_disjunct` moved onto the column view. `column_view_holds` is
+the depth-first column-view walk that settled each j-set at its own
+leaf, before the selector check moved onto pair bitsets. All are slow
+and are kept only so the kernels in `superselect.core` can be checked
 against them. None checks its arguments or a budget. Do not use them
 outside the tests.
 """
@@ -32,6 +34,47 @@ def selector_holds(M: BitMatrix, p: int, k: int) -> bool:
         if seen.bit_count() < k:
             return False
     return True
+
+
+def column_view_holds(cols: tuple, j: int, k: int) -> bool:
+    """Every j-set of the column view `cols` has >= k isolated columns
+    (columns owning a row where they hold the only 1 within the set).
+
+    The j-sets are visited depth first in the order of
+    itertools.combinations. A prefix carries `hit`, the rows it hits
+    (once | multi), and `alone`, the nonzero cols[a] & once of its
+    columns a, where `once` is the rows it hits exactly once. Adding
+    column x keeps y & ~x of each y in `alone` and appends x & ~hit.
+    """
+    n = len(cols)
+
+    def extend(start, depth, hit, alone):
+        free = ~hit
+        if depth == j - 1:
+            for c in range(start, n):
+                x = cols[c]
+                need = k - 1 if x & free else k
+                if need:
+                    nx = ~x
+                    for y in alone:
+                        if y & nx:
+                            need -= 1
+                            if not need:
+                                break
+                    else:
+                        return False
+            return True
+        for a in range(start, n - j + depth + 1):
+            x = cols[a]
+            nx = ~x
+            nxt = [z for y in alone if (z := y & nx)]
+            if x & free:
+                nxt.append(x & free)
+            if not extend(a + 1, depth + 1, hit | x, nxt):
+                return False
+        return True
+
+    return extend(0, 0, 0, [])
 
 
 def superselector_holds(M: BitMatrix, spec) -> bool:

@@ -7,6 +7,7 @@ manifest path under tmp_path, so nothing leaks between tests.
 from __future__ import annotations
 
 import argparse
+import gc
 
 import pytest
 
@@ -28,7 +29,7 @@ from superselect import (
     superselector_lower_bound,
     superselector_upper_bound,
 )
-from superselect.cli import main
+from superselect.cli import _digest, main
 
 
 @pytest.fixture()
@@ -167,6 +168,31 @@ def test_verify_rejects_bad_matrix(tmp_path, manifest, capsys):
                "--spec", spec_file(tmp_path, spec), "--manifest", manifest])
     assert rc == 1
     assert capsys.readouterr().out.strip() == "fail"
+
+
+MATRIX_LAYOUTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
+    "trailing-blank-line": lambda text: text + "\n \n",
+    "padded-header": lambda text: "  " + text.replace(" ", "   ", 1).replace("\n", " \n", 1),
+}
+
+
+@pytest.mark.parametrize("layout", MATRIX_LAYOUTS)
+def test_matrix_digest_is_the_canonical_text_digest(tmp_path, manifest, capsys,
+                                                    layout):
+    # The manifest digests the matrix as format_matrix writes it, however
+    # the file lays out its lines.
+    spec = SuperSelectorSpec(8, 2, (1, 2))
+    M = construct_derandomized(spec)
+    path = tmp_path / "matrix.txt"
+    path.write_bytes(MATRIX_LAYOUTS[layout](format_matrix(M)).encode())
+    assert main(["verify", "--matrix", str(path), "--spec",
+                 spec_file(tmp_path, spec), "--manifest", manifest]) == 0
+    capsys.readouterr()
+    fields = (tmp_path / "runs.tsv").read_text().split("\t")
+    assert fields[2] == _digest(format_matrix(M))
 
 
 def test_verify_budget_overrun_is_usage_error(tmp_path, manifest):
@@ -527,6 +553,28 @@ def test_unwritable_manifest_is_one_line_usage_error(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("make_argv", [
+    _malformed_matrix, _over_budget, _attempts_exhausted, _inconsistent_additive,
+], ids=["malformed-matrix", "over-budget", "attempts-exhausted",
+        "inconsistent-observation"])
+def test_failed_run_leaves_no_reference_cycles(tmp_path, manifest, capsys, make_argv):
+    # With the cyclic collector off, a failed run must leave nothing for
+    # it: main keeps the error's message, not the exception, whose
+    # traceback would lead back to main's frame.
+    argv = make_argv(tmp_path) + ["--manifest", manifest]
+    unwritable = ["bounds", "--spec", spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2))),
+                  "--manifest", str(tmp_path)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) in (1, 2)
+        assert main(unwritable) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_parse_error_reports_file_and_line(tmp_path, manifest, capsys):

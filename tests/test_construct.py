@@ -119,6 +119,29 @@ def test_sample_is_deterministic_in_seed():
     assert a.rows != c.rows
 
 
+def _frozen_sample_rows(m, n, p, seed):
+    # The entry-by-entry sampler the row-at-a-time one replaced: the
+    # same draws, one big-int OR per 1.
+    x = (p - 1) / p
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(m):
+        bits = 0
+        for c in range(n):
+            if rng.random() >= x:
+                bits |= 1 << c
+        rows.append(bits)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+def test_sample_matches_frozen_entrywise_sampler(n):
+    for p in (1, 2, 3, 7):
+        for seed in (0, 1, 2010):
+            M = sample_random_matrix(5, n, p, seed)
+            assert M.rows == _frozen_sample_rows(5, n, p, seed), (p, seed)
+
+
 def test_sample_zero_fraction():
     M = sample_random_matrix(1000, 100, 4, seed=11)
     zeros = sum(1 for r in range(1000) for c in range(100)

@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superselect import derand_threshold, sample_random_matrix
 from superselect.core import (
     BitMatrix,
     BudgetError,
@@ -207,6 +209,23 @@ def test_superselector_vacuous_spec_accepts_anything():
 def test_superselector_zero_matrix_fails_any_constraint():
     M = matrix_of([[0] * 3] * 2)
     assert not is_superselector(M, SuperSelectorSpec(3, 2, (0, 1)))
+
+
+@pytest.mark.parametrize("spec", [SuperSelectorSpec(64, 3, (1, 2, 2)),
+                                  SuperSelectorSpec(12, 4, (1, 2, 2, 3))], ids=str)
+def test_verifiers_leave_no_reference_cycles(spec):
+    # With the cyclic collector off, a verifier call must leave nothing
+    # for it: the per-call pair tables are freed when the call returns.
+    M = sample_random_matrix(derand_threshold(spec), spec.n, spec.p, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        is_superselector(M, spec)
+        is_selector(M, spec.p, spec.v[-1])
+        is_selector(M, 2, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_superselector_rejects_width_mismatch():

@@ -1,7 +1,8 @@
-"""Differential tests of the column-view verification kernel and of
-`is_list_disjunct` against the frozen row-scan verifiers in
-`reference_verify.py`: the l-set enumeration and the per-S row-scan
-counting form that `is_list_disjunct` replaced."""
+"""Differential tests of the pair-bitset verification kernel and of
+`is_list_disjunct` against the frozen verifiers in `reference_verify.py`:
+the row scans, the depth-first column-view walk the pair kernel
+replaced, and the per-S row-scan counting form that `is_list_disjunct`
+replaced."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_verify import (
+    column_view_holds,
     list_disjunct_counts,
     list_disjunct_holds,
     selector_holds,
@@ -93,6 +95,53 @@ def test_drawn_matrices_match_counting_row_scan(n, data):
             assert is_list_disjunct(M, d, l) == list_disjunct_counts(M, d, l), (d, l)
 
 
+@st.composite
+def repetitive_matrices(draw):
+    # Rows drawn from a seeded pool of up to 40 rows plus the zero row,
+    # so repeated and zero rows are common, m reaches 140 and the
+    # distinct rows fill several table chunks; half the matrices have
+    # a drawn set of zero columns.
+    n = draw(st.integers(1, 10))
+    size = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 140))
+    density = draw(st.floats(0.05, 0.7))
+    zero_cols = draw(st.integers(0, (1 << n) - 1)) if draw(st.booleans()) else 0
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [0] + [sum((rng.random() < density) << c for c in range(n))
+                  for _ in range(size)]
+    return BitMatrix(n, [rng.choice(pool) & ~zero_cols for _ in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=repetitive_matrices())
+def test_pair_kernel_matches_column_walk_and_row_scan(M):
+    # Every 1 <= k <= j <= n, against the old walk and the row scan.
+    for j in range(1, M.n + 1):
+        for k in range(1, j + 1):
+            want = column_view_holds(M.cols, j, k)
+            assert is_selector(M, j, k) == want, (j, k)
+            assert selector_holds(M, j, k) == want, (j, k)
+
+
+def test_many_chunk_matrices_match_column_walk():
+    # Seeded matrices with 20 to 100 distinct rows (5 to 25 chunks of
+    # the pair tables), repeated rows and both outcomes at most levels.
+    rng = random.Random(9)
+    answers = {True: 0, False: 0}
+    for _ in range(24):
+        n = rng.randint(6, 10)
+        density = rng.uniform(0.1, 0.5)
+        pool = [sum((rng.random() < density) << c for c in range(n))
+                for _ in range(rng.randint(20, 100))]
+        M = BitMatrix(n, [rng.choice(pool) for _ in range(rng.randint(60, 140))])
+        for j in range(1, n + 1):
+            for k in range(1, j + 1):
+                got = is_selector(M, j, k)
+                assert got == column_view_holds(M.cols, j, k), (M.rows, j, k)
+                answers[got] += 1
+    assert min(answers.values()) >= 100, answers
+
+
 def test_random_pool_matches_row_scan_on_both_outcomes():
     # Seeded pool with varied density, so both answers occur often.
     rng = random.Random(2010)
@@ -154,3 +203,26 @@ def test_certify_samples_with_duplicated_column_fail(spec):
         assert not is_superselector(bad, spec)
         assert not superselector_holds(bad, spec)
         assert not is_selector(bad, 2, 1) and not selector_holds(bad, 2, 1)
+
+
+def _same_as_column_walk(M, p):
+    for j in range(1, p + 1):
+        for k in range(1, j + 1):
+            assert is_selector(M, j, k) == column_view_holds(M.cols, j, k), (j, k)
+
+
+@pytest.mark.parametrize("spec", CERTIFY_SPECS, ids=str)
+def test_certify_samples_match_column_walk(spec):
+    for seed in SEEDS:
+        M = _certify_sample(spec, seed)
+        _same_as_column_walk(M, spec.p)
+        _same_as_column_walk(_duplicate_last_column(M), spec.p)
+
+
+@pytest.mark.slow
+def test_at_scale_sample_matches_column_walk():
+    # One threshold-size sample where level 3 has C(128, 3) sets.
+    spec = SuperSelectorSpec(128, 3, (1, 2, 2))
+    M = _certify_sample(spec, 0)
+    assert is_superselector(M, spec)
+    _same_as_column_walk(M, spec.p)
