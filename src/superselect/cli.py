@@ -38,6 +38,7 @@ from .core import (
     InputError,
     ParseError,
     SuperSelectorSpec,
+    _is_digits,
     format_matrix,
     format_spec,
     format_vector,
@@ -113,17 +114,28 @@ def _digest(text: str) -> str:
 
 
 def _append_manifest(path: str, entry: RunManifest):
-    with open(path, "a") as fh:
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write(entry.line() + "\n")
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with every line ending read as LF; bytes
+    that are not UTF-8 are a ParseError at their line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start] + b".").splitlines())
+        raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
+
+
 def _read(path: str, parse):
-    with open(path) as fh:
-        return parse(fh.read(), source=path)
+    return parse(_read_text(path), source=path)
 
 
 def _write(path: str, text: str):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -134,24 +146,25 @@ def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
 
 
 def _read_matrix(args, run: RunManifest) -> BitMatrix:
-    # Text mode reads every line ending as LF, and the parser accepts
-    # lines 2 to m+1 only as exactly the canonical rows, so the digest
-    # of format_matrix(M) needs no second formatting of M.
-    with open(args.matrix) as fh:
-        text = fh.read()
+    # The text has every line ending as LF, and the parser accepts lines
+    # 2 to m+1 only as exactly the canonical rows, so the digest of
+    # format_matrix(M) needs no second formatting of M.
+    text = _read_text(args.matrix)
     M = parse_matrix(text, source=args.matrix)
     rows = text.split("\n", M.m + 1)[1:M.m + 1]
     run.matrix_digest = _digest("\n".join([f"{M.m} {M.n}", *rows, ""]))
     return M
 
 
-def _csv_columns(text: str) -> tuple:
+def _int_list(text: str, what: str) -> tuple:
+    """A comma-separated flag value of ASCII-digit tokens (int() alone
+    takes '+', '_' and non-ASCII digits); blank is the empty list."""
     if not text.strip():
         return ()
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise InputError(f"bad column list {text!r}")
+    tokens = [t.strip() for t in text.split(",")]
+    if not all(map(_is_digits, tokens)):
+        raise InputError(f"bad {what} list {text!r}")
+    return tuple(map(int, tokens))
 
 
 def _cols(columns) -> str:
@@ -215,10 +228,7 @@ def cmd_decode(args, run) -> tuple:
 
 
 def cmd_bench(args, run) -> tuple:
-    try:
-        sizes = [int(t) for t in args.n.split(",")]
-    except ValueError:
-        raise InputError(f"bad n list {args.n!r}")
+    sizes = _int_list(args.n, "n")
     if len(set(sizes)) < 2:
         raise InputError("need at least two distinct n values to fit a slope")
     if args.repeat < 1:
@@ -264,7 +274,7 @@ def cmd_decompress(args, run) -> tuple:
 
 
 def cmd_me_encode(args, run) -> tuple:
-    word = monotone_encode(args.n, args.k, _csv_columns(args.set))
+    word = monotone_encode(args.n, args.k, _int_list(args.set, "column"))
     return 0, "word=" + "".join(map(str, word))
 
 

@@ -10,16 +10,15 @@ the two hypothesis sums exceeds a tie slack. At the threshold row count
 the sum starts above (number of subsets) - 1 and a greedy choice never
 lowers it, so it ends with every subset satisfied; the fill checks that
 invariant after every entry. Entry (r, c) can change only the subsets
-that contain column c, and a static per-column index lists exactly
-those, so a fill costs at most m * sum_j j*C(n,j) subset evaluations
-over the constrained levels j, each one product added to d.
+that contain column c, and a static per-column index lists exactly those
+by how many of their columns follow c, so a fill costs at most
+m * sum_j j*C(n,j) subset evaluations over the constrained levels j.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from itertools import compress
 from math import comb
 
 from .core import (
@@ -72,12 +71,9 @@ class FTable:
         self.distribution = distribution
         alpha = distribution.alpha
         tab = [
-            [[0.0] * (width + 1) for _ in range(k_max + 1)] for _ in range(m + 1)
+            [[1.0] * (width + 1)] + [[0.0] * (width + 1) for _ in range(k_max)]
+            for _ in range(m + 1)
         ]
-        for a in range(m + 1):
-            row0 = tab[a][0]
-            for c in range(width + 1):
-                row0[c] = 1.0
         for a in range(1, m + 1):
             prev = tab[a - 1]
             cur = tab[a]
@@ -109,12 +105,13 @@ class DerandState:
 
     Entries are fixed row-major. Only the subsets S that contain the
     current column c can change at entry (r, c), so a static per-column
-    index lists, for every column c, those subsets together with the
-    number of columns of S after c. A step sums the greedy difference
-    d = T1 - T0 of the two hypotheses over the listed subsets only; the
-    untouched subsets add the same amount to both sides. A fill therefore
-    does at most m * sum_j j*C(n,j) subset evaluations instead of
-    m * n * #subsets.
+    index lists, for every column c, those subsets in p buckets: bucket q
+    holds the subsets with q columns after c, so bucket 0 holds those
+    whose row over S ends at c. A step sums the greedy difference
+    d = T1 - T0 of the two hypotheses over the listed subsets only,
+    bucket by bucket; the untouched subsets add the same to both sides.
+    A fill therefore does at most m * sum_j j*C(n,j) subset evaluations
+    instead of m * n * #subsets.
 
     A subset is identified by its column mask alone: subsets are numbered
     level by level in ascending mask order, which is colex order. Per
@@ -154,9 +151,7 @@ class DerandState:
         self._xpow = [self.x ** q for q in range(p + 1)]
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
         # one of each level is satisfied.
-        self._classes = []
-        self._cls = []
-        self._mask = []
+        self._classes, self._cls, self._mask = [], [], []
         bits = [1 << c for c in range(n)]
         for j in levels:
             k = len(self._classes)
@@ -168,21 +163,17 @@ class DerandState:
             self._mask.extend(masks)
         self._satisfied = [a == spec.v[j - 1] for j, a in self._classes]
         self.ns = len(self._mask)
-        # Per-column index: subsets containing c (ascending), how many of
-        # their columns follow c, and the subsets whose last column is c.
-        self._hits = hits = [[] for _ in range(n)]
-        self._after = after = [[] for _ in range(n)]
-        self._ends = ends = [[] for _ in range(n)]
+        # Per-column index: _hits[c][q] lists, ascending, the subsets that
+        # contain c and have q columns after it; bucket 0 holds those
+        # whose last column is c.
+        self._hits = hits = [[[] for _ in range(p)] for _ in range(n)]
         for i, mask in enumerate(self._mask):
             q = mask.bit_count()
             while mask:
                 low = mask & -mask
                 mask ^= low
-                col = low.bit_length() - 1
                 q -= 1
-                hits[col].append(i)
-                after[col].append(q)
-            ends[col].append(i)
+                hits[low.bit_length() - 1][q].append(i)
         self._alive = list(self._mask)
         # Columns whose index still lists a subset that became satisfied.
         self._stale = 0
@@ -190,9 +181,7 @@ class DerandState:
         # A greedy difference d within this slack resolves to bit 0; it
         # absorbs summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
-        self.r = 0
-        self.c = 0
-        self.row_bits = 0
+        self.r = self.c = self.row_bits = 0
         self.rows = []
         self._load_row()
         # Every subset starts at f(m, v_j, j); summed in subset order.
@@ -215,11 +204,8 @@ class DerandState:
 
     def _drop_satisfied(self, c: int):
         sat, cls = self._satisfied, self._cls
-        hits, ends = self._hits[c], self._ends[c]
-        keep = [not sat[cls[i]] for i in hits]
-        self._hits[c] = list(compress(hits, keep))
-        self._after[c] = list(compress(self._after[c], keep))
-        self._ends[c] = [i for i in ends if not sat[cls[i]]]
+        self._hits[c] = [[i for i in bucket if not sat[cls[i]]]
+                         for bucket in self._hits[c]]
         self._stale &= ~(1 << c)
 
     def _current(self, i: int) -> float:
@@ -270,24 +256,28 @@ class DerandState:
         rb = self.row_bits
         masks, alive, cls = self._mask, self._alive, self._cls
         g, xpow, omx = self._g, self._xpow, self._omx
-        # d = T1 - T0 over the subsets that contain c, inlined: each adds
-        # (w1 - w0) * g, w the chance of a new unit pattern in this row.
+        # d = T1 - T0 over the subsets that contain c, inlined and summed
+        # bucket by bucket: each adds (w1 - w0) * g, w the chance of a new
+        # unit pattern in this row, with q columns of S after c.
         d = 0.0
-        for i, q in zip(self._hits[c], self._after[c]):
-            pre = rb & masks[i]
-            if pre:
-                # Two ones, or a lone one whose pattern is already
-                # realized: the row is dead for S and both bits agree.
-                if pre & (pre - 1) or not pre & alive[i]:
-                    continue
-                # Bit 1 kills the lone one; bit 0 keeps it with x^q.
-                d -= xpow[q] * g[cls[i]]
-            else:
-                am = alive[i]
-                w = xpow[q] if am & cbit else 0.0
-                if q:
-                    w -= (am >> c1).bit_count() * xpow[q - 1] * omx
-                d += w * g[cls[i]]
+        for q, bucket in enumerate(self._hits[c]):
+            xq = xpow[q]
+            # Bucket 0 has no alive column after c: its xpow[-1] term is 0.
+            xq1 = xpow[q - 1]
+            for i in bucket:
+                pre = rb & masks[i]
+                if pre:
+                    # Two ones, or a lone one whose pattern is already
+                    # realized: the row is dead for S and both bits agree.
+                    if pre & (pre - 1) or not pre & alive[i]:
+                        continue
+                    # Bit 1 kills the lone one; bit 0 keeps it with x^q.
+                    d -= xq * g[cls[i]]
+                else:
+                    am = alive[i]
+                    w = xq if am & cbit else 0.0
+                    w -= (am >> c1).bit_count() * xq1 * omx
+                    d += w * g[cls[i]]
         forced = bit is not None
         if not forced:
             bit = 0 if d <= self._tie_tol else 1
@@ -305,7 +295,7 @@ class DerandState:
             self.row_bits = rb
         # Row over S complete: a lone one at an unrealized column realizes it.
         sat = self._satisfied
-        for i in self._ends[c]:
+        for i in self._hits[c][0]:
             pre = rb & masks[i]
             if pre and not pre & (pre - 1) and pre & alive[i]:
                 alive[i] ^= pre

@@ -113,19 +113,17 @@ class BitMatrix:
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[int]]) -> "BitMatrix":
-        if not entries:
+        if not entries or not len(entries[0]):
             raise InputError("matrix dimensions must be positive")
         n = len(entries[0])
         rows = []
         for row in entries:
             if len(row) != n:
                 raise InputError("ragged rows")
-            bits = 0
-            for c, e in enumerate(row):
+            for e in row:
                 if e not in (0, 1):
                     raise InputError(f"entry {e!r} is not a bit")
-                bits |= e << c
-            rows.append(bits)
+            rows.append(row_mask(row))
         return cls(n, rows)
 
     @classmethod
@@ -341,7 +339,7 @@ class _PairKernel:
     of cols[a] no other prefix column hits.
     """
 
-    __slots__ = ("n", "size", "source", "solo", "neither", "tails", "cols",
+    __slots__ = ("n", "size", "source", "solo", "neither", "upper", "cols",
                  "full", "nbytes", "solo_tables", "neither_tables", "quiet")
 
     def __init__(self, M: BitMatrix):
@@ -360,7 +358,9 @@ class _PairKernel:
         ones = (1 << n) - 1
         every = sum(1 << (b * n) for b in range(n))
         slant = sum(1 << (b * (n - 1)) for b in range(n))
+        # Every pair b < c.
         upper = sum((ones ^ ((2 << b) - 1)) << (b * n) for b in range(n))
+        self.upper = upper
         self.solo = solo = []
         self.neither = neither = []
         for row in rows:
@@ -372,8 +372,6 @@ class _PairKernel:
             at_c = row * every & upper
             solo.append(at_b & ~at_c | (at_c & ~at_b) << size)
             neither.append(upper ^ (at_b | at_c))
-        # tails[s]: the pairs with b >= s.
-        self.tails = [upper >> (s * n) << (s * n) for s in range(n)]
         self.solo_tables = None
 
     def _build_tables(self):
@@ -440,7 +438,9 @@ class _PairKernel:
             quiet = self.quiet[start]
             union, tables = self._union, self.neither_tables
             inputs += [union(tables, y) for y in alone if not y & quiet]
-        tail = self.tails[start]
+        # The pairs with b >= start; a table per start would hold n³ bits.
+        shift = start * self.n
+        tail = self.upper >> shift << shift
         if not spare:
             return not tail & ~reduce(and_, inputs)
         over = [0] * (spare + 1)

@@ -42,6 +42,11 @@ def write(path, text):
     return str(path)
 
 
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
 def spec_file(tmp_path, spec, name="spec.txt"):
     return write(tmp_path / name, format_spec(spec))
 
@@ -276,7 +281,11 @@ def test_bench_needs_two_sizes(tmp_path, manifest):
     ["--n", "8,8"],
     ["--n", "8,x"],
     ["--n", "4,8", "--repeat", "0"],
-], ids=["equal-sizes", "non-integer-size", "zero-repeats"])
+    ["--n", "4,\u0668"],
+    ["--n", "+4,8"],
+    ["--n", "4,1_0"],
+], ids=["equal-sizes", "non-integer-size", "zero-repeats",
+        "non-ascii-digit", "plus-sign", "underscore"])
 def test_bench_bad_input_is_one_line_usage_error(manifest, capsys, flags):
     assert main(["bench", "--p", "2", *flags, "--manifest", manifest]) == 2
     captured = capsys.readouterr()
@@ -393,6 +402,17 @@ def test_me_encode_rejects_bad_set(tmp_path, manifest):
                  "--manifest", manifest]) == 2
 
 
+@pytest.mark.parametrize("members", ["1,,2", "+1,2", "1,\u0661", "1,2_0"],
+                         ids=["empty-member", "plus-sign", "non-ascii-digit",
+                              "underscore"])
+def test_me_encode_bad_set_is_one_line_usage_error(manifest, capsys, members):
+    assert main(["me-encode", "--n", "6", "--k", "2", "--set", members,
+                 "--manifest", manifest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad column list {members!r}\n"
+
+
 def test_me_encode_rejects_repeated_member(tmp_path, manifest, capsys):
     assert main(["me-encode", "--n", "4", "--k", "2", "--set", "1,1",
                  "--manifest", manifest]) == 2
@@ -463,6 +483,23 @@ def _superscript_spec_header(tmp_path):
     return ["bounds", "--spec", write(tmp_path / "s.txt", "\u00b2 2\n1 2\n")]
 
 
+def _not_utf8_spec(tmp_path):
+    return ["bounds", "--spec", write_bytes(tmp_path / "s.txt", b"\xff\xfe")]
+
+
+def _not_utf8_matrix(tmp_path):
+    spec = SuperSelectorSpec(4, 2, (1, 2))
+    return ["verify", "--matrix", write_bytes(tmp_path / "bad.txt", b"\xff\xfe"),
+            "--spec", spec_file(tmp_path, spec)]
+
+
+def _not_utf8_obs(tmp_path):
+    spec = SuperSelectorSpec(2, 1, (1,))
+    return ["decode", "--matrix", matrix_file(tmp_path, BitMatrix.identity(2)),
+            "--spec", spec_file(tmp_path, spec),
+            "--obs", write_bytes(tmp_path / "obs.txt", b"\xff\xfe")]
+
+
 def _over_budget(tmp_path):
     spec = SuperSelectorSpec(6, 2, (1, 2))
     return ["verify", "--matrix", matrix_file(tmp_path, construct_derandomized(spec)),
@@ -497,13 +534,17 @@ def _failing_verify(tmp_path):
     (_malformed_matrix, 2, "error:ParseError"),
     (_superscript_matrix_header, 2, "error:ParseError"),
     (_superscript_spec_header, 2, "error:ParseError"),
+    (_not_utf8_spec, 2, "error:ParseError"),
+    (_not_utf8_matrix, 2, "error:ParseError"),
+    (_not_utf8_obs, 2, "error:ParseError"),
     (_over_budget, 2, "error:BudgetError"),
     (_random_over_budget, 2, "error:BudgetError"),
     (_attempts_exhausted, 1, "error:ConstructionFailure"),
     (_inconsistent_additive, 1, "error:InconsistentObservationError"),
     (_failing_verify, 1, "fail"),
 ], ids=["malformed-matrix", "superscript-matrix-header",
-        "superscript-spec-header", "over-budget", "random-over-budget",
+        "superscript-spec-header", "not-utf8-spec", "not-utf8-matrix",
+        "not-utf8-obs", "over-budget", "random-over-budget",
         "attempts-exhausted", "inconsistent-observation", "failing-verify"])
 def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
                                              make_argv, code, verdict):
@@ -585,6 +626,16 @@ def test_parse_error_reports_file_and_line(tmp_path, manifest, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "bad.txt:3" in err
+
+
+def test_non_utf8_file_error_names_file_and_line(tmp_path, manifest, capsys):
+    bad = write_bytes(tmp_path / "bad.txt", b"2 3\r\n011\r\n1\xff0\r\n")
+    spec = SuperSelectorSpec(3, 2, (1, 2))
+    assert main(["verify", "--matrix", bad, "--spec", spec_file(tmp_path, spec),
+                 "--manifest", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:3: not UTF-8 text")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, manifest, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -395,6 +397,20 @@ def test_derandomized_budget_charges_the_index_work():
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec) == 37
     assert is_superselector(M, spec)
+
+
+def test_fill_state_bytes_per_subset():
+    # One per-column index of q-buckets: about 130 B per subset here;
+    # three parallel lists per column (hits, after, ends) took 170 B.
+    spec = SuperSelectorSpec(20, 4, (1, 2, 2, 3))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = DerandState(spec)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size / state.ns < 150
 
 
 def test_step_past_completion_fails():

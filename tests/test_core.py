@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,23 @@ def test_verifiers_leave_no_reference_cycles(spec):
         gc.enable()
 
 
+def test_pair_kernel_memory_is_quadratic_in_n():
+    # A passing level-2 check at n = 600 peaks at about 9 MB, the per-row
+    # pair bitsets. A tail mask of up to n² bits kept per start column
+    # (n³ bits in all) took it to 37.5 MB.
+    spec = SuperSelectorSpec(600, 2, (1, 2))
+    M = sample_random_matrix(derand_threshold(spec) + 12, spec.n, spec.p, 1)
+    M.cols
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert is_superselector(M, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_superselector_rejects_width_mismatch():
     with pytest.raises(InputError):
         is_superselector(BitMatrix.identity(3), SuperSelectorSpec(4, 1, (1,)))
@@ -289,6 +307,53 @@ def test_list_disjunct_refuses_too_many_d_sets():
 
 
 # --- matrix behaviors ---
+
+def _frozen_from_entries(entries):
+    # The entry-by-entry builder the row-at-a-time one replaced: one
+    # big-int OR per entry, O(n²) word work per row.
+    if not entries:
+        raise InputError("matrix dimensions must be positive")
+    n = len(entries[0])
+    rows = []
+    for row in entries:
+        if len(row) != n:
+            raise InputError("ragged rows")
+        bits = 0
+        for c, e in enumerate(row):
+            if e not in (0, 1):
+                raise InputError(f"entry {e!r} is not a bit")
+            bits |= e << c
+        rows.append(bits)
+    return BitMatrix(n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+def test_from_entries_matches_frozen_entrywise_builder(n):
+    rng = random.Random(n)
+    for density in (0.0, 0.3, 1.0):
+        entries = [[int(rng.random() < density) for _ in range(n)]
+                   for _ in range(4)]
+        frozen = _frozen_from_entries(entries)
+        assert matrix_of(entries) == frozen
+        assert matrix_of([tuple(row) for row in entries]) == frozen
+
+
+@pytest.mark.parametrize("entries", [
+    [], [[]], [[0, 1], [1]], [[0, 2]], [[1, -1]], [["1", 0]], [[None]], [[0.5]],
+], ids=["empty", "no-columns", "ragged", "two", "minus-one", "string", "none", "half"])
+def test_from_entries_keeps_its_input_errors(entries):
+    with pytest.raises(InputError) as new:
+        matrix_of(entries)
+    with pytest.raises(InputError) as old:
+        _frozen_from_entries(entries)
+    assert str(new.value) == str(old.value)
+
+
+def test_from_entries_reads_entries_equal_to_a_bit_as_that_bit():
+    # 1.0, 0.0 and True pass the "in (0, 1)" check; the entrywise builder
+    # then failed on `1.0 << c` with a TypeError. They are bits.
+    assert matrix_of([[1.0, 0.0, True, False]]).rows == (0b0101,)
+
 
 def test_entry_column_row_consistency():
     M = random_matrix(6, 9, seed=11)
