@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands cover the whole pipeline: size bounds, matrix construction,
-brute-force verification, the three decoders, the application codecs,
-and a scaling benchmark. `main` is the one run path: it times each run
-from the end of flag parsing, maps errors to exit codes, and appends one
-tab-separated line to the manifest file for every run that passes flag
-parsing, including failed runs, whose verdict is `error:<Class>`
-(argparse rejections write none). A command prints one machine-readable
-result line (`bounds` prints its four labeled lines) on standard output,
-or one `error: ...` line on standard error.
+brute-force verification, the three decoders and the application codecs.
+`main` is the one run path: it times each run from the end of flag
+parsing, maps errors to exit codes, and appends one tab-separated line
+to the manifest file for every run that passes flag parsing, including
+failed runs, whose verdict is `error:<Class>` (argparse rejections write
+none). A command prints one machine-readable result line (`bounds`
+prints its four labeled lines) on standard output, or one `error: ...`
+line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
+import os
+import stat
 import sys
 import time
-import timeit
 from dataclasses import dataclass
-from functools import partial
-from statistics import linear_regression
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -135,8 +133,15 @@ def _read(path: str, parse):
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write `text` over an existing file in place, then cut it to length.
+    Truncating on open instead makes ext4 start writeback on close
+    (auto_da_alloc), milliseconds per rewrite in a loop. Only regular
+    files are cut: truncate() fails on /dev/null."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
@@ -227,30 +232,6 @@ def cmd_decode(args, run) -> tuple:
     return 0, f"support={_cols(additive_decode(M, spec, obs))}"
 
 
-def cmd_bench(args, run) -> tuple:
-    sizes = _int_list(args.n, "n")
-    if len(set(sizes)) < 2:
-        raise InputError("need at least two distinct n values to fit a slope")
-    if args.repeat < 1:
-        raise InputError(f"--repeat must be >= 1, got {args.repeat}")
-    run.seed = str(args.seed)
-    points = []
-    for n in sizes:
-        spec = SuperSelectorSpec(n, args.p, tuple(range(1, args.p + 1)))
-        if args.method == "derand":
-            build = partial(construct_derandomized, spec)
-        else:
-            build = partial(construct_randomized, spec, args.seed)
-        points.append((n, min(timeit.repeat(build, number=1,
-                                            repeat=args.repeat))))
-    # Least-squares slope on log-log axes.
-    slope = linear_regression([math.log(n) for n, _ in points],
-                              [math.log(t) for _, t in points]).slope
-    run.verdict = f"slope={slope:.3f}"
-    detail = " ".join(f"n={n}:{t:.6f}" for n, t in points)
-    return 0, f"{run.verdict} {detail}"
-
-
 def cmd_compress(args, run) -> tuple:
     M = _read_matrix(args, run)
     word = compress(M, args.p, _read(getattr(args, "in"), parse_vector))
@@ -338,16 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e0", type=int, default=0)
     q.add_argument("--e1", type=int, default=0)
     q.set_defaults(func=cmd_decode)
-
-    q = sub.add_parser("bench", help="time construction across n",
-                       parents=[common])
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--n", required=True, help="comma-separated n values")
-    q.add_argument("--method", choices=["derand", "random"],
-                   default="derand")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--repeat", type=int, default=3)
-    q.set_defaults(func=cmd_bench)
 
     q = sub.add_parser("compress", help="compress a sparse bit vector",
                        parents=[common])

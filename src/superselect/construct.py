@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from math import comb
+from operator import mul
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -70,10 +72,11 @@ class FTable:
         self.k_max = k_max
         self.distribution = distribution
         alpha = distribution.alpha
-        tab = [
-            [[1.0] * (width + 1)] + [[0.0] * (width + 1) for _ in range(k_max)]
-            for _ in range(m + 1)
-        ]
+        # f(a, 0, c) = 1 for every a, so one b = 0 row serves all a; the
+        # recurrence writes only rows b >= 1.
+        ones = [1.0] * (width + 1)
+        tab = [[ones] + [[0.0] * (width + 1) for _ in range(k_max)]
+               for _ in range(m + 1)]
         for a in range(1, m + 1):
             prev = tab[a - 1]
             cur = tab[a]
@@ -107,24 +110,26 @@ class DerandState:
     current column c can change at entry (r, c), so a static per-column
     index lists, for every column c, those subsets in p buckets: bucket q
     holds the subsets with q columns after c, so bucket 0 holds those
-    whose row over S ends at c. A step sums the greedy difference
+    whose row over S ends at c. An entry sums the greedy difference
     d = T1 - T0 of the two hypotheses over the listed subsets only,
     bucket by bucket; the untouched subsets add the same to both sides.
-    A fill therefore does at most m * sum_j j*C(n,j) subset evaluations
-    instead of m * n * #subsets.
+    A fill therefore does at most m * sum_j j*C(n,j) subset evaluations.
 
-    A subset is identified by its column mask alone: subsets are numbered
-    level by level in ascending mask order, which is colex order. Per
-    subset the state is that mask, the mask of its columns whose unit
-    pattern no completed row has realized yet, and its class: (level,
-    patterns realized so far). The shape of the current row's prefix over
-    S (no ones, one lone one, dead) is read off the row's fixed bits, so
-    nothing is reset between rows. Under either bit a subset succeeds
-    with probability w*f1 + (1-w)*f0, where w is the chance that the row
-    realizes a new unit pattern, so it adds (w1 - w0)*g to d with
-    g = f1 - f0. g is the same for a whole row and class and is looked up
-    once per row. A subset that has realized enough patterns is certain
-    to succeed and leaves the index.
+    A subset is identified by its column mask (subsets are numbered level
+    by level in ascending mask order, which is colex order). Its state is
+    its alive mask, the columns whose unit pattern no completed row has
+    realized yet, and one small int, its code, which stands for its class
+    (level j, patterns realized) and its local alive pattern: bit t set
+    while its t-th column from the end is unrealized. The row's prefix
+    over S (no ones, one lone one, dead) is read off the row's fixed bits,
+    so nothing is reset between rows. A subset adds (w1 - w0)*g to d,
+    where w is the chance that the row realizes a new unit pattern and
+    g = f1 - f0; g is one value per class and row, and w1 - w0 depends on
+    q and on the alive pattern from c on, so the term of every code in
+    every bucket is tabulated once per row and costs one lookup. The pass
+    over bucket 0 also lists the subsets that realize a pattern under
+    each bit. A satisfied subset leaves the index; once none is left,
+    every later d is exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far. Each subset's current probability is the
@@ -139,7 +144,7 @@ class DerandState:
         n, p = spec.n, spec.p
         self.n = n
         self.x = (p - 1) / p
-        self._omx = 1.0 - self.x
+        self._omx = omx = 1.0 - self.x
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
         # evaluations; charge that before enumerating the subsets.
@@ -148,24 +153,59 @@ class DerandState:
             j: FTable(self.m, j, spec.v[j - 1],
                       SampleDistribution(j, self.x)) for j in levels
         }
-        self._xpow = [self.x ** q for q in range(p + 1)]
+        xpow = [self.x ** q for q in range(p + 1)]
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
-        # one of each level is satisfied.
-        self._classes, self._cls, self._mask = [], [], []
+        # one of each level is satisfied. Codes are the (class k, alive
+        # pattern u with j - a bits) pairs in that order, keyed k << p | u,
+        # so a subset starts at the first code of its level.
+        self._classes, self._code, self._mask = [], [], []
+        index, code_cls, code_u = {}, [], []
         bits = [1 << c for c in range(n)]
         for j in levels:
-            k = len(self._classes)
-            self._classes.extend((j, a) for a in range(spec.v[j - 1] + 1))
-            # Ascending masks are colex order, the order of `xcur` and of
-            # every sum over subsets.
-            masks = sorted(map(sum, itertools.combinations(bits, j)))
-            self._cls.extend([k] * len(masks))
-            self._mask.extend(masks)
-        self._satisfied = [a == spec.v[j - 1] for j, a in self._classes]
-        self.ns = len(self._mask)
+            self._code.extend([len(code_u)] * comb(n, j))
+            for a in range(spec.v[j - 1] + 1):
+                for u in range(1 << j):
+                    if u.bit_count() == j - a:
+                        index[len(self._classes) << p | u] = len(code_u)
+                        code_cls.append(len(self._classes))
+                        code_u.append(u)
+                self._classes.append((j, a))
+            # Ascending masks are colex order, the order of every sum.
+            self._mask.extend(sorted(map(sum,
+                                         itertools.combinations(bits, j))))
+        self._code_cls = code_cls
+        self._done = [a == spec.v[j - 1] for j, a in
+                      map(self._classes.__getitem__, code_cls)]
+        # _next[s * p + t]: the code after code s realizes its local
+        # column t (0 where that column is not alive; no code leads to 0).
+        self._next = array("I", [index.get((k + 1) << p | u ^ 1 << t, 0)
+                                 for k, u in zip(code_cls, code_u)
+                                 for t in range(p)])
+        # In bucket q a code with no ones yet in the row adds w * g: w is
+        # x^q if c is alive, minus x^(q-1)*(1-x) per alive column after c
+        # (at q = 0 nothing follows c, so the xpow[-1] term is 0). A lone
+        # alive one before c adds -x^q * g, the term of w with only c
+        # alive. w depends on u only through those two counts, so
+        # _wterms[q] holds the distinct (class, w) pairs, keyed
+        # (k << 1 | c alive) << p | alive after c, and the pair of every
+        # code and the lone-one pair of every class.
+        self._wterms = []
+        for q in range(p):
+            pairs = {}
+            codes = [pairs.setdefault((k << 1 | u >> q & 1) << p
+                                      | (u & ((1 << q) - 1)).bit_count(),
+                                      len(pairs))
+                     for k, u in zip(code_cls, code_u)]
+            lone = [pairs.setdefault((k << 1 | 1) << p, len(pairs))
+                    for k in range(len(self._classes))]
+            ws = [(xpow[q] if key >> p & 1 else 0.0)
+                  - (key & ((1 << p) - 1)) * xpow[q - 1] * omx
+                  for key in pairs]
+            ks = [key >> p + 1 for key in pairs]
+            self._wterms.append((ks, ws, codes, lone))
+        self.ns = self._unsat = len(self._mask)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
-        # contain c and have q columns after it; bucket 0 holds those
-        # whose last column is c.
+        # contain c and have q columns after it.
         self._hits = hits = [[[] for _ in range(p)] for _ in range(n)]
         for i, mask in enumerate(self._mask):
             q = mask.bit_count()
@@ -177,7 +217,6 @@ class DerandState:
         self._alive = list(self._mask)
         # Columns whose index still lists a subset that became satisfied.
         self._stale = 0
-        self._g = [0.0] * len(self._classes)
         # A greedy difference d within this slack resolves to bit 0; it
         # absorbs summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
@@ -191,54 +230,107 @@ class DerandState:
         ])
 
     def _load_row(self):
-        """g = f(rem, need-1, pool-1) - f(rem, need, pool) of every
-        unsatisfied class for the current row, rem rows after this one."""
+        """Tabulate the terms of the current row, rem rows after it, from
+        g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class:
+        _wg[q][code] = w * g and _xg[q][class] = x^q * g."""
         rem = self.m - self.r - 1
+        g = [0.0] * len(self._classes)
         for k, (j, a) in enumerate(self._classes):
             need = self.spec.v[j - 1] - a
             if need > 0:
                 row = self._tables[j]._tab[rem]
                 # need <= pool always, and the table holds exact zeros
                 # where need > rem, so no boundary cases remain.
-                self._g[k] = row[need - 1][j - a - 1] - row[need][j - a]
+                g[k] = row[need - 1][j - a - 1] - row[need][j - a]
+        self._wg, self._xg = [], []
+        for ks, ws, codes, lone in self._wterms:
+            terms = list(map(mul, ws, map(g.__getitem__, ks)))
+            self._wg.append([terms[key] for key in codes])
+            self._xg.append([terms[key] for key in lone])
 
-    def _drop_satisfied(self, c: int):
-        sat, cls = self._satisfied, self._cls
-        self._hits[c] = [[i for i in bucket if not sat[cls[i]]]
-                         for bucket in self._hits[c]]
-        self._stale &= ~(1 << c)
-
-    def _current(self, i: int) -> float:
-        """Success probability of subset i given the entries fixed so far."""
-        k = self._cls[i]
-        if self._satisfied[k]:
-            return 1.0
-        c, mask, alive = self.c, self._mask[i], self._alive[i]
-        j, a = self._classes[k]
-        need = self.spec.v[j - 1] - a
-        table = self._tables[j]
-        unfixed = (mask >> c).bit_count()
-        if unfixed == 0 or unfixed == j:
-            # Row r over S is complete, or not begun: whole rows remain.
-            rows = self.m - self.r - (1 if unfixed == 0 else 0)
-            return table.f(rows, need, j - a)
-        rem = self.m - self.r - 1
-        f0 = table.f(rem, need, j - a)
-        f1 = table.f(rem, need - 1, j - a - 1)
-        pre = self.row_bits & mask
-        if not pre:
-            pr = (alive >> c).bit_count() * self._xpow[unfixed - 1] * self._omx
-            return pr * f1 + (1.0 - pr) * f0
-        if pre & (pre - 1) or not pre & alive:
-            return f0
-        xq = self._xpow[unfixed]
-        return xq * f1 + (1.0 - xq) * f0
-
-    @property
-    def xcur(self) -> list:
-        """Per tracked subset, its success probability given the entries
-        fixed so far (derived from the state on each access)."""
-        return [self._current(i) for i in range(self.ns)]
+    def _advance(self, count: int, bit: int = None) -> int:
+        """Fix the next `count` entries, each greedily or to the forced
+        `bit`, with the fill state in locals; return the last bit."""
+        n, p, x, omx = self.n, self.spec.p, self.x, self._omx
+        masks, alive, code = self._mask, self._alive, self._code
+        hits, nxt, done, cls = self._hits, self._next, self._done, self._code_cls
+        wg, xg = self._wg, self._xg
+        tie, floor = self._tie_tol, self.ns - 1
+        forced = bit is not None
+        r, c, rb = self.r, self.c, self.row_bits
+        e, stale, unsat = self.expectation, self._stale, self._unsat
+        try:
+            for _ in range(count):
+                cbit = 1 << c
+                buckets = hits[c]
+                if stale & cbit:
+                    buckets = hits[c] = [[i for i in b if not done[code[i]]]
+                                         for b in buckets]
+                    stale ^= cbit
+                # Bucket 0 also lists who realizes a pattern: a lone alive
+                # one before c under bit 0, c (alive, no ones before it)
+                # under bit 1.
+                d = 0.0
+                real0, real1 = [], []
+                w0, x0 = wg[0], xg[0]
+                for i in buckets[0]:
+                    pre = rb & masks[i]
+                    if pre:
+                        if pre & (pre - 1) or not pre & alive[i]:
+                            continue
+                        d -= x0[cls[code[i]]]
+                        real0.append(i)
+                    else:
+                        d += w0[code[i]]
+                        if alive[i] & cbit:
+                            real1.append(i)
+                for q in range(1, len(buckets)):
+                    wq, xq = wg[q], xg[q]
+                    for i in buckets[q]:
+                        pre = rb & masks[i]
+                        if pre:
+                            # Two ones, or a lone one already realized: the
+                            # row is dead for S and both bits agree.
+                            if pre & (pre - 1) or not pre & alive[i]:
+                                continue
+                            # Bit 1 kills the lone one; bit 0 keeps it.
+                            d -= xq[cls[code[i]]]
+                        else:
+                            d += wq[code[i]]
+                if not forced:
+                    bit = 0 if d <= tie else 1
+                after = e + (x * d if bit else -omx * d)
+                if not forced and e > floor >= after:
+                    raise PrecisionFault(
+                        f"expectation fell to {after} <= {floor} at entry "
+                        f"({r},{c}), from {e}"
+                    )
+                e = after
+                if bit:
+                    rb |= cbit
+                for i in real1 if bit else real0:
+                    mask = masks[i]
+                    pre = rb & mask
+                    alive[i] ^= pre
+                    # The realized column is the t-th of S from the end.
+                    t = (mask >> pre.bit_length()).bit_count()
+                    s = code[i] = nxt[code[i] * p + t]
+                    if done[s]:
+                        stale |= mask
+                        unsat -= 1
+                c += 1
+                if c == n:
+                    self.rows.append(rb)
+                    rb = c = 0
+                    r += 1
+                    if r < self.m:
+                        self.r = r
+                        self._load_row()
+                        wg, xg = self._wg, self._xg
+        finally:
+            self.r, self.c, self.row_bits = r, c, rb
+            self.expectation, self._stale, self._unsat = e, stale, unsat
+        return bit
 
     def step(self, bit: int = None) -> int:
         """Fix the next entry and return the bit used. With bit=None the
@@ -248,74 +340,16 @@ class DerandState:
         check."""
         if self.r >= self.m:
             raise InputError("matrix already complete")
-        c = self.c
-        cbit = 1 << c
-        if self._stale & cbit:
-            self._drop_satisfied(c)
-        c1 = c + 1
-        rb = self.row_bits
-        masks, alive, cls = self._mask, self._alive, self._cls
-        g, xpow, omx = self._g, self._xpow, self._omx
-        # d = T1 - T0 over the subsets that contain c, inlined and summed
-        # bucket by bucket: each adds (w1 - w0) * g, w the chance of a new
-        # unit pattern in this row, with q columns of S after c.
-        d = 0.0
-        for q, bucket in enumerate(self._hits[c]):
-            xq = xpow[q]
-            # Bucket 0 has no alive column after c: its xpow[-1] term is 0.
-            xq1 = xpow[q - 1]
-            for i in bucket:
-                pre = rb & masks[i]
-                if pre:
-                    # Two ones, or a lone one whose pattern is already
-                    # realized: the row is dead for S and both bits agree.
-                    if pre & (pre - 1) or not pre & alive[i]:
-                        continue
-                    # Bit 1 kills the lone one; bit 0 keeps it with x^q.
-                    d -= xq * g[cls[i]]
-                else:
-                    am = alive[i]
-                    w = xq if am & cbit else 0.0
-                    w -= (am >> c1).bit_count() * xq1 * omx
-                    d += w * g[cls[i]]
-        forced = bit is not None
-        if not forced:
-            bit = 0 if d <= self._tie_tol else 1
-        before = self.expectation
-        after = before + (self.x * d if bit else -omx * d)
-        floor = self.ns - 1
-        if not forced and before > floor >= after:
-            raise PrecisionFault(
-                f"expectation fell to {after} <= {floor} at entry "
-                f"({self.r},{c}), from {before}"
-            )
-        self.expectation = after
-        if bit:
-            rb |= cbit
-            self.row_bits = rb
-        # Row over S complete: a lone one at an unrealized column realizes it.
-        sat = self._satisfied
-        for i in self._hits[c][0]:
-            pre = rb & masks[i]
-            if pre and not pre & (pre - 1) and pre & alive[i]:
-                alive[i] ^= pre
-                k = cls[i] + 1
-                cls[i] = k
-                if sat[k]:
-                    self._stale |= masks[i]
-        self.c = c1
-        if c1 == self.n:
-            self.rows.append(rb)
-            self.row_bits = 0
-            self.c = 0
-            self.r += 1
-            if self.r < self.m:
-                self._load_row()
-        return bit
+        return self._advance(1, bit)
 
     def run(self) -> BitMatrix:
         while self.r < self.m:
-            self.step()
+            if self.c == 0 and self._unsat == 0:
+                # Every later d is exactly 0.0, so every later bit is 0.
+                self.rows += [0] * (self.m - self.r)
+                self.r = self.m
+            else:
+                self._advance(self.n - self.c)
         return BitMatrix(self.n, self.rows)
 
 

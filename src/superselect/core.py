@@ -213,13 +213,6 @@ def arithmetic_sum(M: BitMatrix, S: Iterable[int]) -> tuple:
     return tuple((row & mask).bit_count() for row in M.rows)
 
 
-def is_covered(x: Sequence[int], y: Sequence[int]) -> bool:
-    """True iff x <= y componentwise."""
-    if len(x) != len(y):
-        raise InputError(f"length mismatch: {len(x)} vs {len(y)}")
-    return all(a <= b for a, b in zip(x, y))
-
-
 def identify(cols: Sequence[int], hit: int) -> tuple:
     """Private-1 identification from the mask of rows an observation hits.
 

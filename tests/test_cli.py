@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 
 import pytest
 
@@ -154,6 +155,39 @@ def test_build_random_exhausts_attempts(tmp_path, manifest, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_to_dev_null(tmp_path, manifest, capsys):
+    # A device is written but not truncated: truncate() fails on it.
+    spec = SuperSelectorSpec(6, 2, (1, 2))
+    rc = main(["build", "--spec", spec_file(tmp_path, spec), "--out",
+               os.devnull, "--manifest", manifest])
+    assert rc == 0
+    assert f"out={os.devnull}" in capsys.readouterr().out
+
+
+def test_outputs_replace_longer_files_exactly(tmp_path, manifest):
+    # Outputs are rewritten in place, then cut to their new length, so
+    # nothing of a longer earlier file survives.
+    p = 2
+    spec = selector_spec(2 * p, p + 1, 10)
+    M = construct_derandomized(spec)
+    x = tuple(1 if c in (3, 8) else 0 for c in range(10))
+    xpath = vector_file(tmp_path, x, "x.txt")
+    out = {name: tmp_path / f"{name}.txt" for name in ("M", "w", "y")}
+    for path in out.values():
+        path.write_text("1\n" * 5000)
+    assert main(["build", "--spec", spec_file(tmp_path, spec),
+                 "--out", str(out["M"]), "--manifest", manifest]) == 0
+    assert out["M"].read_text() == format_matrix(M)
+    assert main(["compress", "--matrix", str(out["M"]), "--p", str(p),
+                 "--in", xpath, "--out", str(out["w"]),
+                 "--manifest", manifest]) == 0
+    assert out["w"].read_text() == format_vector(compress(M, p, x).bits)
+    assert main(["decompress", "--matrix", str(out["M"]), "--p", str(p),
+                 "--in", str(out["w"]), "--out", str(out["y"]),
+                 "--manifest", manifest]) == 0
+    assert out["y"].read_text() == format_vector(x)
+
+
 # ----------------------------------------------------------------- verify
 
 
@@ -258,40 +292,6 @@ def test_decode_inconsistent_observation_fails(tmp_path, manifest, capsys):
                "--manifest", manifest])
     assert rc == 1
     assert "error" in capsys.readouterr().err
-
-
-# ------------------------------------------------------------------ bench
-
-
-def test_bench_reports_slope(tmp_path, manifest, capsys):
-    rc = main(["bench", "--p", "2", "--n", "4,8", "--repeat", "1",
-               "--manifest", manifest])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("slope=")
-    assert "n=4:" in out and "n=8:" in out
-
-
-def test_bench_needs_two_sizes(tmp_path, manifest):
-    assert main(["bench", "--p", "2", "--n", "4",
-                 "--manifest", manifest]) == 2
-
-
-@pytest.mark.parametrize("flags", [
-    ["--n", "8,8"],
-    ["--n", "8,x"],
-    ["--n", "4,8", "--repeat", "0"],
-    ["--n", "4,\u0668"],
-    ["--n", "+4,8"],
-    ["--n", "4,1_0"],
-], ids=["equal-sizes", "non-integer-size", "zero-repeats",
-        "non-ascii-digit", "plus-sign", "underscore"])
-def test_bench_bad_input_is_one_line_usage_error(manifest, capsys, flags):
-    assert main(["bench", "--p", "2", *flags, "--manifest", manifest]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().split("\n")
-    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ------------------------------------------------- compression round trip

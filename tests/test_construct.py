@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fill_probe import current, xcur
 from superselect import (
     BudgetError,
     ConstructionFailure,
@@ -215,8 +216,8 @@ def test_randomized_retries_past_bad_seed():
 
 
 def _forced(state, bit):
-    """A copy of `state` with its next entry fixed to `bit`; its `xcur`
-    holds each subset's probability conditioned on that bit."""
+    """A copy of `state` with its next entry fixed to `bit`, from which
+    `current`/`xcur` read each subset's probability given that bit."""
     trial = copy.deepcopy(state)
     trial.step(bit)
     return trial
@@ -243,9 +244,9 @@ def test_conditional_satisfied_subset_is_certain():
     state.step(0)
     # Row [1, 0] realizes the singleton {0} and one unit row of the pair.
     i = _index(state, 0)
-    assert state.xcur[i] == 1.0
+    assert current(state, i) == 1.0
     for bit in (0, 1):
-        assert _forced(state, bit).xcur[i] == 1.0
+        assert current(_forced(state, bit), i) == 1.0
 
 
 def test_conditional_dead_row_ignores_bit():
@@ -257,9 +258,9 @@ def test_conditional_dead_row_ignores_bit():
     i = _index(state, 0, 1, 2)
     rem = state.m - 1
     stuck = state._tables[3].f(rem, 1, 3)
-    assert state.xcur[i] == pytest.approx(stuck)
+    assert current(state, i) == pytest.approx(stuck)
     for bit in (0, 1):
-        assert _forced(state, bit).xcur[i] == pytest.approx(stuck)
+        assert current(_forced(state, bit), i) == pytest.approx(stuck)
 
 
 def test_conditional_last_singleton_column():
@@ -267,8 +268,8 @@ def test_conditional_last_singleton_column():
     state = DerandState(spec)
     rem = state.m - 1
     i = _index(state, 0)
-    assert _forced(state, 1).xcur[i] == 1.0
-    assert _forced(state, 0).xcur[i] == pytest.approx(1 - 0.5 ** rem)
+    assert current(_forced(state, 1), i) == 1.0
+    assert current(_forced(state, 0), i) == pytest.approx(1 - 0.5 ** rem)
 
 
 def test_conditional_matches_step_totals():
@@ -277,10 +278,10 @@ def test_conditional_matches_step_totals():
     spec = SuperSelectorSpec(6, 2, (1, 2))
     state = DerandState(spec)
     for _ in range(3 * spec.n):
-        totals = [sum(_forced(state, bit).xcur) for bit in (0, 1)]
+        totals = [sum(xcur(_forced(state, bit))) for bit in (0, 1)]
         bit = state.step()
         assert state.expectation == pytest.approx(totals[bit], rel=1e-12)
-        assert state.expectation == pytest.approx(sum(state.xcur), rel=1e-12)
+        assert state.expectation == pytest.approx(sum(xcur(state)), rel=1e-12)
         assert totals[bit] >= totals[1 - bit] - 1e-9
 
 
@@ -339,7 +340,7 @@ def _near_floor_before_a_one():
     spec = SuperSelectorSpec(6, 2, (1, 2))
     state = DerandState(spec)
     while True:
-        totals = [sum(_forced(state, bit).xcur) for bit in (0, 1)]
+        totals = [sum(xcur(_forced(state, bit))) for bit in (0, 1)]
         if totals[1] > totals[0] + 1e-6:
             break
         state.step()

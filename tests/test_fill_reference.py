@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fill_probe import xcur
 from reference_scan import ScanState
 from superselect import (
     DerandState,
@@ -103,13 +104,29 @@ def test_app_spec_rows_match_scan_kernel(spec):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 9), data=st.data())
+@given(n=st.integers(3, 10), data=st.data())
 def test_small_spec_rows_match_scan_kernel(n, data):
-    p = data.draw(st.integers(1, min(4, n - 1)))
+    # p up to 6 exercises every bucket width of the per-row term tables.
+    p = data.draw(st.integers(1, min(6, n - 1)))
     v = tuple(
         data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
     )
     _same_rows(SuperSelectorSpec(n, p, v))
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_run_matches_stepping_to_the_end(spec):
+    # run() appends the all-zero rows once every subset is satisfied,
+    # also when it starts mid-row; stepping through them must give the
+    # same rows and the same expectation, bit for bit.
+    stepped, ran, resumed = (DerandState(spec) for _ in range(3))
+    while stepped.r < stepped.m:
+        stepped.step()
+    for _ in range(spec.n + 1):
+        resumed.step()
+    for state in (ran, resumed):
+        assert list(state.run().rows) == stepped.rows, spec
+        assert state.expectation == stepped.expectation, spec
 
 
 @pytest.mark.parametrize("spec", [
@@ -123,7 +140,7 @@ def test_lockstep_probabilities_match_scan_kernel(spec):
     new, ref = DerandState(spec), ScanState(spec)
     while ref.r < ref.m:
         assert new.step() == ref.step(), (ref.r, ref.c)
-        assert new.xcur == ref.xcur, (ref.r, ref.c)
+        assert xcur(new) == ref.xcur, (ref.r, ref.c)
         assert abs(new.expectation - ref.expectation) <= 1e-12 * ref.ns
 
 
