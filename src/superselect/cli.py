@@ -3,20 +3,20 @@
 Subcommands cover the whole pipeline: size bounds, matrix construction,
 brute-force verification, the three decoders and the application codecs.
 `main` is the one run path: it times each run from the end of flag
-parsing, maps errors to exit codes, and appends one tab-separated line
-to the manifest file for every run that passes flag parsing, including
-failed runs, whose verdict is `error:<Class>` (argparse rejections write
-none). A command prints one machine-readable result line (`bounds`
-prints its four labeled lines) on standard output, or one `error: ...`
-line on standard error.
+parsing, maps errors to exit codes, and appends one tab-separated line,
+in one unbuffered write, to the manifest file for every run that passes
+flag parsing, including failed runs, whose verdict is `error:<Class>`
+(argparse rejections write none). A command prints one machine-readable
+result line (`bounds` prints its four labeled lines) on standard output,
+or one `error: ...` line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
 
-The argument parser is built once, when this module is imported, and
-every `main` call reuses it. A caller that runs `main` many times in one
-process pays for the parser once; a shell invocation of `superselect`
-still pays for it once per process.
+The argument parsers are built once, when this module is imported, and
+every `main` call reuses them. A known command's flags go straight to
+that command's own parser, one argparse pass per run; help, no command
+and an unknown command go to the top-level parser.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import stat
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -36,6 +37,7 @@ from .core import (
     InputError,
     ParseError,
     SuperSelectorSpec,
+    _as_lf,
     _is_digits,
     format_matrix,
     format_spec,
@@ -112,17 +114,18 @@ def _digest(text: str) -> str:
 
 
 def _append_manifest(path: str, entry: RunManifest):
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(entry.line() + "\n")
+    # One unbuffered write of the encoded line: no text or buffer layer.
+    with open(path, "ab", buffering=0) as fh:
+        fh.write((entry.line() + "\n").encode("utf-8"))
 
 
 def _read_text(path: str) -> str:
     """The file as UTF-8 text with every line ending read as LF; bytes
     that are not UTF-8 are a ParseError at their line."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return _as_lf(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line = len((raw[:exc.start] + b".").splitlines())
         raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
@@ -274,7 +277,8 @@ def cmd_mut_decode(args, run) -> tuple:
                f"candidates={_cols(res.candidates)}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="superselect",
         description="Build, verify, and decode superselector matrices.",
@@ -283,14 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", default=DEFAULT_MANIFEST,
                         help="run-manifest file to append to")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[common])
 
-    q = sub.add_parser("bounds", help="print size bounds for a spec",
-                       parents=[common])
+    q = add("bounds", help="print size bounds for a spec")
     q.add_argument("--spec", required=True)
     q.set_defaults(func=cmd_bounds)
 
-    q = sub.add_parser("build", help="construct a matrix for a spec",
-                       parents=[common])
+    q = add("build", help="construct a matrix for a spec")
     q.add_argument("--spec", required=True)
     q.add_argument("--method", choices=["random", "derand"],
                    default="derand")
@@ -302,15 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "runs (on) or omit it (off)")
     q.set_defaults(func=cmd_build)
 
-    q = sub.add_parser("verify", help="brute-force check matrix vs spec",
-                       parents=[common])
+    q = add("verify", help="brute-force check matrix vs spec")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
     q.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     q.set_defaults(func=cmd_verify)
 
-    q = sub.add_parser("decode", help="decode an observation vector",
-                       parents=[common])
+    q = add("decode", help="decode an observation vector")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
     q.add_argument("--mode", choices=["union", "additive", "approx"],
@@ -320,55 +321,59 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--e1", type=int, default=0)
     q.set_defaults(func=cmd_decode)
 
-    q = sub.add_parser("compress", help="compress a sparse bit vector",
-                       parents=[common])
+    q = add("compress", help="compress a sparse bit vector")
     q.add_argument("--matrix", required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_compress)
 
-    q = sub.add_parser("decompress", help="invert compress",
-                       parents=[common])
+    q = add("decompress", help="invert compress")
     q.add_argument("--matrix", required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_decompress)
 
-    q = sub.add_parser("me-encode", help="monotone-encode a set",
-                       parents=[common])
+    q = add("me-encode", help="monotone-encode a set")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--set", default="", help="comma-separated columns")
     q.set_defaults(func=cmd_me_encode)
 
-    q = sub.add_parser("me-decode", help="invert me-encode",
-                       parents=[common])
+    q = add("me-decode", help="invert me-encode")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--word", required=True, help="0/1 codeword string")
     q.set_defaults(func=cmd_me_decode)
 
-    q = sub.add_parser("mut-decode", help="identify traceable users",
-                       parents=[common])
+    q = add("mut-decode", help="identify traceable users")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
     q.add_argument("--obs", required=True)
     q.set_defaults(func=cmd_mut_decode)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser reports what a command's parser leaves over,
+    # as its own pass would.
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        if command is None:
+            args = _PARSER.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    run = RunManifest(args.command, verdict="ok")
+    run = RunManifest(argv[0], verdict="ok")
     start = time.perf_counter()
     # `error` keeps the message, not the exception: an exception held in
     # a local of this frame would reach the frame again through its

@@ -205,15 +205,17 @@ class DerandState:
             self._wterms.append((ks, ws, codes, lone))
         self.ns = self._unsat = len(self._mask)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
-        # contain c and have q columns after it.
+        # contain c and have q columns after it. Descending combinations
+        # come in descending mask order, column c at place q: fill, reverse.
         self._hits = hits = [[[] for _ in range(p)] for _ in range(n)]
-        for i, mask in enumerate(self._mask):
-            q = mask.bit_count()
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                q -= 1
-                hits[low.bit_length() - 1][q].append(i)
+        i = len(self._mask)
+        for j in reversed(levels):
+            for S in itertools.combinations(range(n - 1, -1, -1), j):
+                i -= 1
+                for q, c in enumerate(S):
+                    hits[c][q].append(i)
+        for bucket in itertools.chain.from_iterable(hits):
+            bucket.reverse()
         self._alive = list(self._mask)
         # Columns whose index still lists a subset that became satisfied.
         self._stale = 0

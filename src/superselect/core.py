@@ -3,8 +3,8 @@ exhaustive verification of selector-type properties.
 
 A matrix row is stored as a Python int whose bit c is the entry M[r,c].
 Each matrix also carries one column view, `BitMatrix.cols` (an int per
-column whose bit r is M[r,c]), built on first use and then cached; the
-verifiers and the decoders share it.
+column whose bit r is M[r,c]), filled by `parse_matrix` from the text or
+built on first use, then cached; the verifiers and the decoders share it.
 
 The exhaustive selector checks walk the (j-2)-column prefixes of the
 j-sets depth first, carrying the rows the prefix hits once and more
@@ -535,11 +535,18 @@ def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _as_lf(text: str) -> str:
+    """The text with every CRLF and lone CR read as LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _lines(text: str) -> list:
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return _as_lf(text).split("\n")
 
 
 def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
+    """The matrix in `text`, its column view filled from the same text.
+    The rows are checked together; the first bad one is found only then."""
     lines = _lines(text)
     if not lines or not lines[0].strip():
         raise ParseError(source, 1, "missing 'm n' header")
@@ -549,24 +556,26 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     m, n = int(head[0]), int(head[1])
     if m < 1 or n < 1:
         raise ParseError(source, 1, "dimensions must be positive")
-    rows = []
-    for r in range(m):
-        ln = r + 2
-        if ln - 1 >= len(lines):
-            raise ParseError(source, ln, f"expected {m} rows, file ends early")
-        raw = lines[ln - 1]
-        if len(raw) != n:
-            raise ParseError(source, ln, f"row has {len(raw)} characters, expected {n}")
-        # int(_, 2) would also take "_", spaces and non-ASCII digits, so
-        # every character other than 0 and 1 is rejected first.
-        bad = raw.translate(_NOT_BITS)
-        if bad:
-            raise ParseError(source, ln, f"invalid character {bad[0]!r}")
-        rows.append(int(raw[::-1], 2))
+    rows = lines[1:m + 1]
+    # The rows joined last row first: every n-th character from c on
+    # spells column c, with row 0 as its lowest bit.
+    body = "".join(rows[::-1])
+    # int(_, 2) would also take "_", spaces and non-ASCII digits, so
+    # every character other than 0 and 1 is rejected first.
+    if len(rows) != m or {*map(len, rows)} != {n} or body.translate(_NOT_BITS):
+        for ln, raw in enumerate(rows, start=2):
+            if len(raw) != n:
+                raise ParseError(source, ln, f"row has {len(raw)} characters, expected {n}")
+            bad = raw.translate(_NOT_BITS)
+            if bad:
+                raise ParseError(source, ln, f"invalid character {bad[0]!r}")
+        raise ParseError(source, len(rows) + 2, f"expected {m} rows, file ends early")
     for extra in range(m + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(source, extra + 1, "trailing content after matrix")
-    return BitMatrix(n, rows)
+    M = BitMatrix(n, [int(raw[::-1], 2) for raw in rows])
+    M._cols = tuple([int(body[c::n], 2) for c in range(n)])
+    return M
 
 
 def format_matrix(M: BitMatrix) -> str:
@@ -602,6 +611,12 @@ def format_spec(spec: SuperSelectorSpec) -> str:
 
 
 def parse_vector(text: str, source: str = "<vector>") -> tuple:
+    # LF-terminated lines of ASCII digits only, none blank, are decided
+    # by one check; any other text takes the line-by-line loop.
+    lines = text.split("\n")
+    if lines.pop() == "" and "" not in lines:
+        if _is_digits("".join(lines)):
+            return tuple(map(int, lines))
     values = []
     for ln, raw in enumerate(_lines(text), start=1):
         s = raw.strip()

@@ -9,6 +9,9 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -653,6 +656,71 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert main(["build", "--out", "x.txt"]) == 2
 
 
+# ------------------------------------------------------------- dispatch
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["-h"], "superselect"),
+    (["decode", "-h"], "superselect decode"),
+])
+def test_help_exits_zero_and_prints_usage(tmp_path, monkeypatch, capsys,
+                                          argv, prog):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {prog} [-h]")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, prog, message", [
+    ([], "superselect", "the following arguments are required: command"),
+    (["frobnicate"], "superselect", "invalid choice: 'frobnicate'"),
+    (["decode", "--mode", "xor"], "superselect decode",
+     "argument --mode: invalid choice: 'xor'"),
+    (["bounds", "--spec", "s.txt", "--bogus"], "superselect",
+     "unrecognized arguments: --bogus"),
+], ids=["no-command", "unknown-command", "bad-choice", "unrecognized"])
+def test_rejected_argv_is_usage_error_with_no_manifest_line(
+        tmp_path, monkeypatch, capsys, argv, prog, message):
+    # A known command's own parser rejects its flags; unrecognized
+    # arguments are reported by the top-level parser, as they were when
+    # it parsed every argv. The default manifest would land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    errors = [ln for ln in captured.err.splitlines() if ": error: " in ln]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{prog}: error: ") and message in errors[0]
+    assert not os.listdir(tmp_path)
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    spath = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
+    mpath = str(tmp_path / "runs.tsv")
+    monkeypatch.setattr(sys, "argv", ["superselect", "bounds", "--spec", spath,
+                                      "--manifest", mpath])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("upper=")
+    line = (tmp_path / "runs.tsv").read_text()
+    assert line.count("\n") == 1 and line.split("\t")[0] == "bounds"
+
+
+def test_manifest_first_field_is_the_command(tmp_path, manifest, capsys):
+    spath = spec_file(tmp_path, SuperSelectorSpec(5, 2, (1, 2)))
+    argvs = [
+        ["bounds", "--spec", spath],
+        ["me-encode", "--n", "8", "--k", "4", "--set", "1,2"],
+        ["me-decode", "--n", "8", "--k", "4", "--word", "01a1"],
+        _decode_argv(tmp_path),
+    ]
+    for argv in argvs:
+        main(argv + ["--manifest", manifest])
+    lines = (tmp_path / "runs.tsv").read_text().splitlines()
+    assert [ln.split("\t")[0] for ln in lines] == [a[0] for a in argvs]
+
+
 # ------------------------------------------------ one parser, many runs
 
 
@@ -717,3 +785,37 @@ def test_main_builds_no_parser_per_call(tmp_path, manifest, monkeypatch,
     for _ in range(2):
         assert main(["bounds", "--spec", spath, "--manifest", manifest]) == 0
     assert built == []
+
+
+# --------------------------------------------------- the real entry path
+
+
+def _run_module(*args):
+    # The process entry: `main()` reads sys.argv, and its return value
+    # becomes the exit status.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "superselect.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_runs_a_command(tmp_path):
+    spec = SuperSelectorSpec(8, 2, (1, 2))
+    manifest = tmp_path / "runs.tsv"
+    proc = _run_module("bounds", "--spec", spec_file(tmp_path, spec),
+                       "--manifest", str(manifest))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.partition("=")[0] for ln in lines] == [
+        "upper", "lower", "threshold", "selector"]
+    assert lines[0] == f"upper={superselector_upper_bound(spec).m}"
+    assert proc.stderr == ""
+    assert manifest.read_text().split("\t")[0] == "bounds"
+
+
+def test_module_entry_exits_two_on_unknown_command():
+    proc = _run_module("frobnicate")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: superselect [-h]")
+    errors = [ln for ln in proc.stderr.splitlines() if ": error: " in ln]
+    assert len(errors) == 1 and "invalid choice: 'frobnicate'" in errors[0]

@@ -27,6 +27,8 @@ from superselect import (
     is_superselector,
     sample_random_matrix,
 )
+from test_acceptance import SUITE
+from test_fill_reference import APP_SPECS
 
 
 # ---------------------------------------------------------------- f-table
@@ -412,6 +414,38 @@ def test_fill_state_bytes_per_subset():
     finally:
         tracemalloc.stop()
     assert size / state.ns < 150
+
+
+def _frozen_hits(masks, n, p):
+    # The per-bit index builder the combinations walk replaced: each
+    # subset's columns read off its mask, lowest first, so the column
+    # with q columns after it comes when q bits are left.
+    hits = [[[] for _ in range(p)] for _ in range(n)]
+    for i, mask in enumerate(masks):
+        q = mask.bit_count()
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            q -= 1
+            hits[low.bit_length() - 1][q].append(i)
+    return hits
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_index_matches_frozen_per_bit_builder(spec):
+    state = DerandState(spec)
+    assert state._hits == _frozen_hits(state._mask, spec.n, spec.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_index_matches_frozen_per_bit_builder_on_drawn_specs(n, data):
+    p = data.draw(st.integers(1, min(6, n)))
+    v = [data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)]
+    if not any(v):
+        v[data.draw(st.integers(0, p - 1))] = 1
+    state = DerandState(SuperSelectorSpec(n, p, tuple(v)))
+    assert state._hits == _frozen_hits(state._mask, n, p)
 
 
 def test_step_past_completion_fails():
