@@ -114,9 +114,9 @@ def _digest(text: str) -> str:
 
 
 def _append_manifest(path: str, entry: RunManifest):
-    # One unbuffered write of the encoded line: no text or buffer layer.
+    # One unbuffered binary write; a non-UTF-8 argv path keeps its bytes.
     with open(path, "ab", buffering=0) as fh:
-        fh.write((entry.line() + "\n").encode("utf-8"))
+        fh.write((entry.line() + "\n").encode("utf-8", "surrogateescape"))
 
 
 def _read_text(path: str) -> str:
@@ -172,7 +172,10 @@ def _int_list(text: str, what: str) -> tuple:
     tokens = [t.strip() for t in text.split(",")]
     if not all(map(_is_digits, tokens)):
         raise InputError(f"bad {what} list {text!r}")
-    return tuple(map(int, tokens))
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # a token past int()'s digit limit
+        raise InputError(f"{what} list value too long") from None
 
 
 def _cols(columns) -> str:
@@ -397,7 +400,8 @@ def main(argv=None) -> int:
         if error is None:
             code, error = 2, str(exc)
     if error is None:
-        print(out)
+        # A non-UTF-8 path prints as U+FFFD, also on a strict UTF-8 stdout.
+        print(out.encode("utf-8", "surrogateescape").decode("utf-8", "replace"))
     else:
         print(f"error: {error}", file=sys.stderr)
     return code

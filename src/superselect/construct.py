@@ -125,11 +125,12 @@ class DerandState:
     so nothing is reset between rows. A subset adds (w1 - w0)*g to d,
     where w is the chance that the row realizes a new unit pattern and
     g = f1 - f0; g is one value per class and row, and w1 - w0 depends on
-    q and on the alive pattern from c on, so the term of every code in
-    every bucket is tabulated once per row and costs one lookup. The pass
-    over bucket 0 also lists the subsets that realize a pattern under
-    each bit. A satisfied subset leaves the index; once none is left,
-    every later d is exactly 0.0 and `run` appends the all-zero rows.
+    q and on the alive pattern from c on, so w is a per-code table made
+    at init for every bucket, each row scales it by g, and a term costs
+    one lookup. The pass over bucket 0 also lists the subsets that
+    realize a pattern under each bit. A satisfied subset leaves the
+    index; once none is left, every later d is exactly 0.0 and `run`
+    appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far. Each subset's current probability is the
@@ -181,28 +182,15 @@ class DerandState:
         self._next = array("I", [index.get((k + 1) << p | u ^ 1 << t, 0)
                                  for k, u in zip(code_cls, code_u)
                                  for t in range(p)])
-        # In bucket q a code with no ones yet in the row adds w * g: w is
-        # x^q if c is alive, minus x^(q-1)*(1-x) per alive column after c
-        # (at q = 0 nothing follows c, so the xpow[-1] term is 0). A lone
-        # alive one before c adds -x^q * g, the term of w with only c
-        # alive. w depends on u only through those two counts, so
-        # _wterms[q] holds the distinct (class, w) pairs, keyed
-        # (k << 1 | c alive) << p | alive after c, and the pair of every
-        # code and the lone-one pair of every class.
-        self._wterms = []
-        for q in range(p):
-            pairs = {}
-            codes = [pairs.setdefault((k << 1 | u >> q & 1) << p
-                                      | (u & ((1 << q) - 1)).bit_count(),
-                                      len(pairs))
-                     for k, u in zip(code_cls, code_u)]
-            lone = [pairs.setdefault((k << 1 | 1) << p, len(pairs))
-                    for k in range(len(self._classes))]
-            ws = [(xpow[q] if key >> p & 1 else 0.0)
-                  - (key & ((1 << p) - 1)) * xpow[q - 1] * omx
-                  for key in pairs]
-            ks = [key >> p + 1 for key in pairs]
-            self._wterms.append((ks, ws, codes, lone))
+        # _w[q][code], a per-code table made once here: in bucket q a code
+        # with no ones yet in the row adds w * g, w being x^q if c is alive,
+        # minus x^(q-1)*(1-x) per alive column after c (none at q = 0, so
+        # xpow[-1] adds 0). A lone alive one before c adds -x^q * g, the
+        # term of w with only c alive. Each row scales both by g.
+        self._w = [[(xpow[q] if u >> q & 1 else 0.0)
+                    - (u & ((1 << q) - 1)).bit_count() * xpow[q - 1] * omx
+                    for u in code_u] for q in range(p)]
+        self._xpow = xpow[:p]
         self.ns = self._unsat = len(self._mask)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
         # contain c and have q columns after it. Descending combinations
@@ -244,11 +232,9 @@ class DerandState:
                 # need <= pool always, and the table holds exact zeros
                 # where need > rem, so no boundary cases remain.
                 g[k] = row[need - 1][j - a - 1] - row[need][j - a]
-        self._wg, self._xg = [], []
-        for ks, ws, codes, lone in self._wterms:
-            terms = list(map(mul, ws, map(g.__getitem__, ks)))
-            self._wg.append([terms[key] for key in codes])
-            self._xg.append([terms[key] for key in lone])
+        gc = list(map(g.__getitem__, self._code_cls))
+        self._wg = [list(map(mul, w, gc)) for w in self._w]
+        self._xg = [[xq * gk for gk in g] for xq in self._xpow]
 
     def _advance(self, count: int, bit: int = None) -> int:
         """Fix the next `count` entries, each greedily or to the forced

@@ -263,11 +263,10 @@ def count_identity_rows(M: BitMatrix, S: Iterable[int]) -> int:
 
 
 def _budget_guard(checks: int, budget: int):
-    if checks > budget:
-        raise BudgetError(
-            f"{checks} subset checks exceed the budget of {budget}; "
-            "brute-force verification is desk scale only"
-        )
+    if checks > budget:  # a count past 2^256 is given by its size: str() may fail
+        count = checks if checks.bit_length() <= 256 else f"at least 2^{checks.bit_length() - 1}"
+        raise BudgetError(f"{count} subset checks exceed the budget of {budget}; "
+                          "brute-force verification is desk scale only")
 
 
 def _columns(M: BitMatrix) -> tuple:
@@ -535,6 +534,13 @@ def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _int(token: str, source: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(source, line, f"integer of {len(token)} digits is too long") from None
+
+
 def _as_lf(text: str) -> str:
     """The text with every CRLF and lone CR read as LF."""
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -553,7 +559,7 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     head = lines[0].split()
     if len(head) != 2 or not all(map(_is_digits, head)):
         raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'm n'")
-    m, n = int(head[0]), int(head[1])
+    m, n = _int(head[0], source, 1), _int(head[1], source, 1)
     if m < 1 or n < 1:
         raise ParseError(source, 1, "dimensions must be positive")
     rows = lines[1:m + 1]
@@ -592,7 +598,7 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     head = lines[0].split()
     if len(head) != 2 or not all(map(_is_digits, head)):
         raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'n p'")
-    n, p = int(head[0]), int(head[1])
+    n, p = _int(head[0], source, 1), _int(head[1], source, 1)
     if len(lines) < 2 or not lines[1].strip():
         raise ParseError(source, 2, "missing v line")
     parts = lines[1].split()
@@ -601,7 +607,7 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     if not all(_is_digits(t.removeprefix("-")) for t in parts):
         raise ParseError(source, 2, f"non-integer entry in {lines[1]!r}")
     try:
-        return SuperSelectorSpec(n, p, tuple(map(int, parts)))
+        return SuperSelectorSpec(n, p, tuple(_int(t, source, 2) for t in parts))
     except InputError as exc:
         raise ParseError(source, 2, str(exc))
 
@@ -614,9 +620,11 @@ def parse_vector(text: str, source: str = "<vector>") -> tuple:
     # LF-terminated lines of ASCII digits only, none blank, are decided
     # by one check; any other text takes the line-by-line loop.
     lines = text.split("\n")
-    if lines.pop() == "" and "" not in lines:
-        if _is_digits("".join(lines)):
+    if lines.pop() == "" and "" not in lines and _is_digits("".join(lines)):
+        try:
             return tuple(map(int, lines))
+        except ValueError:  # a line past int()'s digit limit: see below
+            pass
     values = []
     for ln, raw in enumerate(_lines(text), start=1):
         s = raw.strip()
@@ -624,7 +632,7 @@ def parse_vector(text: str, source: str = "<vector>") -> tuple:
             continue
         if not _is_digits(s.removeprefix("-")):
             raise ParseError(source, ln, f"non-integer line {raw!r}")
-        val = int(s)
+        val = _int(s, source, ln)
         if val < 0:
             raise ParseError(source, ln, "vector entries must be nonnegative")
         values.append(val)

@@ -8,7 +8,7 @@ counts are integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, comb, e, exp, log1p, log2
+from math import ceil, comb, e, exp, inf, log2
 
 from .core import InputError, SuperSelectorSpec
 
@@ -52,6 +52,13 @@ class SizeBound:
     per_level: tuple
 
 
+def _log2_ratio(n: int, j: int) -> float:
+    try:
+        return log2(n / j)
+    except OverflowError:  # n / j is past the float range
+        return log2(n) - log2(j)
+
+
 def _constrained(spec: SuperSelectorSpec) -> list:
     return [(j, spec.v[j - 1]) for j in spec.levels()]
 
@@ -67,7 +74,7 @@ def superselector_upper_bound(spec: SuperSelectorSpec) -> SizeBound:
         r = j - vj + 1
         kj = min(3.0 * spec.p * e * j / r, e * j * j / LOG2_E)
         per_level.append((j, kj))
-        best = max(best, kj * log2(spec.n / j))
+        best = max(best, kj * _log2_ratio(spec.n, j))
     return SizeBound(max(1, ceil(best)), tuple(per_level))
 
 
@@ -87,7 +94,7 @@ def selector_upper_bound(p: int, k: int, n: int) -> SizeBound:
     else:
         coeff = 1.0 / log2(e / (e - 1.0 + k / p))
     a_const = (2 * p - k + 1) * LOG2_E + (p - k + 1) * log2(p / (p - k + 1))
-    m = coeff * (p * log2(n / p) + a_const)
+    m = coeff * (p * _log2_ratio(n, p) + a_const)
     return SizeBound(max(1, ceil(m)), ((p, coeff),))
 
 
@@ -103,7 +110,7 @@ def superselector_lower_bound(spec: SuperSelectorSpec) -> SizeBound:
     best = 0.0
     for j, vj in _constrained(spec):
         r = j - vj + 1
-        value = (j * j / r) * log2(spec.n / j) / (log2(j / r) + 1.0)
+        value = (j * j / r) * _log2_ratio(spec.n, j) / (log2(j / r) + 1.0)
         per_level.append((j, value))
         best = max(best, value)
     return SizeBound(max(0, ceil(best)), tuple(per_level))
@@ -137,7 +144,8 @@ def _failure_mass(terms: list, m: int) -> float:
     for log_count, log_base in terms:
         if log_base is None:
             continue
-        total += exp((log_count + m * log_base) / LOG2_E)
+        log_term = (log_count + m * log_base) / LOG2_E
+        total += exp(log_term) if log_term < 0.0 else inf  # exp may overflow
     return total
 
 

@@ -819,3 +819,75 @@ def test_module_entry_exits_two_on_unknown_command():
     assert proc.stderr.startswith("usage: superselect [-h]")
     errors = [ln for ln in proc.stderr.splitlines() if ": error: " in ln]
     assert len(errors) == 1 and "invalid choice: 'frobnicate'" in errors[0]
+
+
+# ------------------------------------------- oversized and huge-n inputs
+
+_LONG = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+def _m2(tmp_path):
+    return matrix_file(tmp_path, BitMatrix.identity(2))
+
+
+def _huge_spec(tmp_path, n):
+    return write(tmp_path / "huge.txt", f"{n} 2\n1 2\n")
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    (lambda t: ["compress", "--matrix", _m2(t), "--p", "1", "--in",
+                write(t / "v.txt", _LONG + "\n"), "--out", str(t / "o")], 2),
+    (lambda t: ["decompress", "--matrix", _m2(t), "--p", "1", "--in",
+                write(t / "v.txt", "0\n " + _LONG + "\n"), "--out", str(t / "o")], 2),
+    (lambda t: ["me-encode", "--n", "8", "--k", "2", "--set", "1," + _LONG], 2),
+    (lambda t: ["bounds", "--spec", write(t / "s.txt", _LONG + " 2\n1 2\n")], 2),
+    (lambda t: ["bounds", "--spec", write(t / "s.txt", "8 2\n1 " + _LONG + "\n")], 2),
+    (lambda t: ["verify", "--matrix", write(t / "m.txt", _LONG + " 2\n10\n01\n"),
+                "--spec", spec_file(t, SuperSelectorSpec(2, 1, (1,)))], 2),
+    (lambda t: ["bounds", "--spec", _huge_spec(t, 10**200)], 0),
+    (lambda t: ["bounds", "--spec", _huge_spec(t, 10**400)], 0),
+    (lambda t: ["build", "--spec", _huge_spec(t, 10**200), "--out", str(t / "o")], 2),
+    (lambda t: ["build", "--spec", _huge_spec(t, 10**1500), "--out", str(t / "o")], 2),
+    (lambda t: ["me-encode", "--n", str(10**200), "--k", "2", "--set", "1"], 2),
+], ids=["vector-fast-path", "vector-line-loop", "set-list", "spec-header",
+        "spec-v-line", "matrix-header", "bounds-1e200", "bounds-1e400",
+        "build-1e200", "build-1e1500", "me-encode-1e200"])
+def test_oversized_and_huge_inputs_end_in_one_line(tmp_path, manifest, capsys,
+                                                   make_argv, code):
+    # A 5,000-digit field is a usage error at its line; a huge n gets its
+    # bounds, or a budget refusal before any enumeration.
+    assert main(make_argv(tmp_path) + ["--manifest", manifest]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == (code != 0)
+
+
+def test_non_utf8_out_path_is_written_back_as_its_bytes(tmp_path, manifest,
+                                                        capsys):
+    out = str(tmp_path / "c\udcff.txt")
+    assert main(["build", "--spec",
+                 spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2))),
+                 "--out", out, "--manifest", manifest]) == 0
+    # The output and the manifest keep the path's bytes; the result line,
+    # printed on a strict UTF-8 stream here, shows U+FFFD in their place.
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "out=" + str(tmp_path / "c\ufffd.txt") in captured.out
+    assert (tmp_path / "c\udcff.txt").exists()
+    assert b"c\xff.txt\tok\n" in Path(manifest).read_bytes()
+
+
+def test_module_entry_takes_a_non_utf8_out_path_as_raw_bytes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               PYTHONIOENCODING="utf-8:strict")
+    manifest = tmp_path / "runs.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "superselect.cli", "build",
+         "--spec", spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2))),
+         "--out", os.fsencode(tmp_path) + b"/c\xff.txt",
+         "--manifest", str(manifest)],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert b"/c\xef\xbf\xbd.txt verify=ok\n" in proc.stdout
+    assert os.fsencode(tmp_path) + b"/c\xff.txt\tok\n" in manifest.read_bytes()

@@ -1,5 +1,6 @@
 """Differential tests of the per-column fill kernel against the frozen
-scan kernel in `reference_scan.py`, plus digests of the benchmark
+scan kernel in `reference_scan.py`, of its per-row term tables against
+the frozen pair tables in `reference_terms.py`, plus digests of the benchmark
 corpus pinned from the scan kernel's output and of the other matrices
 the benchmark workloads and the monotone chain build.
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from fill_probe import xcur
 from reference_scan import ScanState
+from reference_terms import ReferenceTerms
 from superselect import (
     DerandState,
     SuperSelectorSpec,
@@ -112,6 +114,34 @@ def test_small_spec_rows_match_scan_kernel(n, data):
         data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
     )
     _same_rows(SuperSelectorSpec(n, p, v))
+
+
+def _same_row_tables(spec):
+    # Every row's tables, loaded by step() at each row boundary, equal
+    # the pair-expanded ones float for float.
+    state, ref = DerandState(spec), ReferenceTerms(spec)
+    for r in range(state.m):
+        assert state.r == r and state.c == 0
+        wg, xg = ref.row_tables(r)
+        assert state._wg == wg, (spec, r)
+        assert state._xg == xg, (spec, r)
+        for _ in range(spec.n):
+            state.step()
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_row_tables_match_pair_tables(spec):
+    _same_row_tables(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 10), data=st.data())
+def test_small_spec_row_tables_match_pair_tables(n, data):
+    p = data.draw(st.integers(1, min(6, n - 1)))
+    v = tuple(
+        data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
+    )
+    _same_row_tables(SuperSelectorSpec(n, p, v))
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
