@@ -209,10 +209,12 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
     M must be a certified (2p, p+1, n)-selector; that caps the candidate
-    list at 2p - 1 entries, so the fixed-size mask always fits. A list
-    longer than 2p shows that M is not such a selector: InputError. So
-    does an entry of x other than 0 or 1.
+    list at 2p - 1 entries, so the fixed-size mask always fits. It needs
+    2p <= n, and a list longer than 2p shows that M is not such a
+    selector: InputError. So does an entry of x other than 0 or 1.
     """
+    if 2 * p > M.n:
+        raise InputError(f"2p = {2 * p} exceeds n = {M.n}: no (2p, p+1, n)-selector")
     if len(x) != M.n:
         raise InputError(f"vector length {len(x)} != n={M.n}")
     _check_bits(x, "vector")

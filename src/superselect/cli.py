@@ -6,7 +6,7 @@ brute-force verification, the three decoders and the application codecs.
 parsing, maps errors to exit codes, and appends one tab-separated line,
 in one unbuffered write, to the manifest file for every run that passes
 flag parsing, including failed runs, whose verdict is `error:<Class>`
-(argparse rejections write none). A command prints one machine-readable
+(rejected flags write none). A command prints one machine-readable
 result line (`bounds` prints its four labeled lines) on standard output,
 or one `error: ...` line on standard error.
 
@@ -27,6 +27,7 @@ import os
 import stat
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -178,6 +179,14 @@ def _int_list(text: str, what: str) -> tuple:
         raise InputError(f"{what} list value too long") from None
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag: ASCII digits after one optional '-', as in files."""
+    if _is_digits(text.removeprefix("-")):
+        with suppress(ValueError):  # past int()'s digit limit
+            return int(text)
+    _PARSER.exit(2, f"error: bad integer flag value {text!r}\n")
+
+
 def _cols(columns) -> str:
     return ",".join(map(str, columns))
 
@@ -300,8 +309,8 @@ def _build_parser() -> tuple:
     q.add_argument("--spec", required=True)
     q.add_argument("--method", choices=["random", "derand"],
                    default="derand")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-attempts", type=int, default=100)
+    q.add_argument("--seed", type=_int_flag, default=0)
+    q.add_argument("--max-attempts", type=_int_flag, default=100)
     q.add_argument("--out", required=True)
     q.add_argument("--verify", choices=["on", "off"], default="on",
                    help="report the exhaustive check every construction "
@@ -311,7 +320,7 @@ def _build_parser() -> tuple:
     q = add("verify", help="brute-force check matrix vs spec")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
-    q.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    q.add_argument("--budget", type=_int_flag, default=DEFAULT_SUBSET_BUDGET)
     q.set_defaults(func=cmd_verify)
 
     q = add("decode", help="decode an observation vector")
@@ -320,33 +329,33 @@ def _build_parser() -> tuple:
     q.add_argument("--mode", choices=["union", "additive", "approx"],
                    default="union")
     q.add_argument("--obs", required=True)
-    q.add_argument("--e0", type=int, default=0)
-    q.add_argument("--e1", type=int, default=0)
+    q.add_argument("--e0", type=_int_flag, default=0)
+    q.add_argument("--e1", type=_int_flag, default=0)
     q.set_defaults(func=cmd_decode)
 
     q = add("compress", help="compress a sparse bit vector")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--p", type=int, required=True)
+    q.add_argument("--p", type=_int_flag, required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_compress)
 
     q = add("decompress", help="invert compress")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--p", type=int, required=True)
+    q.add_argument("--p", type=_int_flag, required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_decompress)
 
     q = add("me-encode", help="monotone-encode a set")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=_int_flag, required=True)
+    q.add_argument("--k", type=_int_flag, required=True)
     q.add_argument("--set", default="", help="comma-separated columns")
     q.set_defaults(func=cmd_me_encode)
 
     q = add("me-decode", help="invert me-encode")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--n", type=_int_flag, required=True)
+    q.add_argument("--k", type=_int_flag, required=True)
     q.add_argument("--word", required=True, help="0/1 codeword string")
     q.set_defaults(func=cmd_me_decode)
 
@@ -390,12 +399,13 @@ def main(argv=None) -> int:
     except (InconsistentObservationError, ConstructionFailure,
             PrecisionFault) as exc:
         code, error, run.verdict = 1, str(exc), f"error:{type(exc).__name__}"
-    except (InputError, ParseError, BudgetError, OSError) as exc:
+    # UnicodeEncodeError: a path holds a surrogate that stands for no byte.
+    except (InputError, ParseError, BudgetError, OSError, UnicodeEncodeError) as exc:
         code, error, run.verdict = 2, str(exc), f"error:{type(exc).__name__}"
     run.wall_time = time.perf_counter() - start
     try:
         _append_manifest(args.manifest, run)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # A run that already failed reports its own error.
         if error is None:
             code, error = 2, str(exc)

@@ -81,8 +81,8 @@ class SuperSelectorSpec:
 
 def selector_spec(p: int, k: int, n: int) -> SuperSelectorSpec:
     """Plain (p, k, n)-selector phrased as a one-constraint spec."""
-    if not 1 <= k <= p:
-        raise InputError(f"need 1 <= k <= p, got k={k}, p={p}")
+    if not 1 <= k <= p <= n:  # p <= n before v, which has p entries
+        raise InputError(f"need 1 <= k <= p <= n, got k={k}, p={p}, n={n}")
     return SuperSelectorSpec(n, p, (0,) * (p - 1) + (k,))
 
 
@@ -466,12 +466,7 @@ def is_selector(
     M: BitMatrix, p: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> bool:
     """Exhaustive check: every p-column set keeps >= k distinct unit rows."""
-    if not 1 <= k <= p:
-        raise InputError(f"need 1 <= k <= p, got k={k}, p={p}")
-    if p > M.n:
-        raise InputError(f"p={p} exceeds n={M.n}")
-    _budget_guard(comb(M.n, p), budget)
-    return _levels_hold(M, [(p, k)])
+    return is_superselector(M, selector_spec(p, k, M.n), budget)
 
 
 def is_superselector(

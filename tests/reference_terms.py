@@ -8,18 +8,29 @@ its lone-one pair; a row multiplies every distinct pair's w by its
 class's g and expands the products back to one entry per code and one
 per class. `superselect.construct.DerandState` now keeps w per code and
 scales it by g directly; it is checked against this table for table,
-float for float. Do not use it outside the tests.
+float for float.
+
+It also keeps the code numbering and transition table the fill used
+before a code became the number 1 << j | u: the (class, alive pattern u)
+pairs numbered densely in class order through an index dict, and
+`next[s * p + t]`, the code after code s realizes its local column t,
+looked up in that index (0 where no code follows). `codes` maps each of
+those dense codes to 1 << j | u, so the tests compare the new tables and
+the XOR transition with these through it. Do not use it outside the
+tests.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import mul
 
 from superselect import FTable, SampleDistribution, SuperSelectorSpec, derand_threshold
 
 
 class ReferenceTerms:
-    """Classes, codes and pair tables of one spec, built the old way."""
+    """Classes, codes, transitions and pair tables of one spec, built the
+    old way. `start` holds each subset's first code, in subset order."""
 
     def __init__(self, spec: SuperSelectorSpec):
         self.spec = spec
@@ -33,14 +44,24 @@ class ReferenceTerms:
             for j in levels
         }
         xpow = [x ** q for q in range(p + 1)]
-        self.classes, code_cls, code_u = [], [], []
+        self.classes, code_cls, code_u, self.start = [], [], [], []
+        index = {}
         for j in levels:
+            self.start.extend([len(code_u)] * comb(spec.n, j))
             for a in range(spec.v[j - 1] + 1):
                 for u in range(1 << j):
                     if u.bit_count() == j - a:
+                        index[len(self.classes) << p | u] = len(code_u)
                         code_cls.append(len(self.classes))
                         code_u.append(u)
                 self.classes.append((j, a))
+        self.code_cls, self.code_u = code_cls, code_u
+        self.done = [a == spec.v[j - 1] for j, a in
+                     map(self.classes.__getitem__, code_cls)]
+        self.next = [index.get((k + 1) << p | u ^ 1 << t, 0)
+                     for k, u in zip(code_cls, code_u) for t in range(p)]
+        self.codes = [1 << self.classes[k][0] | u
+                      for k, u in zip(code_cls, code_u)]
         self.wterms = []
         for q in range(p):
             pairs = {}

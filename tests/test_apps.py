@@ -254,6 +254,15 @@ def test_compress_rejects_matrix_that_is_not_a_selector():
         compress(M, 1, (1, 0, 0))
 
 
+@pytest.mark.parametrize("p", [6, 10**400])
+def test_compress_rejects_p_past_half_n(compressor, p):
+    # A (2p, p+1, n)-selector needs 2p <= n; a larger p is refused before
+    # the 2p-bit mask is built, however large p is.
+    M, _ = compressor
+    with pytest.raises(InputError, match=f"exceeds n = {M.n}"):
+        compress(M, p, (0,) * M.n)
+
+
 @pytest.mark.parametrize("value", [2, -1])
 def test_compress_rejects_entries_that_are_not_bits(compressor, value):
     # A 2 or a -1 used to count as a one, so the round trip was lossy.

@@ -528,6 +528,30 @@ def _inconsistent_additive(tmp_path):
             "--obs", vector_file(tmp_path, (2, 1))]
 
 
+# A lone surrogate outside U+DC80-U+DCFF stands for no byte, so opening
+# the path fails; only a library call of main can pass one.
+_SURROGATE = "c\ud800.txt"
+
+
+def _surrogate_out(tmp_path):
+    return ["build", "--spec", spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2))),
+            "--out", str(tmp_path / _SURROGATE)]
+
+
+def _surrogate_spec(tmp_path):
+    return ["bounds", "--spec", str(tmp_path / _SURROGATE)]
+
+
+def _surrogate_matrix(tmp_path):
+    return ["verify", "--matrix", str(tmp_path / _SURROGATE),
+            "--spec", spec_file(tmp_path, SuperSelectorSpec(4, 2, (1, 2)))]
+
+
+def _surrogate_in(tmp_path):
+    return ["compress", "--matrix", matrix_file(tmp_path, BitMatrix.identity(2)),
+            "--p", "1", "--in", str(tmp_path / _SURROGATE), "--out", str(tmp_path / "o")]
+
+
 def _failing_verify(tmp_path):
     return ["verify", "--matrix", matrix_file(tmp_path, BitMatrix.zeros(3, 4)),
             "--spec", spec_file(tmp_path, SuperSelectorSpec(4, 2, (1, 2)))]
@@ -545,10 +569,15 @@ def _failing_verify(tmp_path):
     (_attempts_exhausted, 1, "error:ConstructionFailure"),
     (_inconsistent_additive, 1, "error:InconsistentObservationError"),
     (_failing_verify, 1, "fail"),
+    (_surrogate_out, 2, "error:UnicodeEncodeError"),
+    (_surrogate_spec, 2, "error:UnicodeEncodeError"),
+    (_surrogate_matrix, 2, "error:UnicodeEncodeError"),
+    (_surrogate_in, 2, "error:UnicodeEncodeError"),
 ], ids=["malformed-matrix", "superscript-matrix-header",
         "superscript-spec-header", "not-utf8-spec", "not-utf8-matrix",
         "not-utf8-obs", "over-budget", "random-over-budget",
-        "attempts-exhausted", "inconsistent-observation", "failing-verify"])
+        "attempts-exhausted", "inconsistent-observation", "failing-verify",
+        "surrogate-out", "surrogate-spec", "surrogate-matrix", "surrogate-in"])
 def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
                                              make_argv, code, verdict):
     argv = make_argv(tmp_path)
@@ -591,12 +620,13 @@ def test_manifest_escapes_control_characters(tmp_path, manifest, capsys,
 
 def test_unwritable_manifest_is_one_line_usage_error(tmp_path, capsys):
     spec_path = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
-    assert main(["bounds", "--spec", spec_path,
-                 "--manifest", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().split("\n")
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # A directory, and a path that cannot be encoded.
+    for path in (tmp_path, tmp_path / _SURROGATE):
+        assert main(["bounds", "--spec", spec_path, "--manifest", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -849,13 +879,29 @@ def _huge_spec(tmp_path, n):
     (lambda t: ["build", "--spec", _huge_spec(t, 10**200), "--out", str(t / "o")], 2),
     (lambda t: ["build", "--spec", _huge_spec(t, 10**1500), "--out", str(t / "o")], 2),
     (lambda t: ["me-encode", "--n", str(10**200), "--k", "2", "--set", "1"], 2),
+    (lambda t: ["compress", "--matrix", _m2(t), "--p", str(10**400), "--in",
+                write(t / "v.txt", "1\n0\n"), "--out", str(t / "o")], 2),
+    (lambda t: ["compress", "--matrix", _m2(t), "--p", _LONG, "--in",
+                write(t / "v.txt", "1\n0\n"), "--out", str(t / "o")], 2),
+    (lambda t: ["me-encode", "--n", "\u0668", "--k", "2"], 2),
+    (lambda t: ["me-encode", "--n", "1_0", "--k", "2"], 2),
+    (lambda t: ["me-encode", "--n", "8", "--k", "+2"], 2),
+    (lambda t: ["build", "--spec", spec_file(t, SuperSelectorSpec(6, 2, (1, 2))),
+                "--out", str(t / "o"), "--seed", "\u0663"], 2),
+    (lambda t: ["build", "--spec", spec_file(t, SuperSelectorSpec(6, 2, (1, 2))),
+                "--out", str(t / "o"), "--method", "random", "--seed", "-5"], 0),
 ], ids=["vector-fast-path", "vector-line-loop", "set-list", "spec-header",
         "spec-v-line", "matrix-header", "bounds-1e200", "bounds-1e400",
-        "build-1e200", "build-1e1500", "me-encode-1e200"])
+        "build-1e200", "build-1e1500", "me-encode-1e200", "compress-p-1e400",
+        "compress-p-5000-digits", "flag-non-ascii-digit", "flag-underscore",
+        "flag-plus-sign", "seed-non-ascii-digit", "seed-negative"])
 def test_oversized_and_huge_inputs_end_in_one_line(tmp_path, manifest, capsys,
                                                    make_argv, code):
     # A 5,000-digit field is a usage error at its line; a huge n gets its
-    # bounds, or a budget refusal before any enumeration.
+    # bounds, or a budget refusal before any enumeration; a p with no
+    # (2p, p+1, n)-selector is refused before anything of size p is built.
+    # An integer flag takes ASCII digits after one optional '-', as every
+    # list flag and file field does.
     assert main(make_argv(tmp_path) + ["--manifest", manifest]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err

@@ -1,8 +1,9 @@
 """Differential tests of the per-column fill kernel against the frozen
-scan kernel in `reference_scan.py`, of its per-row term tables against
-the frozen pair tables in `reference_terms.py`, plus digests of the benchmark
-corpus pinned from the scan kernel's output and of the other matrices
-the benchmark workloads and the monotone chain build.
+scan kernel in `reference_scan.py`, of its per-row term tables and its
+code transitions against the frozen pair and transition tables in
+`reference_terms.py`, plus digests of the benchmark corpus pinned from
+the scan kernel's output and of the other matrices the benchmark
+workloads and the monotone chain build.
 
 The two at-scale pins carry the `slow` marker (about 8 s each), which
 the default run deselects; `python -m pytest -m slow` runs them."""
@@ -118,12 +119,13 @@ def test_small_spec_rows_match_scan_kernel(n, data):
 
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
-    # the pair-expanded ones float for float.
+    # the pair-expanded ones float for float, code by code through the
+    # map from the old dense codes to 1 << j | u.
     state, ref = DerandState(spec), ReferenceTerms(spec)
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
-        assert state._wg == wg, (spec, r)
+        assert [[w[s] for s in ref.codes] for w in state._wg] == wg, (spec, r)
         assert state._xg == xg, (spec, r)
         for _ in range(spec.n):
             state.step()
@@ -142,6 +144,40 @@ def test_small_spec_row_tables_match_pair_tables(n, data):
         data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
     )
     _same_row_tables(SuperSelectorSpec(n, p, v))
+
+
+def _same_transitions(spec):
+    # Every subset starts at its level's first code, each code keeps its
+    # class and satisfied flag, and for every alive column t the XOR
+    # successor is the code the frozen transition table gives. A
+    # satisfied code has no successor there: it leaves the index first.
+    state, ref = DerandState(spec), ReferenceTerms(spec)
+    assert state._code == [ref.codes[s] for s in ref.start], spec
+    for s, (code, u) in enumerate(zip(ref.codes, ref.code_u)):
+        assert state._code_cls[code] == ref.code_cls[s], (spec, code)
+        assert state._done[code] == ref.done[s], (spec, code)
+        for t in range(spec.p):
+            if u >> t & 1:
+                nxt = ref.next[s * spec.p + t]
+                if ref.done[s]:
+                    assert nxt == 0, (spec, code, t)
+                else:
+                    assert code ^ 1 << t == ref.codes[nxt], (spec, code, t)
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_xor_transitions_match_frozen_next_table(spec):
+    _same_transitions(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 10), data=st.data())
+def test_small_spec_xor_transitions_match_frozen_next_table(n, data):
+    p = data.draw(st.integers(1, min(6, n - 1)))
+    v = tuple(
+        data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
+    )
+    _same_transitions(SuperSelectorSpec(n, p, v))
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
