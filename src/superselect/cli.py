@@ -179,12 +179,13 @@ def _int_list(text: str, what: str) -> tuple:
         raise InputError(f"{what} list value too long") from None
 
 
-def _int_flag(text: str) -> int:
-    """An integer flag: ASCII digits after one optional '-', as in files."""
+def _int_flag(flag: str, text: str) -> int:
+    """The value of integer flag `flag`: ASCII digits after one optional
+    '-', as in files."""
     if _is_digits(text.removeprefix("-")):
         with suppress(ValueError):  # past int()'s digit limit
             return int(text)
-    _PARSER.exit(2, f"error: bad integer flag value {text!r}\n")
+    _PARSER.exit(2, f"error: argument {flag}: bad integer value {text!r}\n")
 
 
 def _cols(columns) -> str:
@@ -301,6 +302,9 @@ def _build_parser() -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
     add = partial(sub.add_parser, parents=[common])
 
+    def add_int(q, flag, **kwargs):
+        q.add_argument(flag, type=partial(_int_flag, flag), **kwargs)
+
     q = add("bounds", help="print size bounds for a spec")
     q.add_argument("--spec", required=True)
     q.set_defaults(func=cmd_bounds)
@@ -309,8 +313,8 @@ def _build_parser() -> tuple:
     q.add_argument("--spec", required=True)
     q.add_argument("--method", choices=["random", "derand"],
                    default="derand")
-    q.add_argument("--seed", type=_int_flag, default=0)
-    q.add_argument("--max-attempts", type=_int_flag, default=100)
+    add_int(q, "--seed", default=0)
+    add_int(q, "--max-attempts", default=100)
     q.add_argument("--out", required=True)
     q.add_argument("--verify", choices=["on", "off"], default="on",
                    help="report the exhaustive check every construction "
@@ -320,7 +324,7 @@ def _build_parser() -> tuple:
     q = add("verify", help="brute-force check matrix vs spec")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
-    q.add_argument("--budget", type=_int_flag, default=DEFAULT_SUBSET_BUDGET)
+    add_int(q, "--budget", default=DEFAULT_SUBSET_BUDGET)
     q.set_defaults(func=cmd_verify)
 
     q = add("decode", help="decode an observation vector")
@@ -329,33 +333,33 @@ def _build_parser() -> tuple:
     q.add_argument("--mode", choices=["union", "additive", "approx"],
                    default="union")
     q.add_argument("--obs", required=True)
-    q.add_argument("--e0", type=_int_flag, default=0)
-    q.add_argument("--e1", type=_int_flag, default=0)
+    add_int(q, "--e0", default=0)
+    add_int(q, "--e1", default=0)
     q.set_defaults(func=cmd_decode)
 
     q = add("compress", help="compress a sparse bit vector")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--p", type=_int_flag, required=True)
+    add_int(q, "--p", required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_compress)
 
     q = add("decompress", help="invert compress")
     q.add_argument("--matrix", required=True)
-    q.add_argument("--p", type=_int_flag, required=True)
+    add_int(q, "--p", required=True)
     q.add_argument("--in", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_decompress)
 
     q = add("me-encode", help="monotone-encode a set")
-    q.add_argument("--n", type=_int_flag, required=True)
-    q.add_argument("--k", type=_int_flag, required=True)
+    add_int(q, "--n", required=True)
+    add_int(q, "--k", required=True)
     q.add_argument("--set", default="", help="comma-separated columns")
     q.set_defaults(func=cmd_me_encode)
 
     q = add("me-decode", help="invert me-encode")
-    q.add_argument("--n", type=_int_flag, required=True)
-    q.add_argument("--k", type=_int_flag, required=True)
+    add_int(q, "--n", required=True)
+    add_int(q, "--k", required=True)
     q.add_argument("--word", required=True, help="0/1 codeword string")
     q.set_defaults(func=cmd_me_decode)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from math import comb
 from operator import mul
 
@@ -117,9 +118,9 @@ class DerandState:
     A subset is identified by its column mask (subsets are numbered level
     by level in ascending mask order, which is colex order). Its state is
     its alive mask, the columns whose unit pattern no completed row has
-    realized yet, and one small int, its code 1 << j | u, which fixes its
-    class (level j, patterns realized): u is its local alive pattern, bit
-    t set while its t-th column from the end is unrealized. The row's prefix
+    realized yet, and one small int, its code, which stands for its class
+    (level j, patterns realized) and its local alive pattern: bit t set
+    while its t-th column from the end is unrealized. The row's prefix
     over S (no ones, one lone one, dead) is read off the row's fixed bits,
     so nothing is reset between rows. A subset adds (w1 - w0)*g to d,
     where w is the chance that the row realizes a new unit pattern and
@@ -155,34 +156,42 @@ class DerandState:
         }
         xpow = [self.x ** q for q in range(p + 1)]
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
-        # one of each level is satisfied. A subset starts at code
-        # (2 << j) - 1; realizing its column t is code ^ 1 << t. With no
-        # constrained level there is no class and no code.
-        size = 2 << p if levels else 0
+        # one of each level is satisfied. Codes are the (class k, alive
+        # pattern u with j - a bits) pairs in that order, keyed k << p | u,
+        # so a subset starts at the first code of its level. The u of a
+        # class come, ascending, from its a realized columns, so the tables
+        # hold sum_j sum_{a <= v_j} C(j, a) codes, not 2^j per level.
         self._classes, self._code, self._mask = [], [], []
-        self._code_cls, self._done = [0] * size, [False] * size
+        index, code_cls, code_u = {}, [], []
         bits = [1 << c for c in range(n)]
         for j in levels:
-            v, k = spec.v[j - 1], len(self._classes)
-            self._classes += [(j, a) for a in range(v + 1)]
-            for u in range(1 << j):
-                a = j - u.bit_count()
-                if a <= v:
-                    self._code_cls[1 << j | u] = k + a
-                    self._done[1 << j | u] = a == v
-            self._code.extend([(2 << j) - 1] * comb(n, j))
+            self._code.extend([len(code_u)] * comb(n, j))
+            for a in range(spec.v[j - 1] + 1):
+                for u in sorted((1 << j) - 1 ^ sum(realized) for realized
+                                in itertools.combinations(bits[:j], a)):
+                    index[len(self._classes) << p | u] = len(code_u)
+                    code_cls.append(len(self._classes))
+                    code_u.append(u)
+                self._classes.append((j, a))
             # Ascending masks are colex order, the order of every sum.
             self._mask.extend(sorted(map(sum,
                                          itertools.combinations(bits, j))))
+        self._code_cls = code_cls
+        self._done = [a == spec.v[j - 1] for j, a in
+                      map(self._classes.__getitem__, code_cls)]
+        # _next[s * p + t]: the code after code s realizes its local
+        # column t (0 where that column is not alive; no code leads to 0).
+        self._next = array("I", [index.get((k + 1) << p | u ^ 1 << t, 0)
+                                 for k, u in zip(code_cls, code_u)
+                                 for t in range(p)])
         # _w[q][code], a per-code table made once here: in bucket q a code
         # with no ones yet in the row adds w * g, w being x^q if c is alive,
         # minus x^(q-1)*(1-x) per alive column after c (none at q = 0, so
         # xpow[-1] adds 0). A lone alive one before c adds -x^q * g, the
         # term of w with only c alive. Each row scales both by g.
-        us = [s ^ (1 << s.bit_length()) >> 1 for s in range(size)]  # no level bit
         self._w = [[(xpow[q] if u >> q & 1 else 0.0)
                     - (u & ((1 << q) - 1)).bit_count() * xpow[q - 1] * omx
-                    for u in us] for q in range(p)]
+                    for u in code_u] for q in range(p)]
         self._xpow = xpow[:p]
         self.ns = self._unsat = len(self._mask)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
@@ -232,9 +241,9 @@ class DerandState:
     def _advance(self, count: int, bit: int = None) -> int:
         """Fix the next `count` entries, each greedily or to the forced
         `bit`, with the fill state in locals; return the last bit."""
-        n, x, omx = self.n, self.x, self._omx
+        n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         masks, alive, code = self._mask, self._alive, self._code
-        hits, done, cls = self._hits, self._done, self._code_cls
+        hits, nxt, done, cls = self._hits, self._next, self._done, self._code_cls
         wg, xg = self._wg, self._xg
         tie, floor = self._tie_tol, self.ns - 1
         forced = bit is not None
@@ -294,7 +303,8 @@ class DerandState:
                     pre = rb & mask
                     alive[i] ^= pre
                     # The realized column is the t-th of S from the end.
-                    s = code[i] = code[i] ^ 1 << (mask >> pre.bit_length()).bit_count()
+                    t = (mask >> pre.bit_length()).bit_count()
+                    s = code[i] = nxt[code[i] * p + t]
                     if done[s]:
                         stale |= mask
                         unsat -= 1

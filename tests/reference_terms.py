@@ -10,14 +10,13 @@ per class. `superselect.construct.DerandState` now keeps w per code and
 scales it by g directly; it is checked against this table for table,
 float for float.
 
-It also keeps the code numbering and transition table the fill used
-before a code became the number 1 << j | u: the (class, alive pattern u)
-pairs numbered densely in class order through an index dict, and
-`next[s * p + t]`, the code after code s realizes its local column t,
-looked up in that index (0 where no code follows). `codes` maps each of
-those dense codes to 1 << j | u, so the tests compare the new tables and
-the XOR transition with these through it. Do not use it outside the
-tests.
+It also keeps the code numbering and transition table as they were
+built by scanning all 2^j local patterns of each level: the (class,
+alive pattern u) pairs numbered densely in class order through an index
+dict, and `next[s * p + t]`, the code after code s realizes its local
+column t, looked up in that index (0 where no code follows). The fill
+now lists each class's patterns from its realized columns; the tests
+check that it numbers the same codes. Do not use it outside the tests.
 """
 
 from __future__ import annotations
@@ -55,13 +54,11 @@ class ReferenceTerms:
                         code_cls.append(len(self.classes))
                         code_u.append(u)
                 self.classes.append((j, a))
-        self.code_cls, self.code_u = code_cls, code_u
+        self.code_cls = code_cls
         self.done = [a == spec.v[j - 1] for j, a in
                      map(self.classes.__getitem__, code_cls)]
         self.next = [index.get((k + 1) << p | u ^ 1 << t, 0)
                      for k, u in zip(code_cls, code_u) for t in range(p)]
-        self.codes = [1 << self.classes[k][0] | u
-                      for k, u in zip(code_cls, code_u)]
         self.wterms = []
         for q in range(p):
             pairs = {}

@@ -908,6 +908,18 @@ def test_oversized_and_huge_inputs_end_in_one_line(tmp_path, manifest, capsys,
     assert len(captured.err.splitlines()) == (code != 0)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["me-encode", "--n", "8", "--k", "+2"], "--k"),
+    (["me-encode", "--n", "1_0", "--k", "2"], "--n"),
+    (["decode", "--matrix", "m", "--spec", "s", "--obs", "o", "--e1", "١"], "--e1"),
+])
+def test_bad_integer_flag_line_names_the_flag(manifest, capsys, argv, flag):
+    assert main(argv + ["--manifest", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert not Path(manifest).exists()
+
+
 def test_non_utf8_out_path_is_written_back_as_its_bytes(tmp_path, manifest,
                                                         capsys):
     out = str(tmp_path / "c\udcff.txt")

@@ -6,6 +6,7 @@ import copy
 import gc
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from superselect import (
     derand_threshold,
     is_superselector,
     sample_random_matrix,
+    selector_spec,
 )
 from test_acceptance import SUITE
 from test_fill_reference import APP_SPECS
@@ -399,6 +401,22 @@ def test_derandomized_budget_charges_the_index_work():
     spec = SuperSelectorSpec(200, 2, (1, 2))
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec) == 37
+    assert is_superselector(M, spec)
+
+
+@pytest.mark.parametrize("p, k", [(22, 1), (20, 2)])
+def test_code_tables_hold_only_reachable_codes(p, k):
+    # A plain selector on its own p columns has one level, and its codes
+    # are the patterns with at most k of p columns realized: 23 and 211
+    # here, not 2^p. Its per-code tables and its fill stay that small.
+    spec = selector_spec(p, k, p)
+    state = DerandState(spec)
+    codes = sum(comb(p, a) for a in range(k + 1))
+    assert len(state._code_cls) == len(state._done) == codes
+    assert len(state._next) == codes * p
+    assert [len(w) for w in state._w] == [codes] * p
+    M = construct_derandomized(spec)
+    assert M.m == state.m
     assert is_superselector(M, spec)
 
 

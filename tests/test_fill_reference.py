@@ -1,6 +1,6 @@
 """Differential tests of the per-column fill kernel against the frozen
 scan kernel in `reference_scan.py`, of its per-row term tables and its
-code transitions against the frozen pair and transition tables in
+code numbering against the frozen pair tables and pattern scan in
 `reference_terms.py`, plus digests of the benchmark corpus pinned from
 the scan kernel's output and of the other matrices the benchmark
 workloads and the monotone chain build.
@@ -119,13 +119,12 @@ def test_small_spec_rows_match_scan_kernel(n, data):
 
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
-    # the pair-expanded ones float for float, code by code through the
-    # map from the old dense codes to 1 << j | u.
+    # the pair-expanded ones float for float.
     state, ref = DerandState(spec), ReferenceTerms(spec)
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
-        assert [[w[s] for s in ref.codes] for w in state._wg] == wg, (spec, r)
+        assert state._wg == wg, (spec, r)
         assert state._xg == xg, (spec, r)
         for _ in range(spec.n):
             state.step()
@@ -146,38 +145,30 @@ def test_small_spec_row_tables_match_pair_tables(n, data):
     _same_row_tables(SuperSelectorSpec(n, p, v))
 
 
-def _same_transitions(spec):
-    # Every subset starts at its level's first code, each code keeps its
-    # class and satisfied flag, and for every alive column t the XOR
-    # successor is the code the frozen transition table gives. A
-    # satisfied code has no successor there: it leaves the index first.
+def _same_codes(spec):
+    # Listing each class's patterns from its realized columns numbers the
+    # same codes as the scan of all 2^j patterns: the same start code per
+    # subset, class and satisfied flag per code, and transition table.
     state, ref = DerandState(spec), ReferenceTerms(spec)
-    assert state._code == [ref.codes[s] for s in ref.start], spec
-    for s, (code, u) in enumerate(zip(ref.codes, ref.code_u)):
-        assert state._code_cls[code] == ref.code_cls[s], (spec, code)
-        assert state._done[code] == ref.done[s], (spec, code)
-        for t in range(spec.p):
-            if u >> t & 1:
-                nxt = ref.next[s * spec.p + t]
-                if ref.done[s]:
-                    assert nxt == 0, (spec, code, t)
-                else:
-                    assert code ^ 1 << t == ref.codes[nxt], (spec, code, t)
+    assert state._code == ref.start, spec
+    assert state._code_cls == ref.code_cls, spec
+    assert state._done == ref.done, spec
+    assert list(state._next) == ref.next, spec
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
-def test_xor_transitions_match_frozen_next_table(spec):
-    _same_transitions(spec)
+def test_codes_match_frozen_pattern_scan(spec):
+    _same_codes(spec)
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(3, 10), data=st.data())
-def test_small_spec_xor_transitions_match_frozen_next_table(n, data):
+def test_small_spec_codes_match_frozen_pattern_scan(n, data):
     p = data.draw(st.integers(1, min(6, n - 1)))
     v = tuple(
         data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
     )
-    _same_transitions(SuperSelectorSpec(n, p, v))
+    _same_codes(SuperSelectorSpec(n, p, v))
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
