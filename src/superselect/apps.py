@@ -18,9 +18,7 @@ from .core import (
     BitMatrix,
     InputError,
     SuperSelectorSpec,
-    boolean_sum,
     column_mask,
-    covered_columns,
     identify,
     row_mask,
     row_vector,
@@ -221,8 +219,11 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     support = [c for c, bit in enumerate(x) if bit]
     if len(support) > p:
         raise InputError(f"support size {len(support)} exceeds p={p}")
-    y = boolean_sum(M, support)
-    L = covered_columns(M, y)
+    cols = M.cols
+    hit = 0
+    for c in support:
+        hit |= cols[c]
+    L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InputError(
             f"candidate list has {len(L)} entries; matrix is not a "
@@ -232,7 +233,7 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     z = tuple(
         1 if k < len(L) and L[k] in in_support else 0 for k in range(2 * p)
     )
-    return CompressedWord(tuple(y), z)
+    return CompressedWord(row_vector(hit, M.m), z)
 
 
 def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
@@ -244,7 +245,7 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     if len(w.z) != 2 * p:
         raise InputError(f"mask length {len(w.z)} != 2p = {2 * p}")
     _check_bits((*w.y, *w.z), "word")
-    L = covered_columns(M, w.y)
+    L = identify(M.cols, row_mask(w.y))[1]
     support = set()
     for k, bit in enumerate(w.z):
         if not bit:

@@ -10,12 +10,12 @@ The exhaustive selector checks walk the (j-2)-column prefixes of the
 j-sets depth first, carrying the rows the prefix hits once and more
 than once, and settle every completion of a prefix by two more columns
 in one pass over bitsets indexed by column pairs. The bitsets come from
-per-call tables over the matrix's distinct nonzero rows, one 16-entry
-table per 4-row chunk, built on the first level j >= 3. With m' the
-distinct nonzero rows, a level j costs C(n, j-2) prefixes times
-O(j·m'/4) operations on n²-bit ints, plus, once per call, O(m')
-operations for the per-row bitsets and 8·m' table entries. No j-set is
-visited on its own.
+per-call tables over the matrix's rows up to the last nonzero one, one
+16-entry table per 4-row chunk, built on the first level j >= 3. With m'
+those rows, a level j costs C(n, j-2) prefixes times O(j·m'/4)
+operations on n²-bit ints, plus, once per call, O(m') operations for
+the per-row bitsets and 8·m' table entries. No j-set is visited on its
+own.
 
 Identification (`identify`) works on the same view from the mask of
 rows an observation hits: the candidates are the columns inside that
@@ -26,6 +26,7 @@ candidate hits. A call costs O(n + |candidates|) word operations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -57,7 +58,7 @@ class SuperSelectorSpec:
     """Target (n, p, v): the matrix must keep, for every i with v_i >= 1
     and every set S of i columns, at least v_i distinct unit rows in M(S).
 
-    v_i = 0 means level i carries no constraint.
+    v_i = 0 means level i carries no constraint. Every field holds ints.
     """
 
     n: int
@@ -65,7 +66,12 @@ class SuperSelectorSpec:
     v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(t) for t in self.v))
+        try:
+            n, p, *v = map(int, map(operator.index, (self.n, self.p, *self.v)))
+        except TypeError as exc:
+            raise InputError(f"n, p and the v entries must be integers ({exc})") from None
+        for name, value in (("n", n), ("p", p), ("v", tuple(v))):
+            object.__setattr__(self, name, value)
         if self.p < 1 or self.n < self.p:
             raise InputError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
         if len(self.v) != self.p:
@@ -138,12 +144,6 @@ class BitMatrix:
         if not (0 <= r < self.m and 0 <= c < self.n):
             raise InputError(f"entry ({r},{c}) out of range")
         return (self.rows[r] >> c) & 1
-
-    def column(self, c: int) -> tuple:
-        """Column c as a length-m 0/1 tuple."""
-        if not 0 <= c < self.n:
-            raise InputError(f"column {c} out of range")
-        return tuple((row >> c) & 1 for row in self.rows)
 
     def __eq__(self, other):
         return (
@@ -236,32 +236,6 @@ def identify(cols: Sequence[int], hit: int) -> tuple:
     return tuple([c for c in candidates if cols[c] & once]), tuple(candidates)
 
 
-def covered_columns(M: BitMatrix, a: Sequence[int]) -> tuple:
-    """Columns whose every 1 sits in a row where a is nonzero.
-
-    Works for Boolean and arithmetic observations alike: a binary column
-    is componentwise <= a exactly when it avoids all rows with a[r] = 0.
-    """
-    if len(a) != M.m:
-        raise InputError(f"observation length {len(a)} != m={M.m}")
-    return identify(M.cols, row_mask(a))[1]
-
-
-def count_identity_rows(M: BitMatrix, S: Iterable[int]) -> int:
-    """Number of distinct unit rows of I_|S| present in M restricted to S.
-
-    Duplicated unit rows count once; equivalently, the number of columns
-    of S owning a row where they hold the only 1 within S.
-    """
-    S = tuple(S)
-    if column_mask(S, M.n) == 0:
-        raise InputError("S must be nonempty")
-    # With every row hit, each column of S is a candidate, and identify
-    # keeps those owning a row no other column of S hits.
-    cols = M.cols
-    return len(identify([cols[c] for c in S], -1)[0])
-
-
 def _budget_guard(checks: int, budget: int):
     if checks > budget:  # a count past 2^256 is given by its size: str() may fail
         count = checks if checks.bit_length() <= 256 else f"at least 2^{checks.bit_length() - 1}"
@@ -317,8 +291,9 @@ class _PairKernel:
     """The level j >= 2 checks of one matrix, built on the first such
     level and shared by the rest of the call.
 
-    Only distinct nonzero rows can isolate a column, so the kernel keeps
-    those, in first-seen order. Per row R it builds two pair bitsets:
+    The kernel reads M's rows up to the last nonzero one, as they are: a
+    zero row isolates nothing, and a repeated row only ORs the same bits
+    in twice. Per row R it builds two pair bitsets:
     `solo`, whose low n*n bits mark where R has 1 at b and 0 at c and
     whose high n*n bits mark where R has 0 at b and 1 at c, and
     `neither`, where R is 0 at both. Level 2 settles the empty prefix
@@ -331,19 +306,18 @@ class _PairKernel:
     of cols[a] no other prefix column hits.
     """
 
-    __slots__ = ("n", "size", "source", "solo", "neither", "upper", "cols",
+    __slots__ = ("n", "size", "matrix", "solo", "neither", "upper", "cols",
                  "full", "nbytes", "solo_tables", "neither_tables", "quiet")
 
     def __init__(self, M: BitMatrix):
         n = self.n = M.n
         self.size = size = n * n
-        rows = [row for row in dict.fromkeys(M.rows) if row]
-        # The kernel's rows as a matrix, read for their column view: M
-        # itself when its rows are all distinct and nonzero, or all zero
-        # (then every level j >= 3 fails before the view is read).
-        self.source = M if len(rows) in (0, M.m) else BitMatrix(n, rows)
-        # Zero rows pad the rows to whole bytes of a row mask; they
-        # never isolate anything and no prefix ever leaves them free.
+        self.matrix = M
+        rows = list(M.rows)
+        while rows and not rows[-1]:
+            rows.pop()
+        # Zero rows, M's own and those padding the rows to whole bytes
+        # of a row mask, have empty pair bitsets and isolate nothing.
         self.nbytes = (len(rows) + 7) // 8
         rows += [0] * (8 * self.nbytes - len(rows))
         self.full = (1 << len(rows)) - 1
@@ -367,7 +341,7 @@ class _PairKernel:
         self.solo_tables = None
 
     def _build_tables(self):
-        self.cols = cols = self.source.cols
+        self.cols = cols = self.matrix.cols
         self.solo_tables = _chunk_tables(self.solo)
         self.neither_tables = _chunk_tables(self.neither)
         # quiet[s]: the rows with no 1 in columns s and up, which
@@ -444,24 +418,6 @@ class _PairKernel:
         return not over[spare]
 
 
-def _levels_hold(M: BitMatrix, levels: list) -> bool:
-    """Unguarded check shared by the verifiers: every j-set of columns
-    has >= k isolated columns, for each (j, k) in levels. The pair
-    bitsets are built when level 2 or higher is reached, the tables
-    when level 3 or higher is."""
-    pairs = None
-    for j, k in levels:
-        if j == 1:
-            ok = all(M.cols)
-        else:
-            if pairs is None:
-                pairs = _PairKernel(M)
-            ok = pairs.holds(j, k)
-        if not ok:
-            return False
-    return True
-
-
 def is_selector(
     M: BitMatrix, p: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> bool:
@@ -472,12 +428,24 @@ def is_selector(
 def is_superselector(
     M: BitMatrix, spec: SuperSelectorSpec, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> bool:
-    """Exhaustive check of every constrained level of the spec."""
+    """Exhaustive check of every constrained level of the spec: every
+    j-set of columns has >= v_j isolated columns. The pair bitsets are
+    built when level 2 or higher is reached, the tables when level 3 or
+    higher is."""
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
     _budget_guard(sum(comb(M.n, j) for j in levels), budget)
-    return _levels_hold(M, [(j, spec.v[j - 1]) for j in levels])
+    pairs = None
+    for j in levels:
+        if j == 1:
+            ok = all(M.cols)
+        else:
+            pairs = pairs or _PairKernel(M)
+            ok = pairs.holds(j, spec.v[j - 1])
+        if not ok:
+            return False
+    return True
 
 
 def is_list_disjunct(
@@ -545,16 +513,21 @@ def _lines(text: str) -> list:
     return _as_lf(text).split("\n")
 
 
+def _header(lines: list, source: str, label: str) -> tuple:
+    """The two integers of line 1, whose fields `label` names."""
+    if not lines or not lines[0].strip():
+        raise ParseError(source, 1, f"missing '{label}' header")
+    head = lines[0].split()
+    if len(head) != 2 or not all(map(_is_digits, head)):
+        raise ParseError(source, 1, f"bad header {lines[0]!r}, expected '{label}'")
+    return _int(head[0], source, 1), _int(head[1], source, 1)
+
+
 def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     """The matrix in `text`, its column view filled from the same text.
     The rows are checked together; the first bad one is found only then."""
     lines = _lines(text)
-    if not lines or not lines[0].strip():
-        raise ParseError(source, 1, "missing 'm n' header")
-    head = lines[0].split()
-    if len(head) != 2 or not all(map(_is_digits, head)):
-        raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'm n'")
-    m, n = _int(head[0], source, 1), _int(head[1], source, 1)
+    m, n = _header(lines, source, "m n")
     if m < 1 or n < 1:
         raise ParseError(source, 1, "dimensions must be positive")
     rows = lines[1:m + 1]
@@ -588,12 +561,7 @@ def format_matrix(M: BitMatrix) -> str:
 
 def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     lines = _lines(text)
-    if not lines or not lines[0].strip():
-        raise ParseError(source, 1, "missing 'n p' header")
-    head = lines[0].split()
-    if len(head) != 2 or not all(map(_is_digits, head)):
-        raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'n p'")
-    n, p = _int(head[0], source, 1), _int(head[1], source, 1)
+    n, p = _header(lines, source, "n p")
     if len(lines) < 2 or not lines[1].strip():
         raise ParseError(source, 2, "missing v line")
     parts = lines[1].split()

@@ -3,8 +3,7 @@ decoders and the character-at-a-time matrix text codec.
 
 `covered_columns` and `identify_from_union` scan all m rows of the
 matrix per call, `additive_decode` scans them again for every column it
-pins, and `boolean_sum` and `count_identity_rows` test the column mask
-against every row.
+pins, and `boolean_sum` tests the column mask against every row.
 `monotone_encode`/`monotone_decode` and `compress`/`decompress` are the
 application codecs written over those scans. `parse_matrix` and
 `format_matrix` read and write one character at a time. They are slow
@@ -51,18 +50,6 @@ def covered_columns(M: BitMatrix, a) -> tuple:
             blocked |= row
     full = (1 << M.n) - 1
     return _bits_to_columns(full & ~blocked)
-
-
-def count_identity_rows(M: BitMatrix, S) -> int:
-    mask = column_mask(S, M.n)
-    if mask == 0:
-        raise InputError("S must be nonempty")
-    seen = 0
-    for row in M.rows:
-        z = row & mask
-        if z and not (z & (z - 1)):
-            seen |= z
-    return seen.bit_count()
 
 
 def _check_observation(M: BitMatrix, spec, a):

@@ -293,9 +293,9 @@ def test_tampered_mask_flips_one_column(compressor):
     w = compress(M, p, x)
     candidates = [k for k in range(2 * p) if w.z[k] == 0]
     # Flip a zero mask bit that still points inside the candidate list.
-    from superselect import covered_columns
+    from superselect import identify, row_mask
 
-    L = covered_columns(M, w.y)
+    L = identify(M.cols, row_mask(w.y))[1]
     flippable = [k for k in candidates if k < len(L)]
     if flippable:
         k = flippable[0]

@@ -15,14 +15,14 @@ from superselect.core import (
     SuperSelectorSpec,
     arithmetic_sum,
     boolean_sum,
-    count_identity_rows,
-    covered_columns,
+    identify,
     is_list_disjunct,
     is_selector,
     is_superselector,
     parse_matrix,
     parse_spec,
     parse_vector,
+    row_mask,
     selector_spec,
 )
 
@@ -110,6 +110,11 @@ def _covered(x, y):
     return all(a <= b for a, b in zip(x, y))
 
 
+def covered_columns(M, a):
+    """The columns whose every 1 sits in a row where a is nonzero."""
+    return identify(M.cols, row_mask(a))[1]
+
+
 def test_covered_columns_identity():
     assert covered_columns(BitMatrix.identity(3), (1, 0, 1)) == (0, 2)
 
@@ -134,32 +139,9 @@ def test_covered_columns_exactly_match_definition(case):
     a = boolean_sum(M, S)
     cov = covered_columns(M, a)
     for c in range(M.n):
-        expected = _covered(M.column(c), a)
+        expected = _covered([M.entry(r, c) for r in range(M.m)], a)
         assert (c in cov) == expected
     assert set(S) <= set(cov)
-
-
-# --- identity-row counting ---
-
-def test_count_identity_rows_full_identity():
-    assert count_identity_rows(BitMatrix.identity(4), (0, 1, 2, 3)) == 4
-
-
-def test_count_identity_rows_zero_matrix():
-    M = matrix_of([[0, 0, 0]] * 3)
-    assert count_identity_rows(M, (0, 1, 2)) == 0
-
-
-def test_count_identity_rows_counts_duplicates_once():
-    M = matrix_of([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
-    assert count_identity_rows(M, (0, 1, 2)) == 2
-
-
-@given(matrices_with_subsets())
-def test_count_identity_rows_bounded_by_subset_size(case):
-    M, S = case
-    if S:
-        assert 0 <= count_identity_rows(M, S) <= len(S)
 
 
 # --- selector predicates ---
@@ -252,6 +234,11 @@ def test_spec_validation():
         SuperSelectorSpec(4, 2, (2, 2))           # v_1 > 1
     with pytest.raises(InputError):
         SuperSelectorSpec(4, 2, (1,))             # wrong length
+    # Whole numbers only: no float or string is rounded or parsed.
+    for n, p, v in [(4, 2, (1.9, '2')), (4.0, 2, (1, 2)), (4, 2.0, (1, 2)),
+                    (4, 2, (1, '2'))]:
+        with pytest.raises(InputError):
+            SuperSelectorSpec(n, p, v)
     assert selector_spec(3, 2, 5).v == (0, 0, 2)
 
 
@@ -352,9 +339,8 @@ def test_from_entries_reads_entries_equal_to_a_bit_as_that_bit():
 def test_entry_column_row_consistency():
     M = random_matrix(6, 9, seed=11)
     for c in range(M.n):
-        col = M.column(c)
         for r in range(M.m):
-            assert col[r] == M.entry(r, c)
+            assert M.cols[c] >> r & 1 == M.entry(r, c)
 
 
 def test_every_public_name_resolves():

@@ -32,16 +32,16 @@ from superselect import (
     boolean_sum,
     compress,
     construct_derandomized,
-    count_identity_rows,
-    covered_columns,
     decompress,
     format_matrix,
+    identify,
     identify_from_union,
     is_selector,
     is_superselector,
     monotone_chain,
     mut_spec,
     parse_matrix,
+    row_mask,
     selector_spec,
 )
 
@@ -57,7 +57,8 @@ def outcome(f, *args):
 def assert_same_decodes(M, a):
     """Every decoder gives the reference's answer on observation a."""
     spec = SuperSelectorSpec(M.n, 1, (1,))
-    assert outcome(covered_columns, M, a) == outcome(ref.covered_columns, M, a)
+    if len(a) == M.m:
+        assert identify(M.cols, row_mask(a))[1] == ref.covered_columns(M, a)
     assert (outcome(identify_from_union, M, spec, a)
             == outcome(ref.identify_from_union, M, spec, a))
     assert (outcome(additive_decode, M, spec, a)
@@ -67,8 +68,6 @@ def assert_same_decodes(M, a):
 def assert_same_on_set(M, S):
     """Sums of S, the decoders on them and on a broken arithmetic sum."""
     assert boolean_sum(M, S) == ref.boolean_sum(M, S)
-    if S:
-        assert count_identity_rows(M, S) == ref.count_identity_rows(M, S)
     assert_same_decodes(M, boolean_sum(M, S))
     s = list(arithmetic_sum(M, S))
     assert_same_decodes(M, s)
@@ -250,13 +249,11 @@ def test_column_view_is_the_transposition():
     for _ in range(200):
         M = random_matrix(rng, rng.randint(1, 14), rng.randint(1, 20), rng.random())
         assert M.cols == core._columns(M)
-        assert all(M.cols[c] == sum(bit << r for r, bit in enumerate(M.column(c)))
-                   for c in range(M.n))
+        assert all(M.cols[c] >> r & 1 == M.entry(r, c)
+                   for c in range(M.n) for r in range(M.m))
 
 
 def test_column_view_is_built_once_per_matrix(monkeypatch):
-    spec = SuperSelectorSpec(8, 2, (1, 2))
-    M = BitMatrix(8, construct_derandomized(spec).rows)
     calls = []
     transpose = core._columns
 
@@ -265,10 +262,15 @@ def test_column_view_is_built_once_per_matrix(monkeypatch):
         return transpose(M)
 
     monkeypatch.setattr(core, "_columns", counting)
-    assert is_superselector(M, spec)
-    assert calls == [M]
-    # The second check, the selector check and a decode reuse the view.
-    assert is_superselector(M, spec)
-    assert is_selector(M, 2, 1)
-    identify_from_union(M, spec, boolean_sum(M, (1, 5)))
-    assert calls == [M]
+    # (10,3,(1,2,2)) has zero rows between nonzero ones and reaches the
+    # level-3 tables, which read the view of M itself.
+    for spec in (SuperSelectorSpec(8, 2, (1, 2)), SuperSelectorSpec(10, 3, (1, 2, 2))):
+        M = BitMatrix(spec.n, construct_derandomized(spec).rows)
+        calls.clear()
+        assert is_superselector(M, spec)
+        assert calls == [M]
+        # The second check, the selector check and a decode reuse the view.
+        assert is_superselector(M, spec)
+        assert is_selector(M, 2, 1)
+        identify_from_union(M, spec, boolean_sum(M, (1, 5)))
+        assert calls == [M]
