@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import floor, isqrt
+from math import isqrt
 from typing import Sequence
 
 from .core import (
@@ -24,7 +24,11 @@ from .core import (
     row_vector,
 )
 from .construct import construct_derandomized
-from .decode import DecodeResult, identify_from_union
+from .decode import (
+    DecodeResult,
+    InconsistentObservationError,
+    identify_from_union,
+)
 
 
 def approx_gt_spec(p: int, e0: int, e1: int, n: int) -> SuperSelectorSpec:
@@ -62,24 +66,6 @@ def mut_spec(r: int, k: int, n: int) -> SuperSelectorSpec:
         raise InputError(f"outer level {2 * r} exceeds n={n}")
     v = tuple(range(1, k + 1)) + (k,) * (2 * r - 1 - k) + (r + 1,)
     return SuperSelectorSpec(n, 2 * r, v)
-
-
-def fut_spec(p: int, alpha: float, n: int) -> SuperSelectorSpec:
-    """Spec for alpha-fraction user tracing: outer level 2p with
-    v_i = floor(alpha * i) + 1, so any union of at most p sets exposes
-    more than an alpha fraction of its members.
-
-    The constraint shape extrapolates the tracing regime to general
-    alpha within [1/2, 1 - 1/p].
-    """
-    if p < 2:
-        raise InputError("need p >= 2")
-    if not 0.5 <= alpha <= 1.0 - 1.0 / p:
-        raise InputError(f"alpha={alpha} outside [1/2, 1 - 1/p]")
-    if 2 * p > n:
-        raise InputError(f"outer level {2 * p} exceeds n={n}")
-    v = tuple(floor(alpha * i) + 1 for i in range(1, 2 * p + 1))
-    return SuperSelectorSpec(n, 2 * p, v)
 
 
 def list_disjunct_params(d: int, l: int, n: int) -> tuple:
@@ -155,16 +141,40 @@ class MonotoneEncoding:
         return tuple(word)
 
     def decode(self, word: Sequence[int]) -> tuple:
+        """Invert encode. A word that encode gives for no set of at most
+        k members raises InconsistentObservationError: it pins more than
+        k members, or a level's block is not the Boolean sum of the
+        members still unpinned there. With each block that sum, identify
+        pins only unpinned members, as in encode, so an accepted word is
+        encode's word for the set returned."""
         if len(word) != self.total_length:
             raise InputError(
                 f"codeword length {len(word)} != {self.total_length}"
             )
         members = set()
+        blocks = []
         offset = 0
         for M, _ in self.levels:
             hit = row_mask(word[offset:offset + M.m])
-            members.update(identify(M.cols, hit)[0])
+            pinned = identify(M.cols, hit)[0]
+            members.update(pinned)
+            blocks.append((M.cols, hit, pinned))
             offset += M.m
+        if len(members) > self.k:
+            raise InconsistentObservationError(
+                f"word pins {len(members)} members, more than k = {self.k}"
+            )
+        residual = set(members)
+        for level, (cols, hit, pinned) in enumerate(blocks):
+            union = 0
+            for c in residual:
+                union |= cols[c]
+            if union != hit:
+                raise InconsistentObservationError(
+                    f"block {level} is not the sum of the members "
+                    f"unpinned before it"
+                )
+            residual.difference_update(pinned)
         return tuple(sorted(members))
 
 
@@ -239,20 +249,41 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
 def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     """Invert compress: recompute the candidate list from y and read the
     support off the mask. An entry of y or z other than 0 or 1 raises
-    InputError."""
+    InputError. A word that compress gives for no vector with at most p
+    ones raises InconsistentObservationError: more than 2p candidates, a
+    mask bit beyond them, more than p bits set, or a support whose
+    columns do not OR to y. Otherwise compress gives w back, since the
+    candidates and the mask are the same."""
     if len(w.y) != M.m:
         raise InputError(f"union part has length {len(w.y)}, matrix m={M.m}")
     if len(w.z) != 2 * p:
         raise InputError(f"mask length {len(w.z)} != 2p = {2 * p}")
     _check_bits((*w.y, *w.z), "word")
-    L = identify(M.cols, row_mask(w.y))[1]
+    cols = M.cols
+    hit = row_mask(w.y)
+    L = identify(cols, hit)[1]
+    if len(L) > 2 * p:
+        raise InconsistentObservationError(
+            f"union part covers {len(L)} candidates, more than 2p = {2 * p}"
+        )
     support = set()
     for k, bit in enumerate(w.z):
         if not bit:
             continue
         if k >= len(L):
-            raise InputError(
+            raise InconsistentObservationError(
                 f"mask bit {k} selects beyond the {len(L)} candidates"
             )
         support.add(L[k])
+    if len(support) > p:
+        raise InconsistentObservationError(
+            f"mask selects {len(support)} columns, more than p = {p}"
+        )
+    union = 0
+    for c in support:
+        union |= cols[c]
+    if union != hit:
+        raise InconsistentObservationError(
+            "the selected columns do not OR to the union part"
+        )
     return tuple(1 if c in support else 0 for c in range(M.n))

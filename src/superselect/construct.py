@@ -12,7 +12,10 @@ lowers it, so it ends with every subset satisfied; the fill checks that
 invariant after every entry. Entry (r, c) can change only the subsets
 that contain column c, and a static per-column index lists exactly those
 by how many of their columns follow c, so a fill costs at most
-m * sum_j j*C(n,j) subset evaluations over the constrained levels j.
+m * sum_j j*C(n,j) subset evaluations over the levels j that
+`sizing.fill_spec` keeps: the implied levels hold once the kept ones do,
+so the fill tracks none of their subsets, while the exhaustive check of
+the finished matrix still judges the full spec.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .core import (
     is_superselector,
     row_mask,
 )
-from .sizing import SampleDistribution, derand_threshold
+from .sizing import SampleDistribution, derand_threshold, fill_spec
 
 
 class ConstructionFailure(RuntimeError):
@@ -140,7 +143,9 @@ class DerandState:
 
     def __init__(self, spec: SuperSelectorSpec,
                  budget: int = DEFAULT_SUBSET_BUDGET):
-        self.spec = spec
+        # Only the levels fill_spec keeps are tracked; meeting them meets
+        # the spec given.
+        self.spec = spec = fill_spec(spec)
         self.m = derand_threshold(spec)
         n, p = spec.n, spec.p
         self.n = n

@@ -59,6 +59,25 @@ def _log2_ratio(n: int, j: int) -> float:
         return log2(n) - log2(j)
 
 
+def fill_spec(spec: SuperSelectorSpec) -> SuperSelectorSpec:
+    """The spec with every implied level's v_i set to 0; p, and with it
+    x = (p-1)/p, stay.
+
+    Level i is implied when v_i <= max over j > i of v_j - (j - i): drop a
+    column from a j-set and the same rows still isolate at least v_j - 1
+    of the columns that remain, and p <= n, so every i-set extends to a
+    j-set. Walking down from level p, `best` is that maximum.
+    """
+    v = list(spec.v)
+    best = 0
+    for i in range(spec.p - 1, -1, -1):
+        vi = v[i]
+        if vi <= best:
+            v[i] = 0
+        best = max(best, vi) - 1
+    return SuperSelectorSpec(spec.n, spec.p, tuple(v))
+
+
 def _constrained(spec: SuperSelectorSpec) -> list:
     return [(j, spec.v[j - 1]) for j in spec.levels()]
 
@@ -150,12 +169,15 @@ def _failure_mass(terms: list, m: int) -> float:
 
 
 def derand_threshold(spec: SuperSelectorSpec) -> int:
-    """Smallest m for which the union-bound failure mass drops below 1.
+    """Smallest m for which the union-bound failure mass of
+    `fill_spec(spec)` drops below 1.
 
-    At this m a random matrix succeeds with positive probability, and the
+    The implied levels are left out of the mass: a matrix that meets the
+    levels `fill_spec` keeps meets the full spec. At this m a random
+    matrix succeeds with positive probability, and the
     conditional-expectations construction is guaranteed to succeed.
     """
-    terms = _log_failure_terms(spec)
+    terms = _log_failure_terms(fill_spec(spec))
     if not terms:
         return 1
     if _failure_mass(terms, 1) < 1.0:

@@ -5,7 +5,8 @@ decoders and the character-at-a-time matrix text codec.
 matrix per call, `additive_decode` scans them again for every column it
 pins, and `boolean_sum` tests the column mask against every row.
 `monotone_encode`/`monotone_decode` and `compress`/`decompress` are the
-application codecs written over those scans. `parse_matrix` and
+application codecs written over those scans, the decoders with the same
+word checks, and messages, as the package's. `parse_matrix` and
 `format_matrix` read and write one character at a time. They are slow
 and are kept only so the column-view decoders and the word-at-a-time
 codec in `superselect` can be checked against them. Do not use them
@@ -122,12 +123,31 @@ def monotone_encode(chain, S) -> tuple:
 
 
 def monotone_decode(chain, word) -> tuple:
+    """The chain's decoder over the row scans, with its checks: at most k
+    members, and each block the Boolean sum of the members still
+    unpinned at its level."""
     members = set()
+    pinned = []
     offset = 0
     for M, spec in chain.levels:
         block = tuple(word[offset:offset + M.m])
         offset += M.m
-        members |= set(identify_from_union(M, spec, block).identified)
+        pinned.append(set(identify_from_union(M, spec, block).identified))
+        members |= pinned[-1]
+    if len(members) > chain.k:
+        raise InconsistentObservationError(
+            f"word pins {len(members)} members, more than k = {chain.k}"
+        )
+    residual = set(members)
+    offset = 0
+    for level, (M, _) in enumerate(chain.levels):
+        if boolean_sum(M, sorted(residual)) != tuple(word[offset:offset + M.m]):
+            raise InconsistentObservationError(
+                f"block {level} is not the sum of the members "
+                f"unpinned before it"
+            )
+        offset += M.m
+        residual -= pinned[level]
     return tuple(sorted(members))
 
 
@@ -152,15 +172,27 @@ def compress(M: BitMatrix, p: int, x) -> CompressedWord:
 
 def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     L = covered_columns(M, w.y)
+    if len(L) > 2 * p:
+        raise InconsistentObservationError(
+            f"union part covers {len(L)} candidates, more than 2p = {2 * p}"
+        )
     support = set()
     for k, bit in enumerate(w.z):
         if not bit:
             continue
         if k >= len(L):
-            raise InputError(
+            raise InconsistentObservationError(
                 f"mask bit {k} selects beyond the {len(L)} candidates"
             )
         support.add(L[k])
+    if len(support) > p:
+        raise InconsistentObservationError(
+            f"mask selects {len(support)} columns, more than p = {p}"
+        )
+    if boolean_sum(M, sorted(support)) != tuple(w.y):
+        raise InconsistentObservationError(
+            "the selected columns do not OR to the union part"
+        )
     return tuple(1 if c in support else 0 for c in range(M.n))
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from superselect import (
     BitMatrix,
     CompressedWord,
+    InconsistentObservationError,
     InputError,
     MonotoneEncoding,
     SuperSelectorSpec,
@@ -21,7 +23,6 @@ from superselect import (
     compress,
     construct_derandomized,
     decompress,
-    fut_spec,
     is_list_disjunct,
     is_superselector,
     list_disjunct_params,
@@ -32,6 +33,14 @@ from superselect import (
     mut_spec,
     selector_spec,
 )
+
+
+def _flipped(rng, bits):
+    """bits with one or two of them, drawn by rng, flipped."""
+    bits = list(bits)
+    for r in rng.sample(range(len(bits)), rng.randint(1, 2)):
+        bits[r] ^= 1
+    return bits
 
 
 # ------------------------------------------------------------ constraint shapes
@@ -88,26 +97,6 @@ def test_mut_spec_rejects_bad_parameters():
         mut_spec(2, 0, 10)
     with pytest.raises(InputError):
         mut_spec(4, 2, 7)
-
-
-def test_fut_spec_shape_and_growth():
-    spec = fut_spec(4, 0.5, 12)
-    assert spec.v == tuple(i // 2 + 1 for i in range(1, 9))
-    for alpha in (0.5, 0.6, 0.75):
-        spec = fut_spec(4, alpha, 12)
-        for i, vi in enumerate(spec.v, start=1):
-            assert vi > alpha * i
-
-
-def test_fut_spec_rejects_bad_parameters():
-    with pytest.raises(InputError):
-        fut_spec(1, 0.5, 8)
-    with pytest.raises(InputError):
-        fut_spec(4, 0.4, 12)
-    with pytest.raises(InputError):
-        fut_spec(4, 0.8, 12)
-    with pytest.raises(InputError):
-        fut_spec(4, 0.5, 7)
 
 
 def test_list_disjunct_params_branches():
@@ -188,6 +177,34 @@ def test_encode_rejects_oversized_sets():
 def test_encode_rejects_repeated_members(S):
     with pytest.raises(InputError):
         monotone_encode(6, 3, S)
+
+
+def test_every_accepted_chain_word_is_a_codeword():
+    # Codewords with one or two bits flipped, and random words: decode
+    # accepts exactly the words that encode gives back.
+    chain = monotone_chain(8, 4)
+    rng = random.Random(3)
+    accepted = rejected = 0
+    for _ in range(1000):
+        if rng.random() < 0.1:
+            word = [rng.randint(0, 1) for _ in range(chain.total_length)]
+        else:
+            S = rng.sample(range(8), rng.randint(0, 4))
+            word = _flipped(rng, chain.encode(S))
+        try:
+            S = chain.decode(word)
+        except InconsistentObservationError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert chain.encode(S) == tuple(word)
+    assert accepted and rejected
+
+
+def test_decode_rejects_more_than_k_members():
+    chain = monotone_chain(8, 4)
+    with pytest.raises(InconsistentObservationError, match="more than k = 4"):
+        chain.decode((1,) * chain.total_length)
 
 
 def test_decode_rejects_wrong_length():
@@ -287,23 +304,51 @@ def test_decompress_rejects_entries_that_are_not_bits(compressor):
         decompress(M, p, CompressedWord(tuple(y), w.z))
 
 
-def test_tampered_mask_flips_one_column(compressor):
+def test_tampered_mask_is_rejected(compressor):
+    # A mask bit flipped on a support of p columns used to decode to x with
+    # one column flipped. Setting a bit now selects more than p columns;
+    # clearing one leaves a support that is rejected or really compresses
+    # to the tampered word.
     M, p = compressor
     x = tuple(1 if c in (1, 4) else 0 for c in range(M.n))
     w = compress(M, p, x)
-    candidates = [k for k in range(2 * p) if w.z[k] == 0]
-    # Flip a zero mask bit that still points inside the candidate list.
-    from superselect import identify, row_mask
-
-    L = identify(M.cols, row_mask(w.y))[1]
-    flippable = [k for k in candidates if k < len(L)]
-    if flippable:
-        k = flippable[0]
+    for k in range(2 * p):
         z = list(w.z)
-        z[k] = 1
-        out = decompress(M, p, CompressedWord(w.y, tuple(z)))
-        diff = [c for c in range(M.n) if out[c] != x[c]]
-        assert diff == [L[k]]
+        z[k] ^= 1
+        tampered = CompressedWord(w.y, tuple(z))
+        if z[k]:
+            with pytest.raises(InconsistentObservationError):
+                decompress(M, p, tampered)
+        else:
+            try:
+                assert compress(M, p, decompress(M, p, tampered)) == tampered
+            except InconsistentObservationError:
+                pass
+
+
+def test_every_accepted_word_is_a_compressed_word(compressor):
+    # Codewords with one or two bits flipped, and random words: decompress
+    # accepts exactly the words that compress gives back.
+    M, p = compressor
+    rng = random.Random(2)
+    accepted = rejected = 0
+    for _ in range(2000):
+        if rng.random() < 0.1:
+            bits = [rng.randint(0, 1) for _ in range(M.m + 2 * p)]
+        else:
+            x = [0] * M.n
+            for c in rng.sample(range(M.n), rng.randint(0, p)):
+                x[c] = 1
+            bits = _flipped(rng, compress(M, p, x).bits)
+        w = CompressedWord(tuple(bits[:M.m]), tuple(bits[M.m:]))
+        try:
+            x = decompress(M, p, w)
+        except InconsistentObservationError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert compress(M, p, x) == w
+    assert accepted and rejected
 
 
 def test_decompress_rejects_malformed_words(compressor):
@@ -342,7 +387,7 @@ def test_app_specs_build_and_certify():
         approx_gt_spec(2, 1, 1, 8),
         additive_gt_spec(2, 8),
         mut_spec(2, 1, 8),
-        fut_spec(2, 0.5, 8),
+        SuperSelectorSpec(8, 4, (1, 2, 2, 3)),
     ):
         M = construct_derandomized(spec)
         assert is_superselector(M, spec)

@@ -375,6 +375,26 @@ def test_compress_and_decompress_reject_entries_that_are_not_bits(
     assert not (tmp_path / "y.txt").exists()
 
 
+def test_decompress_rejects_a_word_compress_never_gives(tmp_path, manifest,
+                                                       capsys):
+    # Clearing one of the two mask bits of x = {0, 3} used to decompress,
+    # with exit 0, to {0}, whose compressed word is another one.
+    p = 2
+    M = construct_derandomized(selector_spec(2 * p, p + 1, 12))
+    word = list(compress(M, p, (1, 0, 0, 1) + (0,) * 8).bits)
+    assert word[M.m:] == [1, 1, 0, 0]
+    word[M.m + 1] = 0
+    rc = main(["decompress", "--matrix", matrix_file(tmp_path, M),
+               "--p", str(p), "--in", vector_file(tmp_path, word, "w.txt"),
+               "--out", str(tmp_path / "y.txt"), "--manifest", manifest])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: the selected columns do not OR to the union part\n"
+    assert not (tmp_path / "y.txt").exists()
+
+
 def test_decompress_rejects_wrong_length(tmp_path, manifest):
     p = 2
     M = construct_derandomized(selector_spec(2 * p, p + 1, 10))
@@ -423,6 +443,19 @@ def test_me_encode_rejects_repeated_member(tmp_path, manifest, capsys):
     assert captured.out == ""
     lines = captured.err.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_me_decode_rejects_a_word_of_all_ones(tmp_path, manifest, capsys):
+    # All 81 ones on the (8, 4) chain used to decode, with exit 0, to more
+    # than k members.
+    rc = main(["me-decode", "--n", "8", "--k", "4", "--word", "1" * 81,
+               "--manifest", manifest])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word pins 6 members, more than k = 4\n"
+    fields = (tmp_path / "runs.tsv").read_text().splitlines()[-1].split("\t")
+    assert fields[6] == "error:InconsistentObservationError"
 
 
 def test_me_decode_rejects_non_binary_word(tmp_path, manifest):

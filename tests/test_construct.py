@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 import random
 import tracemalloc
 from math import comb
@@ -25,6 +26,7 @@ from superselect import (
     construct_derandomized,
     construct_randomized,
     derand_threshold,
+    fill_spec,
     is_superselector,
     sample_random_matrix,
     selector_spec,
@@ -183,6 +185,20 @@ def test_randomized_two_level():
     assert is_superselector(M, spec)
 
 
+@pytest.mark.parametrize("spec", [
+    SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6)),
+    SuperSelectorSpec(20, 4, (1, 2, 2, 3)),
+    SuperSelectorSpec(16, 3, (1, 2, 3)),
+], ids=str)
+def test_randomized_at_filled_threshold_passes_full_spec(spec):
+    # The threshold counts only the levels fill_spec keeps; the sample
+    # that is returned still passes every level of the spec.
+    assert fill_spec(spec) != spec
+    M, _ = construct_randomized(spec, seed=0)
+    assert M.m == derand_threshold(spec) == derand_threshold(fill_spec(spec))
+    assert is_superselector(M, spec)
+
+
 def test_randomized_single_attempt_outcomes():
     # At the threshold a single sample passes for some seeds and not for
     # others; both branches are pinned.
@@ -242,7 +258,8 @@ def _greedy_trace(state):
 
 
 def test_conditional_satisfied_subset_is_certain():
-    spec = SuperSelectorSpec(2, 2, (1, 2))
+    # v_2 = 1 does not imply level 1, so the fill tracks the singletons.
+    spec = SuperSelectorSpec(2, 2, (1, 1))
     state = DerandState(spec)
     state.step(1)
     state.step(0)
@@ -328,11 +345,11 @@ def test_derandomized_expectation_never_drops():
 
 
 def test_expectation_stays_above_invariant_on_tightest_spec():
-    # The tightest corpus spec starts only 1.9e-4 above #subsets - 1; the
+    # The tightest corpus spec starts only 3.9e-3 above #subsets - 1; the
     # proof's invariant must hold after every entry, not just on average.
-    spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
+    spec = SuperSelectorSpec(8, 2, (1, 2))
     state = DerandState(spec)
-    assert 0 < state.expectation - (state.ns - 1) < 1e-3
+    assert 0 < state.expectation - (state.ns - 1) < 5e-3
     trace = _greedy_trace(state)
     assert len(trace) == state.m * spec.n + 1
     assert all(value > state.ns - 1 for value in trace)
@@ -388,6 +405,22 @@ def test_derandomized_random_small_specs(n, data):
     assert is_superselector(M, spec)
 
 
+def test_derandomized_sweep_passes_full_specs():
+    # Every spec with p <= 4 and n <= 10, 635 of the 1,106 with implied
+    # levels: the fill tracks only the levels fill_spec keeps, and each
+    # matrix passes the full spec.
+    reduced = 0
+    for p in range(1, 5):
+        for n in range(p, 11):
+            for v in itertools.product(*(range(j + 1) for j in range(1, p + 1))):
+                spec = SuperSelectorSpec(n, p, v)
+                reduced += fill_spec(spec) != spec
+                M = construct_derandomized(spec)
+                assert M.m == derand_threshold(spec)
+                assert is_superselector(M, spec), spec
+    assert reduced == 635
+
+
 def test_derandomized_budget_guard():
     spec = SuperSelectorSpec(12, 3, (1, 2, 3))
     with pytest.raises(BudgetError):
@@ -395,9 +428,9 @@ def test_derandomized_budget_guard():
 
 
 def test_derandomized_budget_charges_the_index_work():
-    # The fill makes m * (200 + 2*C(200, 2)) = 1,480,000 subset
-    # evaluations at m = 37, well under the default budget; the scan's
-    # m * n * #subsets would have been 148,740,000.
+    # v_2 = 2 implies level 1, so the fill makes m * 2*C(200, 2) =
+    # 1,472,600 subset evaluations at m = 37, well under the default
+    # budget; the scan's m * n * #subsets would have been 147,260,000.
     spec = SuperSelectorSpec(200, 2, (1, 2))
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec) == 37

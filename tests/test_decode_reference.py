@@ -186,10 +186,16 @@ def test_monotone_chain_gives_the_row_scan_codewords():
             word = chain.encode(S)
             assert word == ref.monotone_encode(chain, S)
             assert chain.decode(word) == ref.monotone_decode(chain, word) == S
+    # Random words, and codewords with one or two bits flipped: both
+    # decoders accept the same words and reject the rest alike.
     rng = random.Random(7)
     for _ in range(300):
         word = tuple(rng.randint(0, 1) for _ in range(chain.total_length))
-        assert chain.decode(word) == ref.monotone_decode(chain, word)
+        assert outcome(chain.decode, word) == outcome(ref.monotone_decode, chain, word)
+        word = list(chain.encode(rng.sample(range(8), rng.randint(0, 4))))
+        for r in rng.sample(range(chain.total_length), rng.randint(1, 2)):
+            word[r] ^= 1
+        assert outcome(chain.decode, word) == outcome(ref.monotone_decode, chain, word)
 
 
 def test_compress_gives_the_row_scan_words():
@@ -205,6 +211,14 @@ def test_compress_gives_the_row_scan_words():
     for _ in range(300):
         w = CompressedWord(tuple(rng.randint(0, 1) for _ in range(M.m)),
                            tuple(rng.randint(0, 1) for _ in range(2 * p)))
+        assert outcome(decompress, M, p, w) == outcome(ref.decompress, M, p, w)
+        x = [0] * M.n
+        for c in rng.sample(range(M.n), rng.randint(0, p)):
+            x[c] = 1
+        bits = list(compress(M, p, x).bits)
+        for r in rng.sample(range(len(bits)), rng.randint(1, 2)):
+            bits[r] ^= 1
+        w = CompressedWord(tuple(bits[:M.m]), tuple(bits[M.m:]))
         assert outcome(decompress, M, p, w) == outcome(ref.decompress, M, p, w)
 
 

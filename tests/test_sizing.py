@@ -9,6 +9,7 @@ from superselect.sizing import (
     LOG2_E,
     SampleDistribution,
     derand_threshold,
+    fill_spec,
     selector_upper_bound,
     superselector_lower_bound,
     superselector_upper_bound,
@@ -155,6 +156,34 @@ def test_lower_bound_vanishes_at_n_equal_p():
     assert superselector_lower_bound(selector_spec(6, 3, 6)).m == 0
 
 
+# --- implied levels ---
+
+@pytest.mark.parametrize("spec, kept", [
+    (SuperSelectorSpec(20, 4, (1, 2, 2, 3)), (0, 2, 0, 3)),
+    (SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6)), (0, 0, 0, 0, 0, 6)),
+    (SuperSelectorSpec(16, 3, (1, 2, 3)), (0, 0, 3)),
+    (SuperSelectorSpec(8, 8, (1, 2, 2, 3, 3, 4, 4, 5)), (0, 2, 0, 3, 0, 4, 0, 5)),
+    (selector_spec(4, 3, 12), (0, 0, 0, 3)),
+    (SuperSelectorSpec(8, 2, (0, 1)), (0, 1)),
+    (SuperSelectorSpec(14, 3, (1, 1, 1)), (1, 1, 1)),
+], ids=str)
+def test_fill_spec_zeroes_exactly_the_implied_levels(spec, kept):
+    filled = fill_spec(spec)
+    assert (filled.n, filled.p, filled.v) == (spec.n, spec.p, kept)
+    assert fill_spec(filled) == filled
+
+
+@given(st.integers(1, 7), st.data())
+def test_fill_spec_follows_the_definition(p, data):
+    # Level i is zeroed exactly when some higher level j has
+    # v_j - (j - i) >= v_i; the top level is never zeroed.
+    v = tuple(data.draw(st.integers(0, j)) for j in range(1, p + 1))
+    filled = fill_spec(SuperSelectorSpec(p, p, v)).v
+    for i in range(1, p + 1):
+        implied = any(v[j - 1] - (j - i) >= v[i - 1] for j in range(i + 1, p + 1))
+        assert filled[i - 1] == (0 if implied else v[i - 1])
+
+
 # --- derandomization threshold ---
 
 def test_threshold_single_column_spec():
@@ -167,14 +196,15 @@ def test_threshold_vacuous_spec():
 
 def test_threshold_matches_direct_mass_evaluation():
     # The returned m is the first where the union-bound failure mass
-    # drops below one.
+    # drops below one, summed over the levels fill_spec keeps: v_2 = 2
+    # implies level 1.
     spec = SuperSelectorSpec(10, 3, (1, 2, 2))
     m = derand_threshold(spec)
     x = 2 / 3
 
     def mass(rows):
         total = 0.0
-        for j, vj in ((1, 1), (2, 2), (3, 2)):
+        for j, vj in ((2, 2), (3, 2)):
             r = j - vj + 1
             alpha = x ** (j - 1) * (1 - x)
             total += comb(10, j) * comb(j, r) * (1 - r * alpha) ** rows
