@@ -4,9 +4,10 @@ the fully deterministic conditional-expectations fill.
 The deterministic fill fixes entries in row-major order. For every
 tracked column subset S, identified by its column mask, it maintains the
 exact probability that a random completion of the matrix still realizes
-enough distinct unit rows inside M(S), and it picks each bit to maximize
-the sum of those probabilities: bit 1 exactly when the difference d of
-the two hypothesis sums exceeds a tie slack. At the threshold row count
+enough distinct unit rows inside M(S), read off one `success_table` per
+level, and it picks each bit to maximize the sum of those
+probabilities: bit 1 exactly when the difference d of the two
+hypothesis sums exceeds a tie slack. At the threshold row count
 the sum starts above (number of subsets) - 1 and a greedy choice never
 lowers it, so it ends with every subset satisfied; the fill checks that
 invariant after every entry. Entry (r, c) can change only the subsets
@@ -35,7 +36,7 @@ from .core import (
     is_superselector,
     row_mask,
 )
-from .sizing import SampleDistribution, derand_threshold, fill_spec
+from .sizing import derand_threshold, fill_spec, level_alpha
 
 
 class ConstructionFailure(RuntimeError):
@@ -54,56 +55,30 @@ class PrecisionFault(RuntimeError):
     CLI exits 1."""
 
 
-class FTable:
-    """Tabulated f(a, b, c): the probability that a rows drawn from
-    `distribution` realize at least b of c designated unit patterns.
+def success_table(m: int, j: int, vj: int, alpha: float) -> list:
+    """tab[a][b] = f(a, b, b + j - vj) for a <= m and b <= vj: one
+    diagonal of f(a, b, c), the chance that a random rows, each one given
+    unit row with chance alpha, realize at least b of c designated unit
+    patterns.
 
-    Boundary values: f(a, 0, c) = 1; f(a, b, c) = 0 when b > a or b > c.
-    Interior: f(a, b, c) = (1 - alpha*c) f(a-1, b, c)
-                           + alpha*c f(a-1, b-1, c-1).
+    f(a, 0, c) = 1, and f(a, b, c) = (1 - alpha*c) f(a-1, b, c)
+    + alpha*c f(a-1, b-1, c-1), which stays on its diagonal c - b. The
+    fill reads no other: a subset of level j with a of its j patterns
+    realized still needs b = vj - a of its c = j - a unrealized ones, so
+    c - b = j - vj, and realizing one more moves it to (b - 1, c - 1),
+    the same diagonal; the start value f(m, vj, j) lies on it too.
+    Entries with b > a come out exactly 0.0.
     """
-
-    __slots__ = ("m", "width", "k_max", "distribution", "_tab")
-
-    def __init__(self, m: int, width: int, k_max: int, distribution: SampleDistribution):
-        if m < 0 or width < 1 or not 0 <= k_max <= width:
-            raise InputError(
-                f"bad f-table shape m={m}, width={width}, k_max={k_max}"
-            )
-        self.m = m
-        self.width = width
-        self.k_max = k_max
-        self.distribution = distribution
-        alpha = distribution.alpha
-        # f(a, 0, c) = 1 for every a, so one b = 0 row serves all a; the
-        # recurrence writes only rows b >= 1.
-        ones = [1.0] * (width + 1)
-        tab = [[ones] + [[0.0] * (width + 1) for _ in range(k_max)]
-               for _ in range(m + 1)]
-        for a in range(1, m + 1):
-            prev = tab[a - 1]
-            cur = tab[a]
-            for b in range(1, k_max + 1):
-                prev_b = prev[b]
-                prev_b1 = prev[b - 1]
-                cur_b = cur[b]
-                for c in range(b, width + 1):
-                    ac = alpha * c
-                    cur_b[c] = (1.0 - ac) * prev_b[c] + ac * prev_b1[c - 1]
-        self._tab = tab
-
-    def f(self, a: int, b: int, c: int) -> float:
-        if b <= 0:
-            return 1.0
-        if not 0 <= a <= self.m:
-            raise InputError(f"a={a} outside [0, {self.m}]")
-        if not 0 <= c <= self.width:
-            raise InputError(f"c={c} outside [0, {self.width}]")
-        if b > self.k_max:
-            raise InputError(f"b={b} exceeds tabulated k_max={self.k_max}")
-        if b > c or b > a:
-            return 0.0
-        return self._tab[a][b][c]
+    gap = j - vj
+    tab = [[1.0] + [0.0] * vj]
+    for _ in range(m):
+        prev = tab[-1]
+        cur = [1.0]
+        for b in range(1, vj + 1):
+            ac = alpha * (b + gap)
+            cur.append((1.0 - ac) * prev[b] + ac * prev[b - 1])
+        tab.append(cur)
+    return tab
 
 
 class DerandState:
@@ -117,6 +92,8 @@ class DerandState:
     d = T1 - T0 of the two hypotheses over the listed subsets only,
     bucket by bucket; the untouched subsets add the same to both sides.
     A fill therefore does at most m * sum_j j*C(n,j) subset evaluations.
+    The per-code tables hold p * sum_j sum_{a <= v_j} C(j, a) entries
+    each; the budget guard charges the sum of the two before allocating.
 
     A subset is identified by its column mask (subsets are numbered level
     by level in ascending mask order, which is colex order). Its state is
@@ -127,13 +104,13 @@ class DerandState:
     over S (no ones, one lone one, dead) is read off the row's fixed bits,
     so nothing is reset between rows. A subset adds (w1 - w0)*g to d,
     where w is the chance that the row realizes a new unit pattern and
-    g = f1 - f0; g is one value per class and row, and w1 - w0 depends on
-    q and on the alive pattern from c on, so w is a per-code table made
-    at init for every bucket, each row scales it by g, and a term costs
-    one lookup. The pass over bucket 0 also lists the subsets that
-    realize a pattern under each bit. A satisfied subset leaves the
-    index; once none is left, every later d is exactly 0.0 and `run`
-    appends the all-zero rows.
+    g = f1 - f0, read off the level's `success_table`; g is one value per
+    class and row, and w1 - w0 depends on q and on the alive pattern from
+    c on, so w is a per-code table made at init for every bucket, each
+    row scales it by g, and a term costs one lookup. The pass over
+    bucket 0 also lists the subsets that realize a pattern under each
+    bit. A satisfied subset leaves the index; once none is left, every
+    later d is exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far. Each subset's current probability is the
@@ -153,12 +130,13 @@ class DerandState:
         self._omx = omx = 1.0 - self.x
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
-        # evaluations; charge that before enumerating the subsets.
-        _budget_guard(self.m * sum(j * comb(n, j) for j in levels), budget)
-        self._tables = {
-            j: FTable(self.m, j, spec.v[j - 1],
-                      SampleDistribution(j, self.x)) for j in levels
-        }
+        # evaluations, and _w, _next and each row's _wg hold p entries per
+        # code; charge both before allocating either.
+        _budget_guard(self.m * sum(j * comb(n, j) for j in levels)
+                      + p * sum(comb(j, a) for j in levels
+                                for a in range(spec.v[j - 1] + 1)), budget)
+        self._tables = {j: success_table(self.m, j, spec.v[j - 1],
+                                         level_alpha(p, j)) for j in levels}
         xpow = [self.x ** q for q in range(p + 1)]
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
         # one of each level is satisfied. Codes are the (class k, alive
@@ -223,22 +201,23 @@ class DerandState:
         # Every subset starts at f(m, v_j, j); summed in subset order.
         self.expectation = sum([
             f for j in levels
-            for f in [self._tables[j].f(self.m, spec.v[j - 1], j)] * comb(n, j)
+            for f in [self._tables[j][self.m][spec.v[j - 1]]] * comb(n, j)
         ])
 
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
-        g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class:
+        g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, two
+        neighbours on its level's success table:
         _wg[q][code] = w * g and _xg[q][class] = x^q * g."""
         rem = self.m - self.r - 1
         g = [0.0] * len(self._classes)
         for k, (j, a) in enumerate(self._classes):
             need = self.spec.v[j - 1] - a
             if need > 0:
-                row = self._tables[j]._tab[rem]
-                # need <= pool always, and the table holds exact zeros
-                # where need > rem, so no boundary cases remain.
-                g[k] = row[need - 1][j - a - 1] - row[need][j - a]
+                # The table holds exact zeros where need > rem, so no
+                # boundary cases remain.
+                row = self._tables[j][rem]
+                g[k] = row[need - 1] - row[need]
         gc = list(map(g.__getitem__, self._code_cls))
         self._wg = [list(map(mul, w, gc)) for w in self._w]
         self._xg = [[xq * gk for gk in g] for xq in self._xpow]

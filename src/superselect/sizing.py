@@ -1,5 +1,6 @@
 """Row-count formulas: closed-form upper and lower bounds, per-level
-selector sizes, and the exact union-bound threshold the constructors use.
+selector sizes, and the exact union-bound threshold the constructors use,
+with the per-row unit-pattern chance alpha_j it shares with the fill.
 
 All logarithms here are base 2. Bounds are returned as ceilings since row
 counts are integers.
@@ -7,40 +8,12 @@ counts are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, comb, e, exp, inf, log2
 
 from .core import InputError, SuperSelectorSpec
 
 LOG2_E = log2(e)
-
-
-@dataclass(frozen=True)
-class SampleDistribution:
-    """Entry distribution for width-p random submatrices.
-
-    Entries are 0 with probability x (default (p-1)/p), so a designated
-    unit row of I_p appears in a given row with probability
-    alpha = x^(p-1) * (1-x).
-
-    p is the width of the submatrix being modelled; x stays at the outer
-    construction's value when p is an inner subset size.
-    """
-
-    p: int
-    x: float = field(default=None)
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise InputError(f"level parameter must be >= 1, got {self.p}")
-        if self.x is None:
-            object.__setattr__(self, "x", (self.p - 1) / self.p)
-        if not 0.0 <= self.x < 1.0:
-            raise InputError(f"zero-probability x={self.x} outside [0, 1)")
-
-    @property
-    def alpha(self) -> float:
-        return self.x ** (self.p - 1) * (1.0 - self.x)
 
 
 @dataclass(frozen=True)
@@ -50,6 +23,18 @@ class SizeBound:
 
     m: int
     per_level: tuple
+
+
+def level_alpha(p: int, j: int) -> float:
+    """alpha_j = x^(j-1) * (1-x), x = (p-1)/p: the chance that a row of a
+    random matrix with outer level p is one given unit row over j columns.
+
+    The threshold's failure mass and the fill's success tables both use
+    it; the fill's start expectation clears #subsets - 1 only because the
+    two agree.
+    """
+    x = (p - 1) / p
+    return x ** (j - 1) * (1.0 - x)
 
 
 def _log2_ratio(n: int, j: int) -> float:
@@ -140,14 +125,12 @@ def _log_failure_terms(spec: SuperSelectorSpec) -> list:
 
     The union-bound failure mass at m rows is
     sum_j C(n,j) * C(j, j-v_j+1) * (1 - (j-v_j+1) * alpha_j)^m
-    with alpha_j = x^(j-1) * (1-x) and x = (p-1)/p fixed by the outer p.
+    with alpha_j from `level_alpha`, its x fixed by the outer p.
     """
-    x = (spec.p - 1) / spec.p
     terms = []
     for j, vj in _constrained(spec):
         r = j - vj + 1
-        alpha = SampleDistribution(j, x).alpha
-        base = 1.0 - r * alpha
+        base = 1.0 - r * level_alpha(spec.p, j)
         count = comb(spec.n, j) * comb(j, r)
         if base <= 0.0:
             # The per-row hit probability already covers the whole event;

@@ -15,15 +15,16 @@ def current(state, i: int) -> float:
     c, mask, alive = state.c, state._mask[i], state._alive[i]
     j, a = state._classes[state._code_cls[code]]
     need = state.spec.v[j - 1] - a
-    table = state._tables[j]
+    tab = state._tables[j]
     unfixed = (mask >> c).bit_count()
     if unfixed == 0 or unfixed == j:
         # Row r over S is complete, or not begun: whole rows remain.
         rows = state.m - state.r - (1 if unfixed == 0 else 0)
-        return table.f(rows, need, j - a)
+        return tab[rows][need]
     rem = state.m - state.r - 1
-    f0 = table.f(rem, need, j - a)
-    f1 = table.f(rem, need - 1, j - a - 1)
+    # f(rem, need, j - a) and f(rem, need - 1, j - a - 1).
+    f0 = tab[rem][need]
+    f1 = tab[rem][need - 1]
     pre = state.row_bits & mask
     if not pre:
         pr = (alive >> c).bit_count() * state.x ** (unfixed - 1) * state._omx

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from superselect import FTable, SampleDistribution, SuperSelectorSpec, derand_threshold
+from reference_ftable import FTable, SampleDistribution
+from superselect import SuperSelectorSpec, derand_threshold
 
 
 def _colex_combinations(n: int, j: int) -> list:

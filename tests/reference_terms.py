@@ -24,7 +24,8 @@ from __future__ import annotations
 from math import comb
 from operator import mul
 
-from superselect import FTable, SampleDistribution, SuperSelectorSpec, derand_threshold
+from reference_ftable import FTable, SampleDistribution
+from superselect import SuperSelectorSpec, derand_threshold
 
 
 class ReferenceTerms:

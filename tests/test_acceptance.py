@@ -17,8 +17,6 @@ import time
 import pytest
 
 from superselect import (
-    FTable,
-    SampleDistribution,
     SuperSelectorSpec,
     additive_decode,
     additive_gt_spec,
@@ -40,6 +38,8 @@ from superselect import (
     selector_upper_bound,
     superselector_upper_bound,
 )
+from superselect.construct import success_table
+from superselect.sizing import level_alpha
 
 SUITE = (
     SuperSelectorSpec(6, 2, (1, 2)),
@@ -90,8 +90,10 @@ def test_criterion_04_f_table_against_monte_carlo():
     cases = ((6, 1, 2, 3), (8, 2, 3, 4))
     samples = 100_000
     for m, want, designated, p in cases:
-        table = FTable(m, p, designated, SampleDistribution(p))
-        value = table.f(m, want, designated)
+        # f(m, want, designated) on the diagonal of level p with
+        # v_p - want = p - designated.
+        vp = p - designated + want
+        value = success_table(m, p, vp, level_alpha(p, p))[m][want]
         x = (p - 1) / p
         rng = random.Random(97 + m)
         hits = 0

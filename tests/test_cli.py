@@ -67,15 +67,17 @@ def vector_file(tmp_path, vec, name="vec.txt"):
 
 
 def test_bounds_output(tmp_path, manifest, capsys):
-    spec = SuperSelectorSpec(8, 2, (1, 2))
-    rc = main(["bounds", "--spec", spec_file(tmp_path, spec),
-               "--manifest", manifest])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == f"upper={superselector_upper_bound(spec).m}"
-    assert lines[1] == f"lower={superselector_lower_bound(spec).m}"
-    assert lines[2] == f"threshold={derand_threshold(spec)}"
-    assert lines[3].startswith("selector=")
+    for spec in [SuperSelectorSpec(8, 2, (1, 2)), SuperSelectorSpec(8, 2, (0, 0))]:
+        rc = main(["bounds", "--spec", spec_file(tmp_path, spec),
+                   "--manifest", manifest])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == f"upper={superselector_upper_bound(spec).m}"
+        assert lines[1] == f"lower={superselector_lower_bound(spec).m}"
+        assert lines[2] == f"threshold={derand_threshold(spec)}"
+        assert lines[3].startswith("selector=")
+    # The last spec has no constrained level, so no selector level to read.
+    assert lines[3] == "selector=1"
 
 
 def test_bounds_accepts_crlf_files(tmp_path, manifest, capsys):
@@ -519,6 +521,10 @@ def _superscript_spec_header(tmp_path):
     return ["bounds", "--spec", write(tmp_path / "s.txt", "\u00b2 2\n1 2\n")]
 
 
+def _missing_v_line(tmp_path):
+    return ["bounds", "--spec", write(tmp_path / "s.txt", "2 2\n")]
+
+
 def _not_utf8_spec(tmp_path):
     return ["bounds", "--spec", write_bytes(tmp_path / "s.txt", b"\xff\xfe")]
 
@@ -606,11 +612,13 @@ def _failing_verify(tmp_path):
     (_surrogate_spec, 2, "error:UnicodeEncodeError"),
     (_surrogate_matrix, 2, "error:UnicodeEncodeError"),
     (_surrogate_in, 2, "error:UnicodeEncodeError"),
+    (_missing_v_line, 2, "error:ParseError"),
 ], ids=["malformed-matrix", "superscript-matrix-header",
         "superscript-spec-header", "not-utf8-spec", "not-utf8-matrix",
         "not-utf8-obs", "over-budget", "random-over-budget",
         "attempts-exhausted", "inconsistent-observation", "failing-verify",
-        "surrogate-out", "surrogate-spec", "surrogate-matrix", "surrogate-in"])
+        "surrogate-out", "surrogate-spec", "surrogate-matrix", "surrogate-in",
+        "missing-v-line"])
 def test_failed_run_writes_one_manifest_line(tmp_path, manifest, capsys,
                                              make_argv, code, verdict):
     argv = make_argv(tmp_path)

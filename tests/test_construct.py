@@ -18,10 +18,8 @@ from superselect import (
     BudgetError,
     ConstructionFailure,
     DerandState,
-    FTable,
     InputError,
     PrecisionFault,
-    SampleDistribution,
     SuperSelectorSpec,
     construct_derandomized,
     construct_randomized,
@@ -31,6 +29,8 @@ from superselect import (
     sample_random_matrix,
     selector_spec,
 )
+from superselect.construct import success_table
+from superselect.sizing import level_alpha
 from test_acceptance import SUITE
 from test_fill_reference import APP_SPECS
 
@@ -38,62 +38,69 @@ from test_fill_reference import APP_SPECS
 # ---------------------------------------------------------------- f-table
 
 
+def _f_table(m: int, j: int, vj: int) -> tuple:
+    """The level-j table of a width-j matrix, with its alpha, and a
+    reader f(a, b, c) for the points on its diagonal c - b = j - vj."""
+    alpha = level_alpha(j, j)
+    tab = success_table(m, j, vj, alpha)
+
+    def f(a, b, c):
+        assert c - b == j - vj
+        return tab[a][b]
+    return tab, alpha, f
+
+
 def test_f_table_boundaries():
-    tab = FTable(5, 3, 3, SampleDistribution(3))
-    assert tab.f(0, 0, 0) == 1.0
-    assert tab.f(4, 0, 2) == 1.0
-    assert tab.f(2, 3, 3) == 0.0  # more patterns than rows
-    assert tab.f(4, 3, 2) == 0.0  # more patterns than columns
-    assert tab.f(5, -1, 1) == 1.0
+    _, _, f = _f_table(5, 3, 3)
+    assert f(0, 0, 0) == 1.0
+    assert f(4, 0, 0) == 1.0
+    assert f(2, 3, 3) == 0.0  # more patterns than rows
+    _, _, f = _f_table(5, 3, 2)
+    assert f(4, 0, 1) == 1.0
+    assert f(1, 2, 3) == 0.0  # more patterns than rows
 
 
 def test_f_table_single_step_is_alpha():
-    tab = FTable(3, 2, 2, SampleDistribution(2))
-    alpha = tab.distribution.alpha
-    assert tab.f(1, 1, 1) == pytest.approx(alpha)
-    assert tab.f(1, 1, 2) == pytest.approx(2 * alpha)
+    _, alpha, f = _f_table(3, 2, 2)
+    assert f(1, 1, 1) == pytest.approx(alpha)
+    _, alpha, f = _f_table(3, 2, 1)
+    assert f(1, 1, 2) == pytest.approx(2 * alpha)
 
 
 def test_f_table_recurrence_residual():
-    tab = FTable(8, 4, 4, SampleDistribution(4))
-    alpha = tab.distribution.alpha
-    for a in range(1, 9):
-        for b in range(1, 5):
-            for c in range(b, 5):
-                step = (1 - alpha * c) * tab.f(a - 1, b, c) \
-                    + alpha * c * tab.f(a - 1, b - 1, c - 1)
-                assert tab.f(a, b, c) == pytest.approx(step, abs=1e-12)
+    for vj in range(1, 5):
+        tab, alpha, _ = _f_table(8, 4, vj)
+        for a in range(1, 9):
+            for b in range(1, vj + 1):
+                c = b + 4 - vj
+                step = (1 - alpha * c) * tab[a - 1][b] \
+                    + alpha * c * tab[a - 1][b - 1]
+                assert tab[a][b] == pytest.approx(step, abs=1e-12)
 
 
 def test_f_table_monotonicity():
-    tab = FTable(10, 3, 3, SampleDistribution(3))
-    for b in range(1, 4):
-        for c in range(b, 4):
-            for a in range(1, 11):
-                assert tab.f(a, b, c) >= tab.f(a - 1, b, c) - 1e-12
-    for a in range(11):
-        for c in range(4):
-            for b in range(1, 4):
-                assert tab.f(a, b, c) <= tab.f(a, b - 1, max(0, c - 1)) + 1e-12
+    for vj in range(1, 4):
+        tab, _, _ = _f_table(10, 3, vj)
+        for a in range(1, 11):
+            for b in range(1, vj + 1):
+                assert tab[a][b] >= tab[a - 1][b] - 1e-12
+                assert tab[a][b] <= tab[a][b - 1] + 1e-12
 
 
 def test_f_table_range_checks():
-    tab = FTable(4, 3, 2, SampleDistribution(3))
-    with pytest.raises(InputError):
-        tab.f(5, 1, 2)
-    with pytest.raises(InputError):
-        tab.f(2, 1, 4)
-    with pytest.raises(InputError):
-        tab.f(2, 3, 3)
-    with pytest.raises(InputError):
-        FTable(3, 2, 5, SampleDistribution(2))
+    # One row per row count a <= m, one entry per need b <= v_j: the
+    # table holds (m+1)*(v_j+1) values, not (m+1)*(v_j+1)*(j+1).
+    tab, _, _ = _f_table(4, 3, 2)
+    assert len(tab) == 5
+    assert all(len(row) == 3 for row in tab)
+    with pytest.raises(IndexError):
+        tab[2][3]
 
 
 def test_f_table_against_simulation():
     # Count distinct designated unit rows among a = 6 samples of width 3.
     width, a, samples = 3, 6, 100_000
-    tab = FTable(a, width, width, SampleDistribution(width))
-    x = tab.distribution.x
+    x = (width - 1) / width
     rng = random.Random(1009)
     hits = {(1, 2): 0, (2, 3): 0, (1, 1): 0}
     for _ in range(samples):
@@ -106,8 +113,10 @@ def test_f_table_against_simulation():
             if len(seen & set(range(c))) >= b:
                 hits[(b, c)] += 1
     for (b, c), count in hits.items():
+        # (b, c) lies on the diagonal of level width with v = width - c + b.
+        _, _, f = _f_table(a, width, width - c + b)
         est = count / samples
-        want = tab.f(a, b, c)
+        want = f(a, b, c)
         sigma = (want * (1 - want) / samples) ** 0.5
         assert abs(est - want) <= 3.5 * sigma + 1e-9
 
@@ -278,7 +287,7 @@ def test_conditional_dead_row_ignores_bit():
     # Two ones in the row over S: it can no longer be a unit row.
     i = _index(state, 0, 1, 2)
     rem = state.m - 1
-    stuck = state._tables[3].f(rem, 1, 3)
+    stuck = state._tables[3][rem][1]
     assert current(state, i) == pytest.approx(stuck)
     for bit in (0, 1):
         assert current(_forced(state, bit), i) == pytest.approx(stuck)
@@ -425,6 +434,15 @@ def test_derandomized_budget_guard():
     spec = SuperSelectorSpec(12, 3, (1, 2, 3))
     with pytest.raises(BudgetError):
         construct_derandomized(spec, budget=10)
+
+
+def test_derandomized_budget_charges_the_code_tables():
+    # One level with m = 45: the index work is 45 * 16 = 720, but the
+    # per-code tables hold 16 * sum_{a <= 9} C(16, a) = 810,288 entries
+    # each, and the charge counts both before anything is allocated.
+    spec = selector_spec(16, 9, 16)
+    with pytest.raises(BudgetError, match="811008 subset checks"):
+        construct_derandomized(spec, budget=100_000)
 
 
 def test_derandomized_budget_charges_the_index_work():

@@ -248,6 +248,12 @@ def test_identity_is_list_disjunct():
     assert is_list_disjunct(BitMatrix.identity(4), 1, 1)
 
 
+def test_list_disjunct_validates_parameters():
+    for d, l in [(0, 1), (1, 0), (3, 2)]:  # d < 1, l < 1, d + l > n
+        with pytest.raises(InputError):
+            is_list_disjunct(BitMatrix.identity(4), d, l)
+
+
 def test_zero_matrix_is_not_list_disjunct():
     M = matrix_of([[0] * 4] * 2)
     assert not is_list_disjunct(M, 1, 1)

@@ -1,8 +1,9 @@
 """Differential tests of the per-column fill kernel against the frozen
 scan kernel in `reference_scan.py`, of its per-row term tables and its
 code numbering against the frozen pair tables and pattern scan in
-`reference_terms.py`, plus digests of the matrices the benchmark
-workloads and the monotone chain build.
+`reference_terms.py`, of its success tables against the frozen 3-D
+f-table in `reference_ftable.py`, plus digests of the matrices the
+benchmark workloads and the monotone chain build.
 
 The fill tracks only the levels `fill_spec` keeps, so every reference
 is fed `fill_spec(spec)`: the kernel is compared entry by entry on the
@@ -137,6 +138,18 @@ def _same_row_tables(spec):
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
 def test_row_tables_match_pair_tables(spec):
     _same_row_tables(spec)
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_success_tables_match_f_table_diagonal(spec):
+    # Each level's table is the diagonal c - b = j - v_j of the frozen
+    # 3-D f-table, float for float, the start value f(m, v_j, j) included.
+    state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
+    for j, tab in state._tables.items():
+        vj = state.spec.v[j - 1]
+        full = ref.tables[j]._tab
+        assert tab == [[full[a][b][b + j - vj] for b in range(vj + 1)]
+                       for a in range(state.m + 1)], (spec, j)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,29 +7,22 @@ from hypothesis import strategies as st
 from superselect.core import InputError, SuperSelectorSpec, selector_spec
 from superselect.sizing import (
     LOG2_E,
-    SampleDistribution,
     derand_threshold,
     fill_spec,
+    level_alpha,
     selector_upper_bound,
     superselector_lower_bound,
     superselector_upper_bound,
 )
 
 
-# --- sample distribution ---
-
-def test_default_zero_probability():
-    d = SampleDistribution(4)
-    assert d.x == 0.75
-    assert abs(d.alpha - 0.75 ** 3 * 0.25) < 1e-12
-
+# --- row hit probability ---
 
 @given(st.integers(1, 64))
 def test_alpha_matches_closed_form(p):
-    d = SampleDistribution(p)
     x = (p - 1) / p
-    assert 0 <= d.x < 1
-    assert abs(d.alpha - x ** (p - 1) * (1 - x)) < 1e-12
+    for j in range(1, p + 1):
+        assert abs(level_alpha(p, j) - x ** (j - 1) * (1 - x)) < 1e-12
 
 
 # --- upper bounds ---
@@ -72,6 +65,8 @@ def test_selector_rejects_bad_parameters():
         selector_upper_bound(4, 5, 16)
     with pytest.raises(InputError):
         selector_upper_bound(4, 0, 16)
+    with pytest.raises(InputError):
+        selector_upper_bound(4, 2, 3)  # n < p
 
 
 def test_selector_coefficient_dominated_by_simple_bound():
