@@ -4,7 +4,9 @@ set encodings, sparse-vector compression, multi-user tracing, and
 list-disjunct matrix parameters.
 
 Each application reduces to choosing the right constraint vector; the
-decoding side is always the private-1 identification from decode.
+decoding side is always the private-1 identification from decode. The
+codecs take the Boolean sum of a column set from `core.rows_hit`, and
+tracing has no decoder of its own: `mut_decode` is `identify_from_union`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ from .core import (
     identify,
     row_mask,
     row_vector,
+    rows_hit,
 )
 from .construct import construct_derandomized
-from .decode import (
-    DecodeResult,
-    InconsistentObservationError,
-    identify_from_union,
-)
+from .decode import InconsistentObservationError, identify_from_union
 
 
 def approx_gt_spec(p: int, e0: int, e1: int, n: int) -> SuperSelectorSpec:
@@ -59,7 +58,12 @@ def additive_gt_spec(p: int, n: int) -> SuperSelectorSpec:
 
 def mut_spec(r: int, k: int, n: int) -> SuperSelectorSpec:
     """Spec for multi-user tracing: from a union of l <= r member sets,
-    identify at least k (all of them when l < k)."""
+    identify at least k (all of them when l < k).
+
+    The union is decoded as any Boolean sum is: `mut_decode` is
+    `identify_from_union`, and on a matrix that passes this spec it
+    returns at least k members of the union, every member when fewer
+    than k sets are active."""
     if not 1 <= k <= r:
         raise InputError(f"need 1 <= k <= r, got k={k}, r={r}")
     if 2 * r > n:
@@ -77,12 +81,8 @@ def list_disjunct_params(d: int, l: int, n: int) -> tuple:
     return (p, d + 1, n)
 
 
-def mut_decode(M: BitMatrix, spec: SuperSelectorSpec,
-               a: Sequence[int]) -> DecodeResult:
-    """Identify traceable members from a union of user sets; at least k
-    members on a mut_spec(r, k, n) matrix, everything when fewer than k
-    sets are active."""
-    return identify_from_union(M, spec, a)
+# Tracing decodes a union as any union is; mut_spec states its guarantee.
+mut_decode = identify_from_union
 
 
 def _me_level_sizes(k: int) -> tuple:
@@ -131,9 +131,7 @@ class MonotoneEncoding:
         word = []
         for M, _ in self.levels:
             cols = M.cols
-            hit = 0
-            for c in residual:
-                hit |= cols[c]
+            hit = rows_hit(cols, residual)
             word.extend(row_vector(hit, M.m))
             residual.difference_update(identify(cols, hit)[0])
         if residual:
@@ -141,12 +139,14 @@ class MonotoneEncoding:
         return tuple(word)
 
     def decode(self, word: Sequence[int]) -> tuple:
-        """Invert encode. A word that encode gives for no set of at most
-        k members raises InconsistentObservationError: it pins more than
-        k members, or a level's block is not the Boolean sum of the
-        members still unpinned there. With each block that sum, identify
-        pins only unpinned members, as in encode, so an accepted word is
-        encode's word for the set returned."""
+        """Invert encode. An entry other than 0 or 1 raises InputError. A
+        word that encode gives for no set of at most k members raises
+        InconsistentObservationError: it pins more than k members, or a
+        level's block is not the Boolean sum of the members still
+        unpinned there. With each block that sum, identify pins only
+        unpinned members, as in encode, so an accepted word is encode's
+        word for the set returned."""
+        _check_bits(word, "word")
         if len(word) != self.total_length:
             raise InputError(
                 f"codeword length {len(word)} != {self.total_length}"
@@ -166,10 +166,7 @@ class MonotoneEncoding:
             )
         residual = set(members)
         for level, (cols, hit, pinned) in enumerate(blocks):
-            union = 0
-            for c in residual:
-                union |= cols[c]
-            if union != hit:
+            if rows_hit(cols, residual) != hit:
                 raise InconsistentObservationError(
                     f"block {level} is not the sum of the members "
                     f"unpinned before it"
@@ -230,9 +227,7 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     if len(support) > p:
         raise InputError(f"support size {len(support)} exceeds p={p}")
     cols = M.cols
-    hit = 0
-    for c in support:
-        hit |= cols[c]
+    hit = rows_hit(cols, support)
     L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InputError(
@@ -279,10 +274,7 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
         raise InconsistentObservationError(
             f"mask selects {len(support)} columns, more than p = {p}"
         )
-    union = 0
-    for c in support:
-        union |= cols[c]
-    if union != hit:
+    if rows_hit(cols, support) != hit:
         raise InconsistentObservationError(
             "the selected columns do not OR to the union part"
         )

@@ -72,7 +72,6 @@ from .apps import (
     decompress,
     monotone_decode,
     monotone_encode,
-    mut_decode,
     CompressedWord,
 )
 
@@ -282,14 +281,6 @@ def cmd_me_decode(args, run) -> tuple:
     return 0, "set=" + _cols(monotone_decode(args.n, args.k, bits))
 
 
-def cmd_mut_decode(args, run) -> tuple:
-    spec = _read_spec(args, run)
-    M = _read_matrix(args, run)
-    res = mut_decode(M, spec, _read(args.obs, parse_vector))
-    return 0, (f"identified={_cols(res.identified)} "
-               f"candidates={_cols(res.candidates)}")
-
-
 def _build_parser() -> tuple:
     """The top-level parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
@@ -363,11 +354,11 @@ def _build_parser() -> tuple:
     q.add_argument("--word", required=True, help="0/1 codeword string")
     q.set_defaults(func=cmd_me_decode)
 
-    q = add("mut-decode", help="identify traceable users")
+    q = add("mut-decode", help="identify traceable users (decode --mode union)")
     q.add_argument("--matrix", required=True)
     q.add_argument("--spec", required=True)
     q.add_argument("--obs", required=True)
-    q.set_defaults(func=cmd_mut_decode)
+    q.set_defaults(func=cmd_decode, mode="union")
 
     return parser, sub.choices
 

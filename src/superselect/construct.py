@@ -134,7 +134,8 @@ class DerandState:
         # code; charge both before allocating either.
         _budget_guard(self.m * sum(j * comb(n, j) for j in levels)
                       + p * sum(comb(j, a) for j in levels
-                                for a in range(spec.v[j - 1] + 1)), budget)
+                                for a in range(spec.v[j - 1] + 1)), budget,
+                      "fill evaluations and table entries", "the derandomized fill")
         self._tables = {j: success_table(self.m, j, spec.v[j - 1],
                                          level_alpha(p, j)) for j in levels}
         xpow = [self.x ** q for q in range(p + 1)]

@@ -17,10 +17,13 @@ operations on n²-bit ints, plus, once per call, O(m') operations for
 the per-row bitsets and 8·m' table entries. No j-set is visited on its
 own.
 
-Identification (`identify`) works on the same view from the mask of
-rows an observation hits: the candidates are the columns inside that
-mask, and a candidate is identified when it owns a row no other
-candidate hits. A call costs O(n + |candidates|) word operations.
+The mask of rows that a set of columns hits, their Boolean sum, comes
+from one routine, `rows_hit`, which ORs their entries of the column
+view; `boolean_sum`, `is_list_disjunct` and every codec in `apps` call
+it. Identification (`identify`) works on the same view from such a
+mask: the candidates are the columns inside it, and a candidate is
+identified when it owns a row no other candidate hits. A call costs
+O(n + |candidates|) word operations.
 """
 
 from __future__ import annotations
@@ -196,15 +199,20 @@ def row_vector(mask: int, m: int) -> tuple:
     return tuple(format(mask, f"0{m}b")[::-1].encode().translate(_TO_BITS))
 
 
+def rows_hit(cols: Sequence[int], S: Iterable[int]) -> int:
+    """Mask of the rows that the columns S of a column view hit: the OR
+    of cols[c] over c in S, 0 for empty S. Indices are not checked."""
+    hit = 0
+    for c in S:
+        hit |= cols[c]
+    return hit
+
+
 def boolean_sum(M: BitMatrix, S: Iterable[int]) -> tuple:
     """Componentwise OR of the columns in S; empty S gives the zero vector."""
     S = tuple(S)
     column_mask(S, M.n)
-    cols = M.cols
-    hit = 0
-    for c in S:
-        hit |= cols[c]
-    return row_vector(hit, M.m)
+    return row_vector(rows_hit(M.cols, S), M.m)
 
 
 def arithmetic_sum(M: BitMatrix, S: Iterable[int]) -> tuple:
@@ -236,11 +244,12 @@ def identify(cols: Sequence[int], hit: int) -> tuple:
     return tuple([c for c in candidates if cols[c] & once]), tuple(candidates)
 
 
-def _budget_guard(checks: int, budget: int):
+def _budget_guard(checks: int, budget: int, noun: str = "subset checks",
+                  work: str = "brute-force verification"):
     if checks > budget:  # a count past 2^256 is given by its size: str() may fail
         count = checks if checks.bit_length() <= 256 else f"at least 2^{checks.bit_length() - 1}"
-        raise BudgetError(f"{count} subset checks exceed the budget of {budget}; "
-                          "brute-force verification is desk scale only")
+        raise BudgetError(f"{count} {noun} exceed the budget of {budget}; "
+                          f"{work} is desk scale only")
 
 
 def _columns(M: BitMatrix) -> tuple:
@@ -466,11 +475,8 @@ def is_list_disjunct(
         raise InputError(f"d + l = {d + l} exceeds n = {M.n}")
     _budget_guard(comb(M.n, d), budget)
     cols = M.cols
-    for S in itertools.combinations(cols, d):
-        hit = 0
-        for x in S:
-            hit |= x
-        if len(identify(cols, hit)[1]) >= d + l:
+    for S in itertools.combinations(range(M.n), d):
+        if len(identify(cols, rows_hit(cols, S))[1]) >= d + l:
             return False
     return True
 

@@ -207,6 +207,28 @@ def test_decode_rejects_more_than_k_members():
         chain.decode((1,) * chain.total_length)
 
 
+@pytest.mark.parametrize("value", [2, -1, 0.5])
+def test_decode_rejects_entries_that_are_not_bits(value):
+    # A 2, a -1 or a 0.5 in place of a 1 used to read as that 1, so the
+    # word decoded to (1, 5) although encode((1, 5)) is not that word.
+    chain = monotone_chain(8, 4)
+    word = list(chain.encode((1, 5)))
+    k = word.index(1)
+    word[k] = value
+    with pytest.raises(InputError, match=f"word entry {k} is {value}, not a bit"):
+        monotone_decode(8, 4, word)
+
+
+def test_decode_rejects_a_string_word():
+    # Every character of a str is truthy, so "00...0" used to decode as
+    # the all-ones word.
+    chain = monotone_chain(8, 4)
+    with pytest.raises(InputError, match="word entry 0 is '0', not a bit"):
+        chain.decode("0" * chain.total_length)
+    with pytest.raises(InputError, match="not a bit"):
+        monotone_decode(8, 4, "1" + "0" * (chain.total_length - 1))
+
+
 def test_decode_rejects_wrong_length():
     enc = monotone_chain(6, 2)
     with pytest.raises(InputError):

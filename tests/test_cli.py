@@ -481,6 +481,27 @@ def test_mut_decode_command(tmp_path, manifest, capsys):
     assert "identified=0,5" in capsys.readouterr().out
 
 
+def test_mut_decode_runs_the_union_decode(tmp_path, manifest, capsys):
+    import superselect
+    from superselect import mut_spec
+
+    assert superselect.mut_decode is superselect.identify_from_union
+    spec = mut_spec(2, 2, 6)
+    M = construct_derandomized(spec)
+    files = ["--matrix", matrix_file(tmp_path, M), "--spec", spec_file(tmp_path, spec),
+             "--obs", vector_file(tmp_path, boolean_sum(M, (0, 5))), "--manifest", manifest]
+    outs = []
+    for argv in (["mut-decode"], ["decode", "--mode", "union"]):
+        assert main(argv + files) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == ["identified=0,5 candidates=0,5 spurious=0\n"] * 2
+    lines = [ln.split("\t") for ln in (tmp_path / "runs.tsv").read_text().splitlines()]
+    assert [f[0] for f in lines] == ["mut-decode", "decode"]
+    assert lines[0][1:3] == lines[1][1:3]
+    assert lines[0][1] == _digest(format_spec(spec))
+    assert lines[0][2] == _digest(format_matrix(M))
+
+
 # ------------------------------------------------------ manifest and errors
 
 

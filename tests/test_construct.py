@@ -441,7 +441,8 @@ def test_derandomized_budget_charges_the_code_tables():
     # per-code tables hold 16 * sum_{a <= 9} C(16, a) = 810,288 entries
     # each, and the charge counts both before anything is allocated.
     spec = selector_spec(16, 9, 16)
-    with pytest.raises(BudgetError, match="811008 subset checks"):
+    with pytest.raises(BudgetError, match="811008 fill evaluations and table entries "
+                                          "exceed the budget of 100000; the derandomized fill"):
         construct_derandomized(spec, budget=100_000)
 
 

@@ -23,6 +23,7 @@ from superselect.core import (
     parse_spec,
     parse_vector,
     row_mask,
+    rows_hit,
     selector_spec,
 )
 
@@ -85,6 +86,13 @@ def test_sums_match_naive_oracles_on_random_matrix():
         row = [M.entry(r, c) for c in range(M.n)]
         assert boolean_sum(M, S)[r] == max(row[c] for c in S)
         assert arithmetic_sum(M, S)[r] == sum(row[c] for c in S)
+
+
+@given(matrices_with_subsets())
+def test_rows_hit_is_the_mask_of_rows_the_columns_hit(case):
+    M, S = case
+    # The rows with a positive arithmetic sum, found from the rows.
+    assert rows_hit(M.cols, S) == row_mask(arithmetic_sum(M, S))
 
 
 def test_sum_rejects_out_of_range_column():
