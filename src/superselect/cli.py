@@ -13,10 +13,16 @@ or one `error: ...` line on standard error.
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
 
-The argument parsers are built once, when this module is imported, and
-every `main` call reuses them. A known command's flags go straight to
-that command's own parser, one argparse pass per run; help, no command
-and an unknown command go to the top-level parser.
+One table, `_COMMAND_TABLE`, holds every command's flags. The argument
+parsers are built from it once, when this module is imported, and every
+`main` call reuses them. A known command whose flags are all exact
+`--flag value` pairs, with no value starting with '-', valid choices and
+every required flag given, is parsed straight from the table, with no
+argparse pass. Any other argv of a known command goes to that command's
+own parser, one argparse pass; help, no command and an unknown command
+go to the top-level parser. So help and every usage error are
+argparse's. An argv item that is not a str, or holds a NUL, is rejected
+before any parse with one `error: ...` line, exit 2.
 """
 
 from __future__ import annotations
@@ -281,103 +287,129 @@ def cmd_me_decode(args, run) -> tuple:
     return 0, "set=" + _cols(monotone_decode(args.n, args.k, bits))
 
 
+# The flags, one table for both parsers. A command maps to its help, its
+# run function, its extra defaults and its flags; a flag is (name, kind,
+# default[, help]), with kind str, int (read by `_int_flag`) or a tuple of
+# choices, and default REQUIRED for a flag that must be given.
+REQUIRED = object()
+_COMMON = [("--manifest", str, DEFAULT_MANIFEST, "run-manifest file to append to")]
+_MATRIX, _SPEC = ("--matrix", str, REQUIRED), ("--spec", str, REQUIRED)
+_OBS, _OUT = ("--obs", str, REQUIRED), ("--out", str, REQUIRED)
+_N_K = [("--n", int, REQUIRED), ("--k", int, REQUIRED)]
+_CODEC = [_MATRIX, ("--p", int, REQUIRED), ("--in", str, REQUIRED), _OUT]
+_COMMAND_TABLE = {
+    "bounds": ("print size bounds for a spec", cmd_bounds, {}, [_SPEC]),
+    "build": ("construct a matrix for a spec", cmd_build, {}, [
+        _SPEC,
+        ("--method", ("random", "derand"), "derand"),
+        ("--seed", int, 0),
+        ("--max-attempts", int, 100),
+        _OUT,
+        ("--verify", ("on", "off"), "on",
+         "report the exhaustive check every construction runs (on) or "
+         "omit it (off)"),
+    ]),
+    "verify": ("brute-force check matrix vs spec", cmd_verify, {}, [
+        _MATRIX, _SPEC, ("--budget", int, DEFAULT_SUBSET_BUDGET)]),
+    "decode": ("decode an observation vector", cmd_decode, {}, [
+        _MATRIX, _SPEC, ("--mode", ("union", "additive", "approx"), "union"),
+        _OBS, ("--e0", int, 0), ("--e1", int, 0)]),
+    "compress": ("compress a sparse bit vector", cmd_compress, {}, _CODEC),
+    "decompress": ("invert compress", cmd_decompress, {}, _CODEC),
+    "me-encode": ("monotone-encode a set", cmd_me_encode, {}, [
+        *_N_K, ("--set", str, "", "comma-separated columns")]),
+    "me-decode": ("invert me-encode", cmd_me_decode, {}, [
+        *_N_K, ("--word", str, REQUIRED, "0/1 codeword string")]),
+    "mut-decode": ("identify traceable users (decode --mode union)",
+                   cmd_decode, {"mode": "union"}, [_MATRIX, _SPEC, _OBS]),
+}
+
+
+def _add_flags(parser, flags, direct: dict, defaults: dict):
+    """Add `flags` to `parser`, and to the direct parse's (dest, kind) by
+    flag and its defaults, where REQUIRED marks a flag not yet given."""
+    for flag, kind, default, *text in flags:
+        kwargs = {"required": True} if default is REQUIRED else {"default": default}
+        if kind is int:
+            kwargs["type"] = partial(_int_flag, flag)
+        elif kind is not str:
+            kwargs["choices"] = kind
+        parser.add_argument(flag, help=text[0] if text else None, **kwargs)
+        dest = flag[2:].replace("-", "_")
+        direct[flag] = dest, kind
+        defaults[dest] = default
+
+
 def _build_parser() -> tuple:
-    """The top-level parser and its subparsers by command name."""
+    """The top-level parser, its subparsers by command name, and by
+    command name the direct parse's flags and defaults."""
     parser = argparse.ArgumentParser(
         prog="superselect",
         description="Build, verify, and decode superselector matrices.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--manifest", default=DEFAULT_MANIFEST,
-                        help="run-manifest file to append to")
+    common, shared = argparse.ArgumentParser(add_help=False), ({}, {})
+    _add_flags(common, _COMMON, *shared)
     sub = parser.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, parents=[common])
-
-    def add_int(q, flag, **kwargs):
-        q.add_argument(flag, type=partial(_int_flag, flag), **kwargs)
-
-    q = add("bounds", help="print size bounds for a spec")
-    q.add_argument("--spec", required=True)
-    q.set_defaults(func=cmd_bounds)
-
-    q = add("build", help="construct a matrix for a spec")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--method", choices=["random", "derand"],
-                   default="derand")
-    add_int(q, "--seed", default=0)
-    add_int(q, "--max-attempts", default=100)
-    q.add_argument("--out", required=True)
-    q.add_argument("--verify", choices=["on", "off"], default="on",
-                   help="report the exhaustive check every construction "
-                        "runs (on) or omit it (off)")
-    q.set_defaults(func=cmd_build)
-
-    q = add("verify", help="brute-force check matrix vs spec")
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--spec", required=True)
-    add_int(q, "--budget", default=DEFAULT_SUBSET_BUDGET)
-    q.set_defaults(func=cmd_verify)
-
-    q = add("decode", help="decode an observation vector")
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--spec", required=True)
-    q.add_argument("--mode", choices=["union", "additive", "approx"],
-                   default="union")
-    q.add_argument("--obs", required=True)
-    add_int(q, "--e0", default=0)
-    add_int(q, "--e1", default=0)
-    q.set_defaults(func=cmd_decode)
-
-    q = add("compress", help="compress a sparse bit vector")
-    q.add_argument("--matrix", required=True)
-    add_int(q, "--p", required=True)
-    q.add_argument("--in", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_compress)
-
-    q = add("decompress", help="invert compress")
-    q.add_argument("--matrix", required=True)
-    add_int(q, "--p", required=True)
-    q.add_argument("--in", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_decompress)
-
-    q = add("me-encode", help="monotone-encode a set")
-    add_int(q, "--n", required=True)
-    add_int(q, "--k", required=True)
-    q.add_argument("--set", default="", help="comma-separated columns")
-    q.set_defaults(func=cmd_me_encode)
-
-    q = add("me-decode", help="invert me-encode")
-    add_int(q, "--n", required=True)
-    add_int(q, "--k", required=True)
-    q.add_argument("--word", required=True, help="0/1 codeword string")
-    q.set_defaults(func=cmd_me_decode)
-
-    q = add("mut-decode", help="identify traceable users (decode --mode union)")
-    q.add_argument("--matrix", required=True)
-    q.add_argument("--spec", required=True)
-    q.add_argument("--obs", required=True)
-    q.set_defaults(func=cmd_decode, mode="union")
-
-    return parser, sub.choices
+    direct = {}
+    for name, (text, func, extra, flags) in _COMMAND_TABLE.items():
+        q = sub.add_parser(name, parents=[common], help=text)
+        direct[name] = {**shared[0]}, {**shared[1], "func": func, **extra}
+        _add_flags(q, flags, *direct[name])
+        q.set_defaults(func=func, **extra)
+    return parser, sub.choices, direct
 
 
-_PARSER, _COMMANDS = _build_parser()
+_PARSER, _COMMANDS, _DIRECT = _build_parser()
+
+
+def _direct(command: str, args: list):
+    """The Namespace the parser of `command` gives for `args`, when `args`
+    are `--flag value` pairs of exact flags, no value starts with '-',
+    every choice is valid and every required flag is given; else None.
+    Integer values go through `_int_flag` in argv order, as in argparse."""
+    by_flag, defaults = _DIRECT[command]
+    flags, values = args[::2], args[1::2]
+    if (len(flags) != len(values) or not all(map(by_flag.__contains__, flags))
+            or any(value.startswith("-") for value in values)):
+        return None
+    parsed = dict(defaults)
+    for flag, value in zip(flags, values):
+        dest, kind = by_flag[flag]
+        if kind is int:
+            value = _int_flag(flag, value)
+        elif kind is not str and value not in kind:
+            return None
+        parsed[dest] = value
+    return None if REQUIRED in parsed.values() else argparse.Namespace(**parsed)
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Flag parsing for `main`: the direct parse when it applies, else
+    one argparse pass, which raises SystemExit for help and usage errors."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args = _direct(argv[0], argv[1:])
+    if args is None:
+        # The top-level parser reports what a command's parser leaves
+        # over, as its own pass would.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser reports what a command's parser leaves over,
-    # as its own pass would.
-    command = _COMMANDS.get(argv[0]) if argv else None
+    # A library caller can pass what no shell can: reject it like bad flags.
+    for i, item in enumerate(argv):
+        if not isinstance(item, str) or "\x00" in item:
+            what = ("holds a NUL character" if isinstance(item, str)
+                    else f"is not a str ({type(item).__name__})")
+            print(f"error: argv[{i}] {what}", file=sys.stderr)
+            return 2
     try:
-        if command is None:
-            args = _PARSER.parse_args(argv)
-        else:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     run = RunManifest(argv[0], verdict="ok")

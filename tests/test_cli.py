@@ -1011,3 +1011,27 @@ def test_module_entry_takes_a_non_utf8_out_path_as_raw_bytes(tmp_path):
     assert proc.stderr == b""
     assert b"/c\xef\xbf\xbd.txt verify=ok\n" in proc.stdout
     assert os.fsencode(tmp_path) + b"/c\xff.txt\tok\n" in manifest.read_bytes()
+
+
+# ------------------------------------------------- argv items no shell gives
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (lambda t, s: ["bounds", "--spec", Path(s)], f"argv[2] is not a str ({type(Path()).__name__})"),
+    (lambda t, s: ["me-encode", "--n", 8, "--k", "4"], "argv[2] is not a str (int)"),
+    (lambda t, s: [b"bounds", "--spec", s], "argv[0] is not a str (bytes)"),
+    (lambda t, s: ["bounds", "--spec", s + "\x00"], "argv[2] holds a NUL character"),
+    (lambda t, s: ["build", "--spec", s, "--out", str(t / "o\x00")],
+     "argv[4] holds a NUL character"),
+    (lambda t, s: ["bounds", "--spec", s, "--manifest", str(t / "r\x00.tsv")],
+     "argv[4] holds a NUL character"),
+], ids=["path", "int", "bytes", "nul-spec", "nul-out", "nul-manifest"])
+def test_argv_item_no_shell_gives_is_one_line_usage_error(
+        tmp_path, monkeypatch, capsys, make_argv, message):
+    # The default manifest would land in the working directory.
+    spath = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
+    monkeypatch.chdir(tmp_path)
+    assert main(make_argv(tmp_path, spath)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["spec.txt"]
