@@ -4,9 +4,11 @@ Subcommands cover the whole pipeline: size bounds, matrix construction,
 brute-force verification, the three decoders and the application codecs.
 `main` is the one run path: it times each run from the end of flag
 parsing, maps errors to exit codes, and appends one tab-separated line,
-in one unbuffered write, to the manifest file for every run that passes
-flag parsing, including failed runs, whose verdict is `error:<Class>`
-(rejected flags write none). A command prints one machine-readable
+in one write on an O_APPEND file descriptor, to the manifest file for
+every run that passes flag parsing, including failed runs, whose verdict
+is `error:<Class>` (rejected flags write none). Input files are read
+with `os.read` until their end and outputs are written through a file
+descriptor, in place, with no Python file object. A command prints one machine-readable
 result line (`bounds` prints its four labeled lines) on standard output,
 or one `error: ...` line on standard error.
 
@@ -120,16 +122,35 @@ def _digest(text: str) -> str:
 
 
 def _append_manifest(path: str, entry: RunManifest):
-    # One unbuffered binary write; a non-UTF-8 argv path keeps its bytes.
-    with open(path, "ab", buffering=0) as fh:
-        fh.write((entry.line() + "\n").encode("utf-8", "surrogateescape"))
+    # One write on an O_APPEND fd; a non-UTF-8 argv path keeps its bytes.
+    data = (entry.line() + "\n").encode("utf-8", "surrogateescape")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        os.write(fd, data)
+    finally:
+        os.close(fd)
+
+
+# Bytes asked of each read: a file of up to 64 KiB comes in one read,
+# and one more finds its end.
+_READ_CHUNK = 1 << 16
 
 
 def _read_text(path: str) -> str:
     """The file as UTF-8 text with every line ending read as LF; bytes
     that are not UTF-8 are a ParseError at their line."""
-    with open(path, "rb", buffering=0) as fh:
-        raw = fh.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+        raw = b"".join(chunks)
+    except OSError as exc:
+        # A read error (EISDIR on a directory) names no file; name it.
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
     try:
         return _as_lf(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -145,12 +166,17 @@ def _write(path: str, text: str):
     """Write `text` over an existing file in place, then cut it to length.
     Truncating on open instead makes ext4 start writeback on close
     (auto_da_alloc), milliseconds per rewrite in a loop. Only regular
-    files are cut: truncate() fails on /dev/null."""
+    files are cut: ftruncate fails on /dev/null."""
     data = text.encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
@@ -161,12 +187,15 @@ def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
 
 def _read_matrix(args, run: RunManifest) -> BitMatrix:
     # The text has every line ending as LF, and the parser accepts lines
-    # 2 to m+1 only as exactly the canonical rows, so the digest of
-    # format_matrix(M) needs no second formatting of M.
+    # 2 to m+1 only as exactly the canonical rows. So a text that is the
+    # canonical header and then m lines of n + 1 characters is
+    # format_matrix(M) itself; any other is re-joined from its rows.
     text = _read_text(args.matrix)
     M = parse_matrix(text, source=args.matrix)
-    rows = text.split("\n", M.m + 1)[1:M.m + 1]
-    run.matrix_digest = _digest("\n".join([f"{M.m} {M.n}", *rows, ""]))
+    head = f"{M.m} {M.n}\n"
+    if len(text) != len(head) + M.m * (M.n + 1) or not text.startswith(head):
+        text = head + "\n".join(text.split("\n", M.m + 1)[1:M.m + 1]) + "\n"
+    run.matrix_digest = _digest(text)
     return M
 
 

@@ -93,7 +93,8 @@ class DerandState:
     bucket by bucket; the untouched subsets add the same to both sides.
     A fill therefore does at most m * sum_j j*C(n,j) subset evaluations.
     The per-code tables hold p * sum_j sum_{a <= v_j} C(j, a) entries
-    each; the budget guard charges the sum of the two before allocating.
+    each; the budget guard charges the sum of the two before allocating,
+    and one row's evaluations alone before computing m or the tables.
 
     A subset is identified by its column mask (subsets are numbered level
     by level in ascending mask order, which is colex order). Its state is
@@ -123,16 +124,28 @@ class DerandState:
         # Only the levels fill_spec keeps are tracked; meeting them meets
         # the spec given.
         self.spec = spec = fill_spec(spec)
-        self.m = derand_threshold(spec)
         n, p = spec.n, spec.p
-        self.n = n
-        self.x = (p - 1) / p
-        self._omx = omx = 1.0 - self.x
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
         # evaluations, and _w, _next and each row's _wg hold p entries per
-        # code; charge both before allocating either.
-        _budget_guard(self.m * sum(j * comb(n, j) for j in levels)
+        # code; charge both before allocating either. A fill has m >= 1
+        # rows, so one row's evaluations alone can refuse it, before the
+        # threshold and the table sizes are computed. C(n, j) comes from
+        # the running product over j = 1, 2, ...: a comb() per level costs
+        # seconds once n and the levels run to thousands.
+        per_row, binom, below = 0, 1, 0
+        for j in levels:
+            while below < j:
+                binom = binom * (n - below) // (below + 1)
+                below += 1
+            per_row += j * binom
+        _budget_guard(per_row, budget, "fill evaluations per row",
+                      "the derandomized fill")
+        self.m = derand_threshold(spec)
+        self.n = n
+        self.x = (p - 1) / p
+        self._omx = omx = 1.0 - self.x
+        _budget_guard(self.m * per_row
                       + p * sum(comb(j, a) for j in levels
                                 for a in range(spec.v[j - 1] + 1)), budget,
                       "fill evaluations and table entries", "the derandomized fill")

@@ -3,8 +3,10 @@ exhaustive verification of selector-type properties.
 
 A matrix row is stored as a Python int whose bit c is the entry M[r,c].
 Each matrix also carries one column view, `BitMatrix.cols` (an int per
-column whose bit r is M[r,c]), filled by `parse_matrix` from the text or
-built on first use, then cached; the verifiers and the decoders share it.
+column whose bit r is M[r,c]), built on first use, then cached; the
+verifiers and the decoders share it. A matrix from `parse_matrix` keeps
+its checked text and builds both views, `rows` and `cols`, from it on
+first use, so a reader of one view never pays for the other.
 
 The exhaustive selector checks walk the (j-2)-column prefixes of the
 j-sets depth first, carrying the rows the prefix hits once and more
@@ -96,9 +98,14 @@ def selector_spec(p: int, k: int, n: int) -> SuperSelectorSpec:
 
 
 class BitMatrix:
-    """Immutable m x n binary matrix. rows[r] holds row r, bit c = M[r,c]."""
+    """Immutable m x n binary matrix. rows[r] holds row r, bit c = M[r,c].
 
-    __slots__ = ("m", "n", "rows", "_cols")
+    A matrix built from rows has its row view from the start. One that
+    `parse_matrix` returns holds its checked body text instead and builds
+    each view from it on first use; the text goes once both views exist.
+    """
+
+    __slots__ = ("m", "n", "_rows", "_cols", "_text")
 
     def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -110,14 +117,37 @@ class BitMatrix:
                 raise InputError(f"row {r} does not fit in {n} columns")
         self.m = len(rows)
         self.n = n
-        self.rows = rows
-        self._cols = None
+        self._rows = rows
+        self._cols = self._text = None
+
+    @classmethod
+    def _from_text(cls, m: int, n: int, body: str) -> "BitMatrix":
+        """The matrix whose m rows of n characters from {0,1}, joined last
+        row first, are `body`; the caller has checked them."""
+        M = cls.__new__(cls)
+        M.m, M.n, M._rows, M._cols, M._text = m, n, None, None, body
+        return M
+
+    @property
+    def rows(self) -> tuple:
+        """Row view: rows[r] has bit c = M[r,c]."""
+        if self._rows is None:
+            self._rows = _text_rows(self._text, self.n)
+            if self._cols is not None:
+                self._text = None
+        return self._rows
 
     @property
     def cols(self) -> tuple:
         """Column view, built on first use: cols[c] has bit r = M[r,c]."""
         if self._cols is None:
-            self._cols = _columns(self)
+            if self._text is None:
+                self._cols = _columns(self)
+            else:
+                text, n = self._text, self.n
+                self._cols = tuple([int(text[c::n], 2) for c in range(n)])
+                if self._rows is not None:
+                    self._text = None
         return self._cols
 
     @classmethod
@@ -262,6 +292,15 @@ def _columns(M: BitMatrix) -> tuple:
     width = f"0{n}b"
     text = "".join([format(row, width) for row in reversed(M.rows)])
     return tuple([int(text[n - 1 - c::n], 2) for c in range(n)])
+
+
+# A parsed matrix's body: its rows as text, joined last row first.
+# Reversed whole, it lists every row reversed, first row first, so each
+# n-character slice reads as its row's int; every n-th character from c
+# on spells column c, with row 0 as its lowest bit.
+def _text_rows(body: str, n: int) -> tuple:
+    text = body[::-1]
+    return tuple([int(text[i:i + n], 2) for i in range(0, len(text), n)])
 
 
 # The selector checks ask of every j-set of columns that at least k of
@@ -530,15 +569,15 @@ def _header(lines: list, source: str, label: str) -> tuple:
 
 
 def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
-    """The matrix in `text`, its column view filled from the same text.
-    The rows are checked together; the first bad one is found only then."""
+    """The matrix in `text`, holding its checked rows as text: each view
+    is built from that text when first read. The rows are checked
+    together; the first bad one is found only then."""
     lines = _lines(text)
     m, n = _header(lines, source, "m n")
     if m < 1 or n < 1:
         raise ParseError(source, 1, "dimensions must be positive")
     rows = lines[1:m + 1]
-    # The rows joined last row first: every n-th character from c on
-    # spells column c, with row 0 as its lowest bit.
+    # The body the matrix keeps (see `_text_rows`).
     body = "".join(rows[::-1])
     # int(_, 2) would also take "_", spaces and non-ASCII digits, so
     # every character other than 0 and 1 is rejected first.
@@ -553,9 +592,7 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     for extra in range(m + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(source, extra + 1, "trailing content after matrix")
-    M = BitMatrix(n, [int(raw[::-1], 2) for raw in rows])
-    M._cols = tuple([int(body[c::n], 2) for c in range(n)])
-    return M
+    return BitMatrix._from_text(m, n, body)
 
 
 def format_matrix(M: BitMatrix) -> str:

@@ -7,15 +7,20 @@ manifest path under tmp_path, so nothing leaks between tests.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import itertools
 import os
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from superselect import (
+    DEFAULT_SUBSET_BUDGET,
     BitMatrix,
     SuperSelectorSpec,
     arithmetic_sum,
@@ -33,6 +38,7 @@ from superselect import (
     superselector_lower_bound,
     superselector_upper_bound,
 )
+from superselect import cli, core
 from superselect.cli import _digest, main
 
 
@@ -220,6 +226,11 @@ MATRIX_LAYOUTS = {
     "lone-cr": lambda text: text.replace("\n", "\r"),
     "trailing-blank-line": lambda text: text + "\n \n",
     "padded-header": lambda text: "  " + text.replace(" ", "   ", 1).replace("\n", " \n", 1),
+    "doubled-space-header": lambda text: text.replace(" ", "  ", 1),
+    "trailing-blank-lines": lambda text: text + "\n\n",
+    "no-final-newline": lambda text: text[:-1],
+    # As long as the canonical text, yet not canonical.
+    "canonical-length": lambda text: text.replace(" ", "  ", 1)[:-1],
 }
 
 
@@ -237,6 +248,117 @@ def test_matrix_digest_is_the_canonical_text_digest(tmp_path, manifest, capsys,
     capsys.readouterr()
     fields = (tmp_path / "runs.tsv").read_text().split("\t")
     assert fields[2] == _digest(format_matrix(M))
+
+
+# ------------------------------------------------------------- file reads
+
+
+def _spy_on_row_views(monkeypatch):
+    """Calls that build a parsed matrix's row view, and the matrices the
+    CLI parses, as two lists that fill while the CLI runs."""
+    built, parsed = [], []
+    text_rows, parse = core._text_rows, cli.parse_matrix
+
+    def spy_rows(*args):
+        built.append(args)
+        return text_rows(*args)
+
+    def spy_parse(*args, **kwargs):
+        parsed.append(parse(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(core, "_text_rows", spy_rows)
+    monkeypatch.setattr(cli, "parse_matrix", spy_parse)
+    return built, parsed
+
+
+def test_commands_build_only_the_matrix_views_they_read(tmp_path, manifest,
+                                                        capsys, monkeypatch):
+    # The decoders and the codecs read the column view only; verify reads
+    # both views, and builds the row view once.
+    spec = selector_spec(4, 3, 10)
+    M = construct_derandomized(spec)
+    x = tuple(1 if c in (3, 8) else 0 for c in range(10))
+    files = ["--matrix", matrix_file(tmp_path, M), "--manifest", manifest]
+    decode = files + ["--spec", spec_file(tmp_path, spec)]
+    union = ["--obs", vector_file(tmp_path, boolean_sum(M, (3, 8)), "u.txt")]
+    additive = ["--obs", vector_file(tmp_path, arithmetic_sum(M, (3,)), "a.txt")]
+    w, y = str(tmp_path / "w.txt"), str(tmp_path / "y.txt")
+    built, parsed = _spy_on_row_views(monkeypatch)
+    for argv in (["decode", *decode, *union],
+                 ["decode", "--mode", "approx", *decode, *union],
+                 ["decode", "--mode", "additive", *decode, *additive],
+                 ["mut-decode", *decode, *union],
+                 ["compress", *files, "--p", "2", "--in",
+                  vector_file(tmp_path, x, "x.txt"), "--out", w],
+                 ["decompress", *files, "--p", "2", "--in", w, "--out", y]):
+        assert main(argv) == 0, argv
+        assert (built, parsed[-1]._rows) == ([], None), argv
+    assert main(["verify", *decode]) == 0
+    assert len(built) == 1
+    assert parsed[-1]._text is None and parsed[-1].rows == M.rows
+    capsys.readouterr()
+    assert parse_vector((tmp_path / "y.txt").read_text()) == x
+
+
+def _digest_field(tmp_path):
+    return (tmp_path / "runs.tsv").read_text().splitlines()[-1].split("\t")[2]
+
+
+def test_matrix_larger_than_one_read_reads_whole(tmp_path, manifest, capsys):
+    M = BitMatrix(2000, [random.Random(r).getrandbits(2000) for r in range(80)])
+    text = format_matrix(M)
+    assert len(text) > 2 * cli._READ_CHUNK
+    path = matrix_file(tmp_path, M)
+    assert cli._read_text(path) == text
+    assert main(["verify", "--matrix", path, "--spec",
+                 spec_file(tmp_path, selector_spec(1, 1, 2000)),
+                 "--manifest", manifest]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert _digest_field(tmp_path) == _digest(text)
+
+
+def test_matrix_from_a_fifo_reads_as_from_a_file(tmp_path, manifest, capsys):
+    spec = SuperSelectorSpec(8, 2, (1, 2))
+    M = construct_derandomized(spec)
+    data = format_matrix(M).replace("\n", "\r\n").encode()
+    fifo = str(tmp_path / "matrix.fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        # Several writes, so the reader sees the text over several reads.
+        with open(fifo, "wb", buffering=0) as fh:
+            for i in range(0, len(data), 7):
+                fh.write(data[i:i + 7])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    argv = ["decode", "--matrix", fifo, "--spec", spec_file(tmp_path, spec),
+            "--obs", vector_file(tmp_path, boolean_sum(M, (2, 5))),
+            "--manifest", manifest]
+    assert main(argv) == 0
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    from_fifo = capsys.readouterr(), _digest_field(tmp_path)
+    argv[2] = write_bytes(tmp_path / "matrix.txt", data)
+    assert main(argv) == 0
+    assert (capsys.readouterr(), _digest_field(tmp_path)) == from_fifo
+    assert from_fifo[1] == _digest(format_matrix(M))
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--spec", "--manifest"])
+def test_directory_path_is_one_error_line_naming_it(tmp_path, manifest,
+                                                    capsys, flag):
+    # Reading a directory fails in the read, not the open, and that error
+    # names no file until the read path adds it.
+    flags = {"--matrix": matrix_file(tmp_path, BitMatrix.identity(4)),
+             "--spec": spec_file(tmp_path, SuperSelectorSpec(4, 2, (1, 2))),
+             "--manifest": manifest}
+    flags[flag] = str(tmp_path)
+    assert main(["verify", *itertools.chain(*flags.items())]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+            f"{str(tmp_path)!r}\n")
 
 
 def test_verify_budget_overrun_is_usage_error(tmp_path, manifest):
@@ -420,6 +542,20 @@ def test_me_encode_decode_roundtrip(tmp_path, manifest, capsys):
                "--manifest", manifest])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "set=1,4"
+
+
+def test_me_encode_over_budget_chain_is_refused_at_once(tmp_path, manifest,
+                                                      capsys):
+    # The chain's first level has 2,000 constrained levels; one fill row
+    # is over budget, so the refusal comes before the threshold and the
+    # per-code table sizes, which took minutes to compute.
+    assert main(["me-encode", "--n", "2000", "--k", "1000", "--set", "1",
+                 "--manifest", manifest]) == 2
+    assert capsys.readouterr() == (
+        "", "error: at least 2^2008 fill evaluations per row exceed the "
+            f"budget of {DEFAULT_SUBSET_BUDGET}; the derandomized fill is "
+            "desk scale only\n")
+    assert (tmp_path / "runs.tsv").read_text().endswith("\terror:BudgetError\n")
 
 
 def test_me_encode_rejects_bad_set(tmp_path, manifest):

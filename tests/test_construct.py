@@ -6,6 +6,7 @@ import copy
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 from math import comb
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fill_probe import current, xcur
 from superselect import (
+    DEFAULT_SUBSET_BUDGET,
     BudgetError,
     ConstructionFailure,
     DerandState,
@@ -29,6 +31,7 @@ from superselect import (
     sample_random_matrix,
     selector_spec,
 )
+from superselect import construct
 from superselect.construct import success_table
 from superselect.sizing import level_alpha
 from test_acceptance import SUITE
@@ -444,6 +447,28 @@ def test_derandomized_budget_charges_the_code_tables():
     with pytest.raises(BudgetError, match="811008 fill evaluations and table entries "
                                           "exceed the budget of 100000; the derandomized fill"):
         construct_derandomized(spec, budget=100_000)
+
+
+@pytest.mark.parametrize("spec, budget, message", [
+    (SuperSelectorSpec(100, 3, (0, 0, 1)), 100_000,
+     "485100 fill evaluations per row exceed the budget of 100000; "
+     "the derandomized fill is desk scale only"),
+    # The first level of the (2000, 1000) monotone chain: 2,000 levels,
+    # with tables of sum_j sum_{a <= v_j} C(j, a) entries.
+    (SuperSelectorSpec(2000, 2000, tuple(i // 2 + 1 for i in range(1, 2001))),
+     DEFAULT_SUBSET_BUDGET, "at least 2^2008 fill evaluations per row exceed"),
+], ids=["exact-count", "monotone-chain-level"])
+def test_derandomized_budget_refuses_before_the_threshold(monkeypatch, spec,
+                                                          budget, message):
+    # A fill makes m >= 1 rows of sum_j j*C(n,j) evaluations each, so a
+    # spec whose one row is over budget is refused before its threshold
+    # (or its per-code table sizes) is computed.
+    def threshold(spec):
+        raise AssertionError("computed the threshold of an over-budget spec")
+
+    monkeypatch.setattr(construct, "derand_threshold", threshold)
+    with pytest.raises(BudgetError, match=re.escape(message)):
+        construct_derandomized(spec, budget=budget)
 
 
 def test_derandomized_budget_charges_the_index_work():

@@ -1,8 +1,9 @@
 """Differential tests of `parse_matrix` and `parse_vector` against the
 frozen per-line parsers in `reference_parse.py`: on drawn texts, both
 return the same value or raise a `ParseError` with the same source, line
-and message, and every parsed matrix carries the column view that
-`core._columns` computes from its rows."""
+and message, and every parsed matrix gives, in whichever order its views
+are read, the rows of the reference and the column view that
+`core._columns` computes from them."""
 
 from __future__ import annotations
 
@@ -90,9 +91,16 @@ def _same_matrix_outcome(text):
     if new[0] == "error":
         assert new == old, text
     else:
-        M, R = new[1], old[1]
-        assert (M.m, M.n, M.rows) == (R.m, R.n, R.rows)
-        assert M.cols == core._columns(M)
+        R = old[1]
+        want = (R.m, R.n, R.rows, core._columns(R))
+        # A parsed matrix builds each view from its text when first read;
+        # read them in both orders.
+        M = new[1]
+        cols = M.cols
+        assert (M.m, M.n, M.rows, cols) == want, text
+        M = core.parse_matrix(text, source="f.txt")
+        rows = M.rows
+        assert (M.m, M.n, rows, M.cols) == want, text
 
 
 @settings(max_examples=250, deadline=None)
