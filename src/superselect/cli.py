@@ -8,9 +8,9 @@ in one write on an O_APPEND file descriptor, to the manifest file for
 every run that passes flag parsing, including failed runs, whose verdict
 is `error:<Class>` (rejected flags write none). Input files are read
 with `os.read` until their end and outputs are written through a file
-descriptor, in place, with no Python file object. A command prints one machine-readable
-result line (`bounds` prints its four labeled lines) on standard output,
-or one `error: ...` line on standard error.
+descriptor, in place, with no Python file object. A command prints one
+machine-readable result line (`bounds` prints its four labeled lines)
+on standard output, or one `error: ...` line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
