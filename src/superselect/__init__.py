@@ -22,7 +22,6 @@ from .core import (
     format_vector,
     identify,
     is_list_disjunct,
-    is_selector,
     is_superselector,
     parse_matrix,
     parse_spec,
@@ -102,7 +101,6 @@ __all__ = [
     "identify",
     "identify_from_union",
     "is_list_disjunct",
-    "is_selector",
     "is_superselector",
     "list_disjunct_params",
     "monotone_chain",

@@ -117,10 +117,9 @@ class MonotoneEncoding:
             )
             levels.append((construct_derandomized(spec), spec))
         self.levels = tuple(levels)
-
-    @property
-    def total_length(self) -> int:
-        return sum(M.m for M, _ in self.levels)
+        # Each level's column view and row count, in codeword order.
+        self._blocks = tuple((M.cols, M.m) for M, _ in levels)
+        self.total_length = sum(M.m for M, _ in levels)
 
     def encode(self, S: Sequence[int]) -> tuple:
         S = tuple(S)
@@ -128,15 +127,18 @@ class MonotoneEncoding:
         residual = set(S)
         if len(residual) > self.k:
             raise InputError(f"|S| = {len(residual)} exceeds k = {self.k}")
-        word = []
-        for M, _ in self.levels:
-            cols = M.cols
+        # Once the residual is empty every later block is 0.
+        word = offset = 0
+        for cols, m in self._blocks:
+            if not residual:
+                break
             hit = rows_hit(cols, residual)
-            word.extend(row_vector(hit, M.m))
+            word |= hit << offset
+            offset += m
             residual.difference_update(identify(cols, hit)[0])
         if residual:
             raise RuntimeError(f"chain failed to drain {sorted(residual)}")
-        return tuple(word)
+        return row_vector(word, self.total_length)
 
     def decode(self, word: Sequence[int]) -> tuple:
         """Invert encode. An entry other than 0 or 1 raises InputError. A
@@ -146,20 +148,20 @@ class MonotoneEncoding:
         unpinned there. With each block that sum, identify pins only
         unpinned members, as in encode, so an accepted word is encode's
         word for the set returned."""
-        _check_bits(word, "word")
+        rest = _bits_mask(word, "word")
         if len(word) != self.total_length:
             raise InputError(
                 f"codeword length {len(word)} != {self.total_length}"
             )
         members = set()
         blocks = []
-        offset = 0
-        for M, _ in self.levels:
-            hit = row_mask(word[offset:offset + M.m])
-            pinned = identify(M.cols, hit)[0]
+        for cols, m in self._blocks:
+            hit = rest & ((1 << m) - 1)
+            rest >>= m
+            # An empty block pins nothing: a zero column owns no row.
+            pinned = identify(cols, hit)[0] if hit else ()
             members.update(pinned)
-            blocks.append((M.cols, hit, pinned))
-            offset += M.m
+            blocks.append((cols, hit, pinned))
         if len(members) > self.k:
             raise InconsistentObservationError(
                 f"word pins {len(members)} members, more than k = {self.k}"
@@ -210,6 +212,25 @@ def _check_bits(values: Sequence[int], what: str):
         raise InputError(f"{what} entry {k} is {bit!r}, not a bit")
 
 
+def _bits_mask(values: Sequence[int], what: str) -> int:
+    """row_mask(values) once _check_bits(values, what) passes, in one
+    conversion where bytes() takes the entries and leaves only the bytes
+    0 and 1. Any other entry (True and 1.0 pass, 2 or "1" do not) goes
+    through _check_bits and then counts by its truth, as in row_mask.
+    The length is taken first: bytes() of an int n would allocate n
+    bytes, where _check_bits refuses it at once."""
+    try:
+        size = len(values)
+        raw = bytes(values)
+        bits = len(raw) == size and not raw.translate(None, b"\x00\x01")
+    except (TypeError, ValueError):
+        bits = False
+    if not bits:
+        _check_bits(values, what)
+        raw = bytes(map(bool, values))
+    return row_mask(raw) if raw else 0
+
+
 def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
@@ -253,9 +274,8 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
         raise InputError(f"union part has length {len(w.y)}, matrix m={M.m}")
     if len(w.z) != 2 * p:
         raise InputError(f"mask length {len(w.z)} != 2p = {2 * p}")
-    _check_bits((*w.y, *w.z), "word")
     cols = M.cols
-    hit = row_mask(w.y)
+    hit = _bits_mask((*w.y, *w.z), "word") & ((1 << M.m) - 1)
     L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InconsistentObservationError(

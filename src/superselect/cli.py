@@ -46,6 +46,8 @@ from .core import (
     InputError,
     ParseError,
     SuperSelectorSpec,
+    _TO_BITS,
+    _TO_DIGITS,
     _as_lf,
     _is_digits,
     format_matrix,
@@ -306,13 +308,13 @@ def cmd_decompress(args, run) -> tuple:
 
 def cmd_me_encode(args, run) -> tuple:
     word = monotone_encode(args.n, args.k, _int_list(args.set, "column"))
-    return 0, "word=" + "".join(map(str, word))
+    return 0, "word=" + bytes(word).translate(_TO_DIGITS).decode()
 
 
 def cmd_me_decode(args, run) -> tuple:
     if set(args.word) - {"0", "1"}:
         raise InputError("codeword must be a 0/1 string")
-    bits = tuple(int(ch) for ch in args.word)
+    bits = args.word.encode().translate(_TO_BITS)
     return 0, "set=" + _cols(monotone_decode(args.n, args.k, bits))
 
 

@@ -33,6 +33,7 @@ from .core import (
     InputError,
     SuperSelectorSpec,
     _budget_guard,
+    _level_counts,
     is_superselector,
     row_mask,
 )
@@ -130,15 +131,8 @@ class DerandState:
         # evaluations, and _w, _next and each row's _wg hold p entries per
         # code; charge both before allocating either. A fill has m >= 1
         # rows, so one row's evaluations alone can refuse it, before the
-        # threshold and the table sizes are computed. C(n, j) comes from
-        # the running product over j = 1, 2, ...: a comb() per level costs
-        # seconds once n and the levels run to thousands.
-        per_row, binom, below = 0, 1, 0
-        for j in levels:
-            while below < j:
-                binom = binom * (n - below) // (below + 1)
-                below += 1
-            per_row += j * binom
+        # threshold and the table sizes are computed.
+        per_row = sum(map(mul, levels, _level_counts(n, levels)))
         _budget_guard(per_row, budget, "fill evaluations per row",
                       "the derandomized fill")
         self.m = derand_threshold(spec)
@@ -364,7 +358,7 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
     # Each check visits sum_j C(n,j) subsets; refuse before sampling.
-    _budget_guard(sum(comb(spec.n, j) for j in spec.levels()), budget)
+    _budget_guard(sum(_level_counts(spec.n, spec.levels())), budget)
     m = derand_threshold(spec)
     for attempt in range(max_attempts):
         M = sample_random_matrix(m, spec.n, spec.p, seed + attempt)

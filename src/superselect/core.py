@@ -274,6 +274,18 @@ def identify(cols: Sequence[int], hit: int) -> tuple:
     return tuple([c for c in candidates if cols[c] & once]), tuple(candidates)
 
 
+def _level_counts(n: int, levels: Iterable[int]):
+    """Yield C(n, j) for each j of the ascending `levels`, from one
+    running product over j = 1, 2, ...: a comb() per level costs seconds
+    once n and the levels run to thousands."""
+    count, below = 1, 0
+    for j in levels:
+        while below < j:
+            count = count * (n - below) // (below + 1)
+            below += 1
+        yield count
+
+
 def _budget_guard(checks: int, budget: int, noun: str = "subset checks",
                   work: str = "brute-force verification"):
     if checks > budget:  # a count past 2^256 is given by its size: str() may fail
@@ -466,13 +478,6 @@ class _PairKernel:
         return not over[spare]
 
 
-def is_selector(
-    M: BitMatrix, p: int, k: int, budget: int = DEFAULT_SUBSET_BUDGET
-) -> bool:
-    """Exhaustive check: every p-column set keeps >= k distinct unit rows."""
-    return is_superselector(M, selector_spec(p, k, M.n), budget)
-
-
 def is_superselector(
     M: BitMatrix, spec: SuperSelectorSpec, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> bool:
@@ -483,7 +488,7 @@ def is_superselector(
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
-    _budget_guard(sum(comb(M.n, j) for j in levels), budget)
+    _budget_guard(sum(_level_counts(M.n, levels)), budget)
     pairs = None
     for j in levels:
         if j == 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -207,7 +208,17 @@ def test_decode_rejects_more_than_k_members():
         chain.decode((1,) * chain.total_length)
 
 
-@pytest.mark.parametrize("value", [2, -1, 0.5])
+# True and 1.0 equal 1 and are read as 1; every other value is refused
+# by name, whether or not bytes() takes it.
+ODD_ENTRIES = [2, -1, 0.5, 256, "1", True, 1.0]
+
+
+def _refused(what, k, value):
+    return pytest.raises(
+        InputError, match=re.escape(f"{what} entry {k} is {value!r}, not a bit"))
+
+
+@pytest.mark.parametrize("value", ODD_ENTRIES)
 def test_decode_rejects_entries_that_are_not_bits(value):
     # A 2, a -1 or a 0.5 in place of a 1 used to read as that 1, so the
     # word decoded to (1, 5) although encode((1, 5)) is not that word.
@@ -215,7 +226,10 @@ def test_decode_rejects_entries_that_are_not_bits(value):
     word = list(chain.encode((1, 5)))
     k = word.index(1)
     word[k] = value
-    with pytest.raises(InputError, match=f"word entry {k} is {value}, not a bit"):
+    if value == 1:
+        assert monotone_decode(8, 4, word) == (1, 5)
+        return
+    with _refused("word", k, value):
         monotone_decode(8, 4, word)
 
 
@@ -227,6 +241,13 @@ def test_decode_rejects_a_string_word():
         chain.decode("0" * chain.total_length)
     with pytest.raises(InputError, match="not a bit"):
         monotone_decode(8, 4, "1" + "0" * (chain.total_length - 1))
+
+
+def test_decode_refuses_an_int_word_before_sizing_it():
+    # bytes() of an int n allocates n bytes; the int is refused first as
+    # not iterable.
+    with pytest.raises(TypeError, match="not iterable"):
+        monotone_chain(8, 4).decode(2**62)
 
 
 def test_decode_rejects_wrong_length():
@@ -302,27 +323,36 @@ def test_compress_rejects_p_past_half_n(compressor, p):
         compress(M, p, (0,) * M.n)
 
 
-@pytest.mark.parametrize("value", [2, -1])
+@pytest.mark.parametrize("value", ODD_ENTRIES)
 def test_compress_rejects_entries_that_are_not_bits(compressor, value):
     # A 2 or a -1 used to count as a one, so the round trip was lossy.
     M, p = compressor
     x = [0] * M.n
     x[0], x[3] = value, 1
-    with pytest.raises(InputError, match=f"vector entry 0 is {value}, not a bit"):
+    if value == 1:
+        assert compress(M, p, x) == compress(M, p, [int(e) for e in x])
+        return
+    with _refused("vector", 0, value):
         compress(M, p, x)
 
 
-def test_decompress_rejects_entries_that_are_not_bits(compressor):
+@pytest.mark.parametrize("value", ODD_ENTRIES)
+def test_decompress_rejects_entries_that_are_not_bits(compressor, value):
     M, p = compressor
-    w = compress(M, p, tuple(1 if c in (1, 4) else 0 for c in range(M.n)))
+    x = tuple(1 if c in (1, 4) else 0 for c in range(M.n))
+    w = compress(M, p, x)
     k = w.z.index(1)
     z = list(w.z)
-    z[k] = 2
-    with pytest.raises(InputError, match=f"word entry {M.m + k} is 2, not a bit"):
-        decompress(M, p, CompressedWord(w.y, tuple(z)))
+    z[k] = value
     y = list(w.y)
-    y[y.index(1)] = 3
-    with pytest.raises(InputError, match=f"word entry {w.y.index(1)} is 3"):
+    y[y.index(1)] = value
+    if value == 1:
+        assert decompress(M, p, CompressedWord(w.y, tuple(z))) == x
+        assert decompress(M, p, CompressedWord(tuple(y), w.z)) == x
+        return
+    with _refused("word", M.m + k, value):
+        decompress(M, p, CompressedWord(w.y, tuple(z)))
+    with _refused("word", w.y.index(1), value):
         decompress(M, p, CompressedWord(tuple(y), w.z))
 
 

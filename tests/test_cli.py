@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -555,6 +556,30 @@ def test_me_encode_over_budget_chain_is_refused_at_once(tmp_path, manifest,
         "", "error: at least 2^2008 fill evaluations per row exceed the "
             f"budget of {DEFAULT_SUBSET_BUDGET}; the derandomized fill is "
             "desk scale only\n")
+    assert (tmp_path / "runs.tsv").read_text().endswith("\terror:BudgetError\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--matrix", "m.txt"],
+    ["build", "--method", "random", "--out", "o.txt"],
+], ids=["verify", "build-random"])
+def test_over_budget_check_at_huge_n_is_refused_at_once(tmp_path, manifest,
+                                                        capsys, command):
+    # All 8,000 levels are constrained. Their subset counts come from one
+    # running product; a comb() per level took over 5 s to refuse.
+    n = 8000
+    write(tmp_path / "s.txt",
+          f"{n} {n}\n" + " ".join(str(i // 2 + 1) for i in range(1, n + 1)) + "\n")
+    write(tmp_path / "m.txt", f"1 {n}\n" + "1" * n + "\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in command]
+    start = time.perf_counter()
+    assert main(argv + ["--spec", str(tmp_path / "s.txt"),
+                        "--manifest", manifest]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: at least 2^7999 subset checks exceed the budget of "
+            f"{DEFAULT_SUBSET_BUDGET}; brute-force verification is desk "
+            "scale only\n")
     assert (tmp_path / "runs.tsv").read_text().endswith("\terror:BudgetError\n")
 
 

@@ -17,7 +17,6 @@ from superselect.core import (
     boolean_sum,
     identify,
     is_list_disjunct,
-    is_selector,
     is_superselector,
     parse_matrix,
     parse_spec,
@@ -156,19 +155,19 @@ def test_covered_columns_exactly_match_definition(case):
 
 def test_identity_is_a_perfect_selector():
     for p in (1, 2, 3, 4):
-        assert is_selector(BitMatrix.identity(4), p, p)
+        assert is_superselector(BitMatrix.identity(4), selector_spec(p, p, 4))
 
 
 def test_zero_matrix_is_no_selector():
     M = matrix_of([[0] * 4] * 3)
-    assert not is_selector(M, 2, 1)
+    assert not is_superselector(M, selector_spec(2, 1, M.n))
 
 
 def test_selector_validates_parameters():
     with pytest.raises(InputError):
-        is_selector(BitMatrix.identity(3), 4, 1)
+        selector_spec(4, 1, 3)                    # p > n
     with pytest.raises(InputError):
-        is_selector(BitMatrix.identity(3), 2, 3)
+        selector_spec(2, 3, 3)                    # k > p
 
 
 @given(matrices(), st.integers(1, 4), st.integers(1, 4))
@@ -176,9 +175,9 @@ def test_selector_validates_parameters():
 def test_selector_is_monotone_in_k(M, p, k):
     if p > M.n or k > p:
         return
-    if is_selector(M, p, k):
+    if is_superselector(M, selector_spec(p, k, M.n)):
         for weaker in range(1, k):
-            assert is_selector(M, p, weaker)
+            assert is_superselector(M, selector_spec(p, weaker, M.n))
 
 
 def test_superselector_identity_example():
@@ -206,8 +205,8 @@ def test_verifiers_leave_no_reference_cycles(spec):
     gc.disable()
     try:
         is_superselector(M, spec)
-        is_selector(M, spec.p, spec.v[-1])
-        is_selector(M, 2, 1)
+        is_superselector(M, selector_spec(spec.p, spec.v[-1], M.n))
+        is_superselector(M, selector_spec(2, 1, M.n))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -276,7 +275,7 @@ def test_selector_implies_list_disjunct_exhaustively():
     implications = 0
     for M in pool:
         for d, l in pairs:
-            if is_selector(M, d + l, d + 1):
+            if is_superselector(M, selector_spec(d + l, d + 1, M.n)):
                 assert is_list_disjunct(M, d, l)
                 implications += 1
     assert implications > 0
@@ -287,7 +286,7 @@ def test_selector_implies_list_disjunct_exhaustively():
 def test_brute_force_refuses_oversized_enumeration():
     M = random_matrix(4, 30, seed=3)
     with pytest.raises(BudgetError):
-        is_selector(M, 15, 2, budget=1000)
+        is_superselector(M, selector_spec(15, 2, M.n), budget=1000)
 
 
 def test_list_disjunct_budget_counts_d_sets():

@@ -36,7 +36,6 @@ from superselect import (
     format_matrix,
     identify,
     identify_from_union,
-    is_selector,
     is_superselector,
     monotone_chain,
     mut_spec,
@@ -179,10 +178,12 @@ def test_decoder_specs_decode_planted_sets_like_row_scan(key):
 # ------------------------------------------------------- application codecs
 
 
-def test_monotone_chain_gives_the_row_scan_codewords():
-    chain = monotone_chain(8, 4)
-    for j in range(5):
-        for S in itertools.combinations(range(8), j):
+# Three to four levels each; every chain builds in under 0.05 s.
+@pytest.mark.parametrize("n, k", [(8, 4), (12, 3), (10, 5)])
+def test_monotone_chain_gives_the_row_scan_codewords(n, k):
+    chain = monotone_chain(n, k)
+    for j in range(k + 1):
+        for S in itertools.combinations(range(n), j):
             word = chain.encode(S)
             assert word == ref.monotone_encode(chain, S)
             assert chain.decode(word) == ref.monotone_decode(chain, word) == S
@@ -192,10 +193,21 @@ def test_monotone_chain_gives_the_row_scan_codewords():
     for _ in range(300):
         word = tuple(rng.randint(0, 1) for _ in range(chain.total_length))
         assert outcome(chain.decode, word) == outcome(ref.monotone_decode, chain, word)
-        word = list(chain.encode(rng.sample(range(8), rng.randint(0, 4))))
+        word = list(chain.encode(rng.sample(range(n), rng.randint(0, k))))
         for r in rng.sample(range(chain.total_length), rng.randint(1, 2)):
             word[r] ^= 1
         assert outcome(chain.decode, word) == outcome(ref.monotone_decode, chain, word)
+    # One bit flipped inside each level's block, its first and last bits
+    # included, so a block read at the wrong offset decodes differently.
+    offset = 0
+    for M, _ in chain.levels:
+        for r in {offset, offset + M.m - 1, offset + rng.randrange(M.m)}:
+            for _ in range(20):
+                word = list(chain.encode(rng.sample(range(n), rng.randint(0, k))))
+                word[r] ^= 1
+                assert (outcome(chain.decode, word)
+                        == outcome(ref.monotone_decode, chain, word))
+        offset += M.m
 
 
 def test_compress_gives_the_row_scan_words():
@@ -285,6 +297,6 @@ def test_column_view_is_built_once_per_matrix(monkeypatch):
         assert calls == [M]
         # The second check, the selector check and a decode reuse the view.
         assert is_superselector(M, spec)
-        assert is_selector(M, 2, 1)
+        assert is_superselector(M, selector_spec(2, 1, M.n))
         identify_from_union(M, spec, boolean_sum(M, (1, 5)))
         assert calls == [M]

@@ -26,9 +26,9 @@ from superselect import (
     construct_derandomized,
     derand_threshold,
     is_list_disjunct,
-    is_selector,
     is_superselector,
     sample_random_matrix,
+    selector_spec,
 )
 from test_fill_reference import CORPUS_DIGESTS
 
@@ -46,7 +46,8 @@ def _same_selector_answers(M):
     # Every 1 <= k <= p <= n, against the row scan.
     for p in range(1, M.n + 1):
         for k in range(1, p + 1):
-            assert is_selector(M, p, k) == selector_holds(M, p, k), (p, k)
+            assert (is_superselector(M, selector_spec(p, k, M.n))
+                    == selector_holds(M, p, k)), (p, k)
 
 
 def _same_list_disjunct_answers(M):
@@ -119,7 +120,7 @@ def test_pair_kernel_matches_column_walk_and_row_scan(M):
     for j in range(1, M.n + 1):
         for k in range(1, j + 1):
             want = column_view_holds(M.cols, j, k)
-            assert is_selector(M, j, k) == want, (j, k)
+            assert is_superselector(M, selector_spec(j, k, M.n)) == want, (j, k)
             assert selector_holds(M, j, k) == want, (j, k)
 
 
@@ -136,7 +137,7 @@ def test_many_chunk_matrices_match_column_walk():
         M = BitMatrix(n, [rng.choice(pool) for _ in range(rng.randint(60, 140))])
         for j in range(1, n + 1):
             for k in range(1, j + 1):
-                got = is_selector(M, j, k)
+                got = is_superselector(M, selector_spec(j, k, M.n))
                 assert got == column_view_holds(M.cols, j, k), (M.rows, j, k)
                 answers[got] += 1
     assert min(answers.values()) >= 100, answers
@@ -153,7 +154,7 @@ def test_random_pool_matches_row_scan_on_both_outcomes():
                           for _ in range(m)])
         p = rng.randint(1, n)
         k = rng.randint(1, p)
-        got = is_selector(M, p, k)
+        got = is_superselector(M, selector_spec(p, k, M.n))
         assert got == selector_holds(M, p, k), (M.rows, p, k)
         answers[got] += 1
         d = rng.randint(1, n - 1)
@@ -170,7 +171,8 @@ def test_corpus_matrices_match_row_scan(spec):
     assert is_superselector(M, spec) and superselector_holds(M, spec)
     for j in range(1, spec.p + 1):
         for k in range(1, j + 1):
-            assert is_selector(M, j, k) == selector_holds(M, j, k), (j, k)
+            assert (is_superselector(M, selector_spec(j, k, M.n))
+                    == selector_holds(M, j, k)), (j, k)
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +204,15 @@ def test_certify_samples_with_duplicated_column_fail(spec):
         bad = _duplicate_last_column(_certify_sample(spec, seed))
         assert not is_superselector(bad, spec)
         assert not superselector_holds(bad, spec)
-        assert not is_selector(bad, 2, 1) and not selector_holds(bad, 2, 1)
+        assert not is_superselector(bad, selector_spec(2, 1, bad.n))
+        assert not selector_holds(bad, 2, 1)
 
 
 def _same_as_column_walk(M, p):
     for j in range(1, p + 1):
         for k in range(1, j + 1):
-            assert is_selector(M, j, k) == column_view_holds(M.cols, j, k), (j, k)
+            assert (is_superselector(M, selector_spec(j, k, M.n))
+                    == column_view_holds(M.cols, j, k)), (j, k)
 
 
 @pytest.mark.parametrize("spec", CERTIFY_SPECS, ids=str)
