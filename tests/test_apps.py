@@ -336,8 +336,12 @@ def test_compress_rejects_entries_that_are_not_bits(compressor, value):
         compress(M, p, x)
 
 
-@pytest.mark.parametrize("value", ODD_ENTRIES)
-def test_decompress_rejects_entries_that_are_not_bits(compressor, value):
+def test_decompress_rejects_entries_that_are_not_bits(compressor):
+    for value in ODD_ENTRIES:
+        _check_decompress_entry(compressor, value)
+
+
+def _check_decompress_entry(compressor, value):
     M, p = compressor
     x = tuple(1 if c in (1, 4) else 0 for c in range(M.n))
     w = compress(M, p, x)
