@@ -5,8 +5,10 @@ list-disjunct matrix parameters.
 
 Each application reduces to choosing the right constraint vector; the
 decoding side is always the private-1 identification from decode. The
-codecs take the Boolean sum of a column set from `core.rows_hit`, and
-tracing has no decoder of its own: `mut_decode` is `identify_from_union`.
+codecs take the Boolean sum of a column set from `core.rows_hit` and
+read every word and vector they are given through `core.row_mask` with
+`what` set, which refuses any entry other than 0 or 1. Tracing has no
+decoder of its own: `mut_decode` is `identify_from_union`.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class MonotoneEncoding:
         unpinned there. With each block that sum, identify pins only
         unpinned members, as in encode, so an accepted word is encode's
         word for the set returned."""
-        rest = _bits_mask(word, "word")
+        rest = row_mask(word, "word")
         if len(word) != self.total_length:
             raise InputError(
                 f"codeword length {len(word)} != {self.total_length}"
@@ -205,32 +207,6 @@ class CompressedWord:
         return self.y + self.z
 
 
-def _check_bits(values: Sequence[int], what: str):
-    if not {0, 1}.issuperset(values):
-        k, bit = next((k, bit) for k, bit in enumerate(values)
-                      if bit not in (0, 1))
-        raise InputError(f"{what} entry {k} is {bit!r}, not a bit")
-
-
-def _bits_mask(values: Sequence[int], what: str) -> int:
-    """row_mask(values) once _check_bits(values, what) passes, in one
-    conversion where bytes() takes the entries and leaves only the bytes
-    0 and 1. Any other entry (True and 1.0 pass, 2 or "1" do not) goes
-    through _check_bits and then counts by its truth, as in row_mask.
-    The length is taken first: bytes() of an int n would allocate n
-    bytes, where _check_bits refuses it at once."""
-    try:
-        size = len(values)
-        raw = bytes(values)
-        bits = len(raw) == size and not raw.translate(None, b"\x00\x01")
-    except (TypeError, ValueError):
-        bits = False
-    if not bits:
-        _check_bits(values, what)
-        raw = bytes(map(bool, values))
-    return row_mask(raw) if raw else 0
-
-
 def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
@@ -243,21 +219,19 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
         raise InputError(f"2p = {2 * p} exceeds n = {M.n}: no (2p, p+1, n)-selector")
     if len(x) != M.n:
         raise InputError(f"vector length {len(x)} != n={M.n}")
-    _check_bits(x, "vector")
-    support = [c for c, bit in enumerate(x) if bit]
-    if len(support) > p:
-        raise InputError(f"support size {len(support)} exceeds p={p}")
+    mask = row_mask(x, "vector")
+    if mask.bit_count() > p:
+        raise InputError(f"support size {mask.bit_count()} exceeds p={p}")
     cols = M.cols
-    hit = rows_hit(cols, support)
+    hit = rows_hit(cols, [c for c in range(M.n) if mask >> c & 1])
     L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InputError(
             f"candidate list has {len(L)} entries; matrix is not a "
             f"(2p, p+1) selector for p={p}"
         )
-    in_support = set(support)
     z = tuple(
-        1 if k < len(L) and L[k] in in_support else 0 for k in range(2 * p)
+        1 if k < len(L) and mask >> L[k] & 1 else 0 for k in range(2 * p)
     )
     return CompressedWord(row_vector(hit, M.m), z)
 
@@ -275,7 +249,7 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     if len(w.z) != 2 * p:
         raise InputError(f"mask length {len(w.z)} != 2p = {2 * p}")
     cols = M.cols
-    hit = _bits_mask((*w.y, *w.z), "word") & ((1 << M.m) - 1)
+    hit = row_mask((*w.y, *w.z), "word") & ((1 << M.m) - 1)
     L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InconsistentObservationError(

@@ -33,7 +33,7 @@ from .core import (
     InputError,
     SuperSelectorSpec,
     _budget_guard,
-    _level_counts,
+    _subset_counts,
     is_superselector,
     row_mask,
 )
@@ -132,7 +132,8 @@ class DerandState:
         # code; charge both before allocating either. A fill has m >= 1
         # rows, so one row's evaluations alone can refuse it, before the
         # threshold and the table sizes are computed.
-        per_row = sum(map(mul, levels, _level_counts(n, levels)))
+        counts = list(_subset_counts(n, [(j, 0) for j in levels]))
+        per_row = sum(map(mul, levels, counts))
         _budget_guard(per_row, budget, "fill evaluations per row",
                       "the derandomized fill")
         self.m = derand_threshold(spec)
@@ -155,8 +156,8 @@ class DerandState:
         self._classes, self._code, self._mask = [], [], []
         index, code_cls, code_u = {}, [], []
         bits = [1 << c for c in range(n)]
-        for j in levels:
-            self._code.extend([len(code_u)] * comb(n, j))
+        for j, count in zip(levels, counts):
+            self._code.extend([len(code_u)] * count)
             for a in range(spec.v[j - 1] + 1):
                 for u in sorted((1 << j) - 1 ^ sum(realized) for realized
                                 in itertools.combinations(bits[:j], a)):
@@ -208,8 +209,8 @@ class DerandState:
         self._load_row()
         # Every subset starts at f(m, v_j, j); summed in subset order.
         self.expectation = sum([
-            f for j in levels
-            for f in [self._tables[j][self.m][spec.v[j - 1]]] * comb(n, j)
+            f for j, count in zip(levels, counts)
+            for f in [self._tables[j][self.m][spec.v[j - 1]]] * count
         ])
 
     def _load_row(self):
@@ -358,7 +359,8 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
     # Each check visits sum_j C(n,j) subsets; refuse before sampling.
-    _budget_guard(sum(_level_counts(spec.n, spec.levels())), budget)
+    _budget_guard(sum(_subset_counts(spec.n, [(j, 0) for j in spec.levels()])),
+                  budget)
     m = derand_threshold(spec)
     for attempt in range(max_attempts):
         M = sample_random_matrix(m, spec.n, spec.p, seed + attempt)

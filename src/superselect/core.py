@@ -26,6 +26,10 @@ it. Identification (`identify`) works on the same view from such a
 mask: the candidates are the columns inside it, and a candidate is
 identified when it owns a row no other candidate hits. A call costs
 O(n + |candidates|) word operations.
+
+A 0/1 sequence becomes a row mask through `row_mask` only: decoders of
+counts read each entry by its truth, and the codecs pass `what` to have
+any entry other than 0 or 1 refused by name.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
 from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
@@ -211,17 +214,26 @@ _TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGITS = b"0" + b"1" * 255
 
 
-def row_mask(a: Sequence[int]) -> int:
-    """Mask of the rows r where a[r] is nonzero."""
+def row_mask(a: Sequence[int], what: str | None = None) -> int:
+    """Mask of the rows r where a[r] is nonzero; 0 for an empty a.
+
+    With `what` set, a must hold bits: an entry other than 0 or 1 (True
+    and 1.0 pass, 2 or "1" do not) raises InputError naming `what` and
+    the entry's index. The length is taken before bytes(), which would
+    allocate n bytes for an int n: an int is refused as not iterable."""
     try:
+        size = len(a)
         raw = bytes(a)
     except (TypeError, ValueError):
-        raw = b""
-    if len(raw) != len(a):
-        # Entries outside 0..255 or not integers, or a buffer of items
-        # wider than a byte: only the truth of each entry counts.
+        size, raw = -1, b""
+    if len(raw) != size or what is not None and raw.translate(None, b"\x00\x01"):
+        # Entries past 0..255, not ints or in items wider than a byte, or
+        # a byte other than 0 or 1 where bits are asked for.
+        if what is not None and not {0, 1}.issuperset(a):
+            k = next(k for k, bit in enumerate(a) if bit not in (0, 1))
+            raise InputError(f"{what} entry {k} is {a[k]!r}, not a bit")
         raw = bytes(map(bool, a))
-    return int(raw.translate(_TO_DIGITS)[::-1], 2)
+    return int(raw.translate(_TO_DIGITS)[::-1], 2) if raw else 0
 
 
 def row_vector(mask: int, m: int) -> tuple:
@@ -274,15 +286,29 @@ def identify(cols: Sequence[int], hit: int) -> tuple:
     return tuple([c for c in candidates if cols[c] & once]), tuple(candidates)
 
 
-def _level_counts(n: int, levels: Iterable[int]):
-    """Yield C(n, j) for each j of the ascending `levels`, from one
-    running product over j = 1, 2, ...: a comb() per level costs seconds
-    once n and the levels run to thousands."""
-    count, below = 1, 0
-    for j in levels:
-        while below < j:
-            count = count * (n - below) // (below + 1)
-            below += 1
+def _subset_counts(n: int, pairs: Iterable[tuple]):
+    """Yield C(n, j)·C(j, r), the ways to pick a j-set of n columns and r
+    of its members, for each (j, r) of `pairs`; r = 0 gives C(n, j).
+
+    That is the multinomial of the parts r, j - r and n - j, kept as one
+    running product over all the pairs: moving one unit from a part of
+    size x to one of size y multiplies it by x/(y + 1), exactly. A comb()
+    per pair costs seconds once n and the levels run to thousands."""
+    j0 = r0 = 0
+    count = 1
+    for j, r in pairs:
+        while r0 > r:  # from r to j - r
+            count = count * r0 // (j0 - r0 + 1)
+            r0 -= 1
+        while j0 < j:  # from n - j to j - r
+            count = count * (n - j0) // (j0 - r0 + 1)
+            j0 += 1
+        while j0 > j:  # from j - r to n - j
+            count = count * (j0 - r0) // (n - j0 + 1)
+            j0 -= 1
+        while r0 < r:  # from j - r to r
+            count = count * (j0 - r0) // (r0 + 1)
+            r0 += 1
         yield count
 
 
@@ -488,7 +514,7 @@ def is_superselector(
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
-    _budget_guard(sum(_level_counts(M.n, levels)), budget)
+    _budget_guard(sum(_subset_counts(M.n, [(j, 0) for j in levels])), budget)
     pairs = None
     for j in levels:
         if j == 1:
@@ -517,7 +543,7 @@ def is_list_disjunct(
         raise InputError("need d >= 1 and l >= 1")
     if d + l > M.n:
         raise InputError(f"d + l = {d + l} exceeds n = {M.n}")
-    _budget_guard(comb(M.n, d), budget)
+    _budget_guard(next(_subset_counts(M.n, [(d, 0)])), budget)
     cols = M.cols
     for S in itertools.combinations(range(M.n), d):
         if len(identify(cols, rows_hit(cols, S))[1]) >= d + l:

@@ -9,9 +9,9 @@ counts are integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, e, exp, inf, log2
+from math import ceil, e, exp, inf, log2
 
-from .core import InputError, SuperSelectorSpec
+from .core import InputError, SuperSelectorSpec, _subset_counts
 
 LOG2_E = log2(e)
 
@@ -124,20 +124,17 @@ def _log_failure_terms(spec: SuperSelectorSpec) -> list:
     """Per constrained level j: (log of the count factor, log(1 - r*alpha_j)).
 
     The union-bound failure mass at m rows is
-    sum_j C(n,j) * C(j, j-v_j+1) * (1 - (j-v_j+1) * alpha_j)^m
-    with alpha_j from `level_alpha`, its x fixed by the outer p.
+    sum_j C(n,j) * C(j, r) * (1 - r * alpha_j)^m, r = j - v_j + 1,
+    with alpha_j from `level_alpha`, its x fixed by the outer p. The
+    counts come from one running product (`core._subset_counts`).
     """
+    pairs = [(j, j - vj + 1) for j, vj in _constrained(spec)]
     terms = []
-    for j, vj in _constrained(spec):
-        r = j - vj + 1
+    for (j, r), count in zip(pairs, _subset_counts(spec.n, pairs)):
         base = 1.0 - r * level_alpha(spec.p, j)
-        count = comb(spec.n, j) * comb(j, r)
-        if base <= 0.0:
-            # The per-row hit probability already covers the whole event;
-            # any m >= 1 kills this term.
-            terms.append((log2(count), None))
-        else:
-            terms.append((log2(count), log2(base)))
+        # At base <= 0 the per-row hit probability already covers the
+        # whole event; any m >= 1 kills the term, marked by log base None.
+        terms.append((log2(count), log2(base) if base > 0.0 else None))
     return terms
 
 

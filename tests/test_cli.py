@@ -583,6 +583,21 @@ def test_over_budget_check_at_huge_n_is_refused_at_once(tmp_path, manifest,
     assert (tmp_path / "runs.tsv").read_text().endswith("\terror:BudgetError\n")
 
 
+def test_bounds_at_huge_n_is_quick(tmp_path, manifest, capsys):
+    # All 8,000 levels are constrained. The threshold's per-level counts
+    # C(n, j)·C(j, r) come from one running product; two comb() calls per
+    # level took over 5 s.
+    n = 8000
+    write(tmp_path / "s.txt",
+          f"{n} {n}\n" + " ".join(str(i // 2 + 1) for i in range(1, n + 1)) + "\n")
+    start = time.perf_counter()
+    assert main(["bounds", "--spec", str(tmp_path / "s.txt"),
+                 "--manifest", manifest]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "upper=642131\nlower=4246\nthreshold=145429\nselector=72696\n", "")
+
+
 def test_me_encode_rejects_bad_set(tmp_path, manifest):
     assert main(["me-encode", "--n", "6", "--k", "2", "--set", "1,,2",
                  "--manifest", manifest]) == 2

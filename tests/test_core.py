@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from superselect.core import (
     InputError,
     ParseError,
     SuperSelectorSpec,
+    _subset_counts,
     arithmetic_sum,
     boolean_sum,
     identify,
@@ -92,6 +94,28 @@ def test_rows_hit_is_the_mask_of_rows_the_columns_hit(case):
     M, S = case
     # The rows with a positive arithmetic sum, found from the rows.
     assert rows_hit(M.cols, S) == row_mask(arithmetic_sum(M, S))
+
+
+@pytest.mark.parametrize("empty", [(), [], b"", ""])
+def test_row_mask_of_an_empty_sequence_is_zero(empty):
+    # int(b"", 2) used to raise ValueError here; the checked mode already
+    # gave 0.
+    assert row_mask(empty) == 0
+    assert row_mask(empty, "word") == 0
+
+
+@st.composite
+def subset_count_pairs(draw):
+    n = draw(st.integers(0, 80))
+    js = draw(st.lists(st.integers(0, n), max_size=10))
+    return n, [(j, draw(st.integers(0, j))) for j in js]
+
+
+@given(subset_count_pairs())
+def test_subset_counts_are_exact_in_any_order(case):
+    n, pairs = case
+    assert list(_subset_counts(n, pairs)) == [comb(n, j) * comb(j, r)
+                                              for j, r in pairs]
 
 
 def test_sum_rejects_out_of_range_column():
