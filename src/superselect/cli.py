@@ -8,9 +8,12 @@ in one write on an O_APPEND file descriptor, to the manifest file for
 every run that passes flag parsing, including failed runs, whose verdict
 is `error:<Class>` (rejected flags write none). Input files are read
 with `os.read` until their end and outputs are written through a file
-descriptor, in place, with no Python file object. A command prints one
-machine-readable result line (`bounds` prints its four labeled lines)
-on standard output, or one `error: ...` line on standard error.
+descriptor, in place, with no Python file object. The manifest digests
+a matrix as the text `format_matrix` writes for it, which a parsed
+matrix holds already, so a file's layout never changes the digest. A
+command prints one machine-readable result line (`bounds` prints its
+four labeled lines) on standard output, or one `error: ...` line on
+standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
@@ -48,7 +51,6 @@ from .core import (
     SuperSelectorSpec,
     _TO_BITS,
     _TO_DIGITS,
-    _as_lf,
     _is_digits,
     format_matrix,
     format_spec,
@@ -139,8 +141,8 @@ _READ_CHUNK = 1 << 16
 
 
 def _read_text(path: str) -> str:
-    """The file as UTF-8 text with every line ending read as LF; bytes
-    that are not UTF-8 are a ParseError at their line."""
+    """The file as UTF-8 text; bytes that are not UTF-8 are a ParseError
+    at their line. The parsers read every line ending as LF."""
     fd = os.open(path, os.O_RDONLY)
     try:
         chunks = []
@@ -154,7 +156,7 @@ def _read_text(path: str) -> str:
     finally:
         os.close(fd)
     try:
-        return _as_lf(raw.decode("utf-8"))
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((raw[:exc.start] + b".").splitlines())
         raise ParseError(path, line, f"not UTF-8 text ({exc.reason})") from None
@@ -188,16 +190,8 @@ def _read_spec(args, run: RunManifest) -> SuperSelectorSpec:
 
 
 def _read_matrix(args, run: RunManifest) -> BitMatrix:
-    # The text has every line ending as LF, and the parser accepts lines
-    # 2 to m+1 only as exactly the canonical rows. So a text that is the
-    # canonical header and then m lines of n + 1 characters is
-    # format_matrix(M) itself; any other is re-joined from its rows.
-    text = _read_text(args.matrix)
-    M = parse_matrix(text, source=args.matrix)
-    head = f"{M.m} {M.n}\n"
-    if len(text) != len(head) + M.m * (M.n + 1) or not text.startswith(head):
-        text = head + "\n".join(text.split("\n", M.m + 1)[1:M.m + 1]) + "\n"
-    run.matrix_digest = _digest(text)
+    M = _read(args.matrix, parse_matrix)
+    run.matrix_digest = _digest(format_matrix(M))
     return M
 
 

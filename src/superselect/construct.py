@@ -24,8 +24,9 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from functools import reduce
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -208,10 +209,11 @@ class DerandState:
         self.rows = []
         self._load_row()
         # Every subset starts at f(m, v_j, j); summed in subset order.
-        self.expectation = sum([
+        # reduce, not sum: from Python 3.12 sum() of floats is compensated.
+        self.expectation = reduce(add, [
             f for j, count in zip(levels, counts)
             for f in [self._tables[j][self.m][spec.v[j - 1]]] * count
-        ])
+        ], 0)
 
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from

@@ -2,11 +2,14 @@
 exhaustive verification of selector-type properties.
 
 A matrix row is stored as a Python int whose bit c is the entry M[r,c].
-Each matrix also carries one column view, `BitMatrix.cols` (an int per
-column whose bit r is M[r,c]), built on first use, then cached; the
-verifiers and the decoders share it. A matrix from `parse_matrix` keeps
-its checked text and builds both views, `rows` and `cols`, from it on
-first use, so a reader of one view never pays for the other.
+A matrix is also its canonical text: the m row lines that
+`format_matrix` writes after its header, joined by LF. A matrix from
+`parse_matrix` starts from that text and one built from rows makes it on
+first use. Both views are read from it, each on first use and then
+cached: the rows as n-character slices and the column view,
+`BitMatrix.cols` (an int per column whose bit r is M[r,c]), as
+stride-(n+1) slices of the text reversed, so a reader of one view never
+pays for the other and the verifiers and the decoders share one.
 
 The exhaustive selector checks walk the (j-2)-column prefixes of the
 j-sets depth first, carrying the rows the prefix hits once and more
@@ -103,9 +106,9 @@ def selector_spec(p: int, k: int, n: int) -> SuperSelectorSpec:
 class BitMatrix:
     """Immutable m x n binary matrix. rows[r] holds row r, bit c = M[r,c].
 
-    A matrix built from rows has its row view from the start. One that
-    `parse_matrix` returns holds its checked body text instead and builds
-    each view from it on first use; the text goes once both views exist.
+    A matrix built from rows has its row view from the start and makes
+    its text on first use. One that `parse_matrix` returns holds its
+    checked text instead, and builds the row view from it on first use.
     """
 
     __slots__ = ("m", "n", "_rows", "_cols", "_text")
@@ -124,33 +127,40 @@ class BitMatrix:
         self._cols = self._text = None
 
     @classmethod
-    def _from_text(cls, m: int, n: int, body: str) -> "BitMatrix":
-        """The matrix whose m rows of n characters from {0,1}, joined last
-        row first, are `body`; the caller has checked them."""
+    def _from_text(cls, m: int, n: int, text: str) -> "BitMatrix":
+        """The matrix whose m rows of n characters from {0,1}, joined by
+        LF, are `text`; the caller has checked them."""
         M = cls.__new__(cls)
-        M.m, M.n, M._rows, M._cols, M._text = m, n, None, None, body
+        M.m, M.n, M._rows, M._cols, M._text = m, n, None, None, text
         return M
+
+    def _body(self) -> str:
+        """The row lines, row 0 first, each M[r,0] first, joined by LF."""
+        if self._text is None:
+            width = f"0{self.n}b"
+            self._text = "\n".join([format(row, width)[::-1] for row in self._rows])
+        return self._text
+
+    # Reversed, the text lists every row reversed, last row first, n + 1
+    # characters apart, so each n-character slice reads as its row's int;
+    # every (n+1)-th character from n-1-c on spells column c, with row 0
+    # as its lowest bit.
 
     @property
     def rows(self) -> tuple:
         """Row view: rows[r] has bit c = M[r,c]."""
         if self._rows is None:
-            self._rows = _text_rows(self._text, self.n)
-            if self._cols is not None:
-                self._text = None
+            text, n = self._text[::-1], self.n
+            self._rows = tuple([int(text[i:i + n], 2)
+                                for i in range(len(text) - n, -1, -n - 1)])
         return self._rows
 
     @property
     def cols(self) -> tuple:
         """Column view, built on first use: cols[c] has bit r = M[r,c]."""
         if self._cols is None:
-            if self._text is None:
-                self._cols = _columns(self)
-            else:
-                text, n = self._text, self.n
-                self._cols = tuple([int(text[c::n], 2) for c in range(n)])
-                if self._rows is not None:
-                    self._text = None
+            text, n = self._body()[::-1], self.n
+            self._cols = tuple([int(text[n - 1 - c::n + 1], 2) for c in range(n)])
         return self._cols
 
     @classmethod
@@ -159,13 +169,10 @@ class BitMatrix:
             raise InputError("matrix dimensions must be positive")
         n = len(entries[0])
         rows = []
-        for row in entries:
+        for r, row in enumerate(entries):
             if len(row) != n:
                 raise InputError("ragged rows")
-            for e in row:
-                if e not in (0, 1):
-                    raise InputError(f"entry {e!r} is not a bit")
-            rows.append(row_mask(row))
+            rows.append(row_mask(row, f"row {r}"))
         return cls(n, rows)
 
     @classmethod
@@ -229,9 +236,10 @@ def row_mask(a: Sequence[int], what: str | None = None) -> int:
     if len(raw) != size or what is not None and raw.translate(None, b"\x00\x01"):
         # Entries past 0..255, not ints or in items wider than a byte, or
         # a byte other than 0 or 1 where bits are asked for.
-        if what is not None and not {0, 1}.issuperset(a):
-            k = next(k for k, bit in enumerate(a) if bit not in (0, 1))
-            raise InputError(f"{what} entry {k} is {a[k]!r}, not a bit")
+        if what is not None:
+            for k, bit in enumerate(a):
+                if bit not in (0, 1):
+                    raise InputError(f"{what} entry {k} is {bit!r}, not a bit")
         raw = bytes(map(bool, a))
     return int(raw.translate(_TO_DIGITS)[::-1], 2) if raw else 0
 
@@ -318,27 +326,6 @@ def _budget_guard(checks: int, budget: int, noun: str = "subset checks",
         count = checks if checks.bit_length() <= 256 else f"at least 2^{checks.bit_length() - 1}"
         raise BudgetError(f"{count} {noun} exceed the budget of {budget}; "
                           f"{work} is desk scale only")
-
-
-def _columns(M: BitMatrix) -> tuple:
-    """Transpose M into its column view; `BitMatrix.cols` caches it.
-
-    The rows are written out as one binary string, last row first, so
-    every n-th character from position n-1-c spells column c with row 0
-    as its lowest bit."""
-    n = M.n
-    width = f"0{n}b"
-    text = "".join([format(row, width) for row in reversed(M.rows)])
-    return tuple([int(text[n - 1 - c::n], 2) for c in range(n)])
-
-
-# A parsed matrix's body: its rows as text, joined last row first.
-# Reversed whole, it lists every row reversed, first row first, so each
-# n-character slice reads as its row's int; every n-th character from c
-# on spells column c, with row 0 as its lowest bit.
-def _text_rows(body: str, n: int) -> tuple:
-    text = body[::-1]
-    return tuple([int(text[i:i + n], 2) for i in range(0, len(text), n)])
 
 
 # The selector checks ask of every j-set of columns that at least k of
@@ -561,8 +548,9 @@ def is_list_disjunct(
 # ---------------------------------------------------------------------------
 
 
-# Deletes 0 and 1, leaving the characters a matrix row may not hold.
-_NOT_BITS = str.maketrans("", "", "01")
+# Deletes 0, 1 and LF, leaving the characters the rows of a matrix, or
+# their text joined by LF, may not hold.
+_NOT_ROWS = str.maketrans("", "", "01\n")
 
 
 def _is_digits(token: str) -> bool:
@@ -580,13 +568,11 @@ def _int(token: str, source: str, line: int) -> int:
         raise ParseError(source, line, f"integer of {len(token)} digits is too long") from None
 
 
-def _as_lf(text: str) -> str:
-    """The text with every CRLF and lone CR read as LF."""
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 def _lines(text: str) -> list:
-    return _as_lf(text).split("\n")
+    """The lines of text, every CRLF and lone CR read as LF."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _header(lines: list, source: str, label: str) -> tuple:
@@ -600,23 +586,23 @@ def _header(lines: list, source: str, label: str) -> tuple:
 
 
 def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
-    """The matrix in `text`, holding its checked rows as text: each view
-    is built from that text when first read. The rows are checked
-    together; the first bad one is found only then."""
+    """The matrix in `text`, holding its checked rows joined by LF as its
+    text, which `format_matrix` writes back after the header; each view
+    is built from it when first read. The rows are checked together; the
+    first bad one is found only then."""
     lines = _lines(text)
     m, n = _header(lines, source, "m n")
     if m < 1 or n < 1:
         raise ParseError(source, 1, "dimensions must be positive")
     rows = lines[1:m + 1]
-    # The body the matrix keeps (see `_text_rows`).
-    body = "".join(rows[::-1])
+    body = "\n".join(rows)
     # int(_, 2) would also take "_", spaces and non-ASCII digits, so
     # every character other than 0 and 1 is rejected first.
-    if len(rows) != m or {*map(len, rows)} != {n} or body.translate(_NOT_BITS):
+    if len(rows) != m or {*map(len, rows)} != {n} or body.translate(_NOT_ROWS):
         for ln, raw in enumerate(rows, start=2):
             if len(raw) != n:
                 raise ParseError(source, ln, f"row has {len(raw)} characters, expected {n}")
-            bad = raw.translate(_NOT_BITS)
+            bad = raw.translate(_NOT_ROWS)
             if bad:
                 raise ParseError(source, ln, f"invalid character {bad[0]!r}")
         raise ParseError(source, len(rows) + 2, f"expected {m} rows, file ends early")
@@ -627,10 +613,7 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
 
 
 def format_matrix(M: BitMatrix) -> str:
-    width = f"0{M.n}b"
-    return f"{M.m} {M.n}\n" + "".join(
-        format(row, width)[::-1] + "\n" for row in M.rows
-    )
+    return f"{M.m} {M.n}\n{M._body()}\n"
 
 
 def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:

@@ -44,23 +44,28 @@ def _log2_ratio(n: int, j: int) -> float:
         return log2(n) - log2(j)
 
 
-def fill_spec(spec: SuperSelectorSpec) -> SuperSelectorSpec:
-    """The spec with every implied level's v_i set to 0; p, and with it
-    x = (p-1)/p, stay.
+def _filled_v(v: tuple) -> tuple:
+    """v with every implied level's v_i set to 0.
 
     Level i is implied when v_i <= max over j > i of v_j - (j - i): drop a
     column from a j-set and the same rows still isolate at least v_j - 1
     of the columns that remain, and p <= n, so every i-set extends to a
     j-set. Walking down from level p, `best` is that maximum.
     """
-    v = list(spec.v)
+    v = list(v)
     best = 0
-    for i in range(spec.p - 1, -1, -1):
+    for i in range(len(v) - 1, -1, -1):
         vi = v[i]
         if vi <= best:
             v[i] = 0
         best = max(best, vi) - 1
-    return SuperSelectorSpec(spec.n, spec.p, tuple(v))
+    return tuple(v)
+
+
+def fill_spec(spec: SuperSelectorSpec) -> SuperSelectorSpec:
+    """The spec with every implied level's v_i set to 0 (`_filled_v`); p,
+    and with it x = (p-1)/p, stay."""
+    return SuperSelectorSpec(spec.n, spec.p, _filled_v(spec.v))
 
 
 def _constrained(spec: SuperSelectorSpec) -> list:
@@ -120,18 +125,19 @@ def superselector_lower_bound(spec: SuperSelectorSpec) -> SizeBound:
     return SizeBound(max(0, ceil(best)), tuple(per_level))
 
 
-def _log_failure_terms(spec: SuperSelectorSpec) -> list:
-    """Per constrained level j: (log of the count factor, log(1 - r*alpha_j)).
+def _log_failure_terms(n: int, p: int, v: tuple) -> list:
+    """Per constrained level j of (n, p, v): (log of the count factor,
+    log(1 - r*alpha_j)).
 
     The union-bound failure mass at m rows is
     sum_j C(n,j) * C(j, r) * (1 - r * alpha_j)^m, r = j - v_j + 1,
     with alpha_j from `level_alpha`, its x fixed by the outer p. The
     counts come from one running product (`core._subset_counts`).
     """
-    pairs = [(j, j - vj + 1) for j, vj in _constrained(spec)]
+    pairs = [(j, j - vj + 1) for j, vj in enumerate(v, start=1) if vj >= 1]
     terms = []
-    for (j, r), count in zip(pairs, _subset_counts(spec.n, pairs)):
-        base = 1.0 - r * level_alpha(spec.p, j)
+    for (j, r), count in zip(pairs, _subset_counts(n, pairs)):
+        base = 1.0 - r * level_alpha(p, j)
         # At base <= 0 the per-row hit probability already covers the
         # whole event; any m >= 1 kills the term, marked by log base None.
         terms.append((log2(count), log2(base) if base > 0.0 else None))
@@ -157,7 +163,7 @@ def derand_threshold(spec: SuperSelectorSpec) -> int:
     matrix succeeds with positive probability, and the
     conditional-expectations construction is guaranteed to succeed.
     """
-    terms = _log_failure_terms(fill_spec(spec))
+    terms = _log_failure_terms(spec.n, spec.p, _filled_v(spec.v))
     if not terms:
         return 1
     if _failure_mass(terms, 1) < 1.0:
@@ -175,4 +181,3 @@ def derand_threshold(spec: SuperSelectorSpec) -> int:
         else:
             lo = mid
     return hi
-

@@ -1,12 +1,16 @@
 """Frozen reference for the differential parser tests: `parse_matrix`
 and `parse_vector` as they were before the matrix rows were checked
-together and the vector got its one-check path.
+together and the vector got its one-check path, and the matrix views and
+writer as they were before a matrix held its canonical text.
 
 `parse_matrix` checks one row line at a time and leaves the column view
 to be built on first use; `parse_vector` reads one line at a time. Both
 raise the same `ParseError` (source, line, message) the package does.
-They are kept only so the parsers in `superselect.core` can be checked
-against them. Do not use them outside the tests.
+`_columns` transposes a matrix's rows into its column view, `_text_rows`
+reads the rows from a body of row lines joined last row first, and
+`format_matrix` writes the header and one line per row. They are kept
+only so the code in `superselect.core` can be checked against them. Do
+not use them outside the tests.
 """
 
 from __future__ import annotations
@@ -67,3 +71,31 @@ def parse_vector(text: str, source: str = "<vector>") -> tuple:
     if not values:
         raise ParseError(source, 1, "empty vector")
     return tuple(values)
+
+
+def _columns(M: BitMatrix) -> tuple:
+    """Transpose M into its column view; `BitMatrix.cols` caches it.
+
+    The rows are written out as one binary string, last row first, so
+    every n-th character from position n-1-c spells column c with row 0
+    as its lowest bit."""
+    n = M.n
+    width = f"0{n}b"
+    text = "".join([format(row, width) for row in reversed(M.rows)])
+    return tuple([int(text[n - 1 - c::n], 2) for c in range(n)])
+
+
+# A parsed matrix's body: its rows as text, joined last row first.
+# Reversed whole, it lists every row reversed, first row first, so each
+# n-character slice reads as its row's int; every n-th character from c
+# on spells column c, with row 0 as its lowest bit.
+def _text_rows(body: str, n: int) -> tuple:
+    text = body[::-1]
+    return tuple([int(text[i:i + n], 2) for i in range(0, len(text), n)])
+
+
+def format_matrix(M: BitMatrix) -> str:
+    width = f"0{M.n}b"
+    return f"{M.m} {M.n}\n" + "".join(
+        format(row, width)[::-1] + "\n" for row in M.rows
+    )

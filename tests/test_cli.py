@@ -39,7 +39,7 @@ from superselect import (
     superselector_lower_bound,
     superselector_upper_bound,
 )
-from superselect import cli, core
+from superselect import cli
 from superselect.cli import _digest, main
 
 
@@ -255,20 +255,21 @@ def test_matrix_digest_is_the_canonical_text_digest(tmp_path, manifest, capsys,
 
 
 def _spy_on_row_views(monkeypatch):
-    """Calls that build a parsed matrix's row view, and the matrices the
-    CLI parses, as two lists that fill while the CLI runs."""
+    """Reads of the row view that build it, and the matrices the CLI
+    parses, as two lists that fill while the CLI runs."""
     built, parsed = [], []
-    text_rows, parse = core._text_rows, cli.parse_matrix
+    view, parse = BitMatrix.rows, cli.parse_matrix
 
-    def spy_rows(*args):
-        built.append(args)
-        return text_rows(*args)
+    def spy_rows(M):
+        if M._rows is None:
+            built.append(M)
+        return view.fget(M)
 
     def spy_parse(*args, **kwargs):
         parsed.append(parse(*args, **kwargs))
         return parsed[-1]
 
-    monkeypatch.setattr(core, "_text_rows", spy_rows)
+    monkeypatch.setattr(BitMatrix, "rows", property(spy_rows))
     monkeypatch.setattr(cli, "parse_matrix", spy_parse)
     return built, parsed
 
@@ -296,8 +297,7 @@ def test_commands_build_only_the_matrix_views_they_read(tmp_path, manifest,
         assert main(argv) == 0, argv
         assert (built, parsed[-1]._rows) == ([], None), argv
     assert main(["verify", *decode]) == 0
-    assert len(built) == 1
-    assert parsed[-1]._text is None and parsed[-1].rows == M.rows
+    assert built == [parsed[-1]] and parsed[-1].rows == M.rows
     capsys.readouterr()
     assert parse_vector((tmp_path / "y.txt").read_text()) == x
 

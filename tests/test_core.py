@@ -356,21 +356,36 @@ def test_from_entries_matches_frozen_entrywise_builder(n):
         assert matrix_of([tuple(row) for row in entries]) == frozen
 
 
-@pytest.mark.parametrize("entries", [
-    [], [[]], [[0, 1], [1]], [[0, 2]], [[1, -1]], [["1", 0]], [[None]], [[0.5]],
+@pytest.mark.parametrize("entries, message", [
+    ([], "matrix dimensions must be positive"),
+    ([[]], "matrix dimensions must be positive"),
+    ([[0, 1], [1]], "ragged rows"),
+    ([[0, 2]], "row 0 entry 1 is 2, not a bit"),
+    ([[1, -1]], "row 0 entry 1 is -1, not a bit"),
+    ([["1", 0]], "row 0 entry 0 is '1', not a bit"),
+    ([[None]], "row 0 entry 0 is None, not a bit"),
+    ([[0.5]], "row 0 entry 0 is 0.5, not a bit"),
 ], ids=["empty", "no-columns", "ragged", "two", "minus-one", "string", "none", "half"])
-def test_from_entries_keeps_its_input_errors(entries):
+def test_from_entries_keeps_its_input_errors(entries, message):
+    # The frozen builder refuses the same inputs; a bit check is now
+    # row_mask's, so its message names the row and the entry's index.
     with pytest.raises(InputError) as new:
         matrix_of(entries)
-    with pytest.raises(InputError) as old:
+    with pytest.raises(InputError):
         _frozen_from_entries(entries)
-    assert str(new.value) == str(old.value)
+    assert str(new.value) == message
 
 
 def test_from_entries_reads_entries_equal_to_a_bit_as_that_bit():
     # 1.0, 0.0 and True pass the "in (0, 1)" check; the entrywise builder
     # then failed on `1.0 << c` with a TypeError. They are bits.
     assert matrix_of([[1.0, 0.0, True, False]]).rows == (0b0101,)
+
+
+def test_from_entries_refuses_an_unhashable_entry_as_not_a_bit():
+    # An entry that cannot be hashed is compared, not looked up in a set.
+    with pytest.raises(InputError, match=r"^row 1 entry 0 is \[1\], not a bit$"):
+        matrix_of([[0], [[1]]])
 
 
 def test_entry_column_row_consistency():

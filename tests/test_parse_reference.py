@@ -2,10 +2,13 @@
 frozen per-line parsers in `reference_parse.py`: on drawn texts, both
 return the same value or raise a `ParseError` with the same source, line
 and message, and every parsed matrix gives, in whichever order its views
-are read, the rows of the reference and the column view that
-`core._columns` computes from them."""
+are read, the rows of the reference and the column view that the frozen
+`_columns` computes from them. Matrices built and parsed give the rows,
+the column view and the text of the frozen views and writer."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -92,7 +95,7 @@ def _same_matrix_outcome(text):
         assert new == old, text
     else:
         R = old[1]
-        want = (R.m, R.n, R.rows, core._columns(R))
+        want = (R.m, R.n, R.rows, reference_parse._columns(R))
         # A parsed matrix builds each view from its text when first read;
         # read them in both orders.
         M = new[1]
@@ -148,3 +151,26 @@ def test_vector_edge_texts_match_per_line_parser(text):
 ])
 def test_matrix_edge_texts_match_per_line_parser(text):
     _same_matrix_outcome(text)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("m", [1, 3, 80])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000])
+def test_matrix_views_and_text_match_frozen_code(n, m, density):
+    # The frozen code reads the rows given to a built matrix; the new one
+    # reads every view of a built or parsed matrix from its text, so each
+    # view is taken first once.
+    rng = random.Random(n * 1000 + m)
+    rows = tuple(sum(1 << c for c in range(n) if rng.random() < density)
+                 for _ in range(m))
+    R = BitMatrix(n, rows)
+    text = reference_parse.format_matrix(R)
+    body = "".join(text.split("\n")[m:0:-1])
+    assert reference_parse._text_rows(body, n) == rows
+    want = (rows, reference_parse._columns(R), text)
+    views = {"rows": lambda M: M.rows, "cols": lambda M: M.cols,
+             "text": format_matrix}
+    for first in views:
+        for M in (BitMatrix(n, rows), core.parse_matrix(text)):
+            views[first](M)
+            assert tuple(view(M) for view in views.values()) == want, first
