@@ -10,7 +10,7 @@ probabilities: bit 1 exactly when the difference d of the two
 hypothesis sums exceeds a tie slack. At the threshold row count
 the sum starts above (number of subsets) - 1 and a greedy choice never
 lowers it, so it ends with every subset satisfied; the fill checks that
-invariant after every entry. Entry (r, c) can change only the subsets
+invariant after every greedy entry. Entry (r, c) can change only the subsets
 that contain column c, and a static per-column index lists exactly those
 by how many of their columns follow c, so a fill costs at most
 m * sum_j j*C(n,j) subset evaluations over the levels j that
@@ -50,11 +50,11 @@ class ConstructionFailure(RuntimeError):
 
 
 class PrecisionFault(RuntimeError):
-    """The derandomized construction lost its guarantee: float rounding
-    broke the proof's invariant E > #subsets - 1 (at the start of the
-    fill or at a greedy step), or the finished matrix failed the
-    exhaustive check. The construction stops; nothing retries, and the
-    CLI exits 1."""
+    """The derandomized construction lost its guarantee: a greedy step
+    left the expectation E at or below #subsets - 1, breaking the proof's
+    invariant E > #subsets - 1 (so a start already at or below it fails
+    the first greedy step), or the finished matrix failed the exhaustive
+    check. The construction stops; nothing retries, and the CLI exits 1."""
 
 
 def success_table(m: int, j: int, vj: int, alpha: float) -> list:
@@ -116,9 +116,11 @@ class DerandState:
     later d is exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
-    under the bits fixed so far. Each subset's current probability is the
-    average of its two hypotheses weighted by Pr[entry = 0] = x, so fixing
-    the bit to 1 adds x*d and fixing it to 0 adds -(1-x)*d.
+    under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
+    subset's current probability is the average of its two hypotheses
+    weighted by Pr[entry = 0] = x, so fixing the bit to 1 adds x*d and
+    fixing it to 0 adds -(1-x)*d. A greedy entry that leaves it at most
+    #subsets - 1 raises PrecisionFault, so the first one judges the start.
     """
 
     def __init__(self, spec: SuperSelectorSpec,
@@ -208,12 +210,11 @@ class DerandState:
         self.r = self.c = self.row_bits = 0
         self.rows = []
         self._load_row()
-        # Every subset starts at f(m, v_j, j); summed in subset order.
+        # A level's subsets all start at f(m, v_j, j): one product a level.
         # reduce, not sum: from Python 3.12 sum() of floats is compensated.
         self.expectation = reduce(add, [
-            f for j, count in zip(levels, counts)
-            for f in [self._tables[j][self.m][spec.v[j - 1]]] * count
-        ], 0)
+            count * self._tables[j][self.m][spec.v[j - 1]]
+            for j, count in zip(levels, counts)], 0)
 
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
@@ -285,10 +286,10 @@ class DerandState:
                 if not forced:
                     bit = 0 if d <= tie else 1
                 after = e + (x * d if bit else -omx * d)
-                if not forced and e > floor >= after:
+                if not forced and after <= floor:
                     raise PrecisionFault(
-                        f"expectation fell to {after} <= {floor} at entry "
-                        f"({r},{c}), from {e}"
+                        f"greedy entry ({r},{c}) leaves the expectation at "
+                        f"{after} <= {floor}, from {e}"
                     )
                 e = after
                 if bit:
@@ -319,10 +320,10 @@ class DerandState:
 
     def step(self, bit: int = None) -> int:
         """Fix the next entry and return the bit used. With bit=None the
-        choice is greedy, and a step that takes the expectation from above
-        #subsets - 1 to at most that raises PrecisionFault (the proof's
-        invariant). A forced bit is a replay/testing hook exempt from the
-        check."""
+        choice is greedy, and a step that leaves the expectation at most
+        #subsets - 1 raises PrecisionFault (the proof's invariant), whether
+        it was above that before or not. A forced bit is a replay/testing
+        hook exempt from the check."""
         if self.r >= self.m:
             raise InputError("matrix already complete")
         return self._advance(1, bit)
@@ -374,15 +375,9 @@ def construct_randomized(spec: SuperSelectorSpec, seed: int,
 def construct_derandomized(spec: SuperSelectorSpec,
                            budget: int = DEFAULT_SUBSET_BUDGET) -> BitMatrix:
     """Deterministic threshold-size construction by conditional
-    expectations; verifies its own output by brute force."""
+    expectations; the fill checks the proof's invariant at every greedy
+    entry, and the finished matrix is verified by brute force."""
     state = DerandState(spec, budget=budget)
-    # At the threshold the expected failure mass is below one, so the
-    # greedy fill cannot strand any subset.
-    if not state.expectation > state.ns - 1:
-        raise PrecisionFault(
-            f"initial expectation {state.expectation} does not clear "
-            f"{state.ns - 1}"
-        )
     M = state.run()
     if not is_superselector(M, spec, budget):
         raise PrecisionFault("verification failed on the finished matrix")

@@ -627,9 +627,13 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
     if not all(_is_digits(t.removeprefix("-")) for t in parts):
         raise ParseError(source, 2, f"non-integer entry in {lines[1]!r}")
     try:
-        return SuperSelectorSpec(n, p, tuple(_int(t, source, 2) for t in parts))
+        spec = SuperSelectorSpec(n, p, tuple(_int(t, source, 2) for t in parts))
     except InputError as exc:
         raise ParseError(source, 2, str(exc))
+    for extra in range(2, len(lines)):
+        if lines[extra].strip():
+            raise ParseError(source, extra + 1, "trailing content after spec")
+    return spec
 
 
 def format_spec(spec: SuperSelectorSpec) -> str:

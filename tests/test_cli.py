@@ -93,6 +93,18 @@ def test_bounds_accepts_crlf_files(tmp_path, manifest, capsys):
     assert "threshold=" in capsys.readouterr().out
 
 
+def test_bounds_refuses_trailing_spec_content(tmp_path, manifest, capsys):
+    # A second v line would otherwise be ignored, and two different files
+    # would share one spec; blank trailing lines stay accepted.
+    path = write(tmp_path / "spec.txt", "8 2\n1 2\n2 2\n")
+    assert main(["bounds", "--spec", path, "--manifest", manifest]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}:3: trailing content after spec\n")
+    assert (tmp_path / "runs.tsv").read_text().endswith("\terror:ParseError\n")
+    path = write(tmp_path / "spec.txt", "8 2\r\n1 2\r\n\r\n \n")
+    assert main(["bounds", "--spec", path, "--manifest", manifest]) == 0
+
+
 # ------------------------------------------------------------------ build
 
 
@@ -165,6 +177,26 @@ def test_build_random_exhausts_attempts(tmp_path, manifest, capsys):
                "--out", str(tmp_path / "m.txt"), "--manifest", manifest])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_build_start_at_floor_is_a_precision_fault(tmp_path, manifest,
+                                                  capsys, monkeypatch):
+    # A start at #subsets - 1 is refused by the fill's first greedy entry:
+    # exit 1, one error line, verdict error:PrecisionFault.
+    import superselect.construct
+    from test_construct import _starts_at_floor
+
+    monkeypatch.setattr(superselect.construct, "DerandState", _starts_at_floor)
+    out = tmp_path / "m.txt"
+    rc = main(["build", "--spec", spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2))),
+               "--out", str(out), "--manifest", manifest])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: greedy entry (0,0) leaves the expectation")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+    assert (tmp_path / "runs.tsv").read_text().endswith("\terror:PrecisionFault\n")
 
 
 def test_build_to_dev_null(tmp_path, manifest, capsys):

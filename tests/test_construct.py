@@ -8,7 +8,8 @@ import itertools
 import random
 import re
 import tracemalloc
-from math import comb
+from fractions import Fraction
+from math import comb, ulp
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from superselect import construct
 from superselect.construct import success_table
 from superselect.sizing import level_alpha
 from test_acceptance import SUITE
-from test_fill_reference import APP_SPECS
+from test_fill_reference import APP_SPECS, CORPUS_DIGESTS
 
 
 # ---------------------------------------------------------------- f-table
@@ -398,6 +399,62 @@ def test_forced_step_is_exempt_from_invariant():
     assert state.expectation <= state.ns - 1
 
 
+def test_greedy_step_after_a_forced_one_below_invariant_raises():
+    # The check judges the value a greedy entry leaves, not a crossing:
+    # an entry that starts at or below #subsets - 1 is no excuse. Find an
+    # entry where forcing the losing bit costs more than the next greedy
+    # entry gains, start it between the two above the floor, and force.
+    state = DerandState(SuperSelectorSpec(6, 2, (1, 2)))
+    while True:
+        losing = 1 - copy.deepcopy(state).step()
+        forced = _forced(state, losing)
+        loss = state.expectation - forced.expectation
+        gain = _forced(forced, None).expectation - forced.expectation
+        if loss > gain + 1e-6:
+            break
+        state.step()
+    state.expectation = state.ns - 1 + (loss - gain) / 2
+    state.step(losing)
+    assert state.expectation <= state.ns - 1
+    position = (state.r, state.c)
+    with pytest.raises(PrecisionFault, match=r"greedy entry \(\d+,\d+\) leaves"):
+        state.step()
+    assert (state.r, state.c) == position
+
+
+def _starts_at_floor(spec, budget=DEFAULT_SUBSET_BUDGET):
+    state = DerandState(spec, budget)
+    state.expectation = state.ns - 1
+    return state
+
+
+def test_first_greedy_entry_judges_the_start():
+    state = _starts_at_floor(SuperSelectorSpec(6, 2, (1, 2)))
+    with pytest.raises(PrecisionFault):
+        state.run()
+    assert (state.r, state.c) == (0, 0)
+
+
+def test_derandomized_start_at_floor_raises(monkeypatch):
+    # construct_derandomized has no start check of its own: the fill's
+    # first greedy entry refuses a start at #subsets - 1.
+    monkeypatch.setattr(construct, "DerandState", _starts_at_floor)
+    with pytest.raises(PrecisionFault, match=r"greedy entry \(0,0\)"):
+        construct_derandomized(SuperSelectorSpec(6, 2, (1, 2)))
+
+
+@pytest.mark.parametrize("spec", [*CORPUS_DIGESTS, SuperSelectorSpec(64, 3, (1, 2, 2))],
+                         ids=str)
+def test_start_expectation_is_exact_to_a_few_ulps(spec):
+    # One product per level: at most one rounding per level for the
+    # product and one for the sum, against the exact sum_j C(n,j) f_j.
+    state = DerandState(spec)
+    levels = state.spec.levels()
+    exact = sum(Fraction(state._tables[j][state.m][state.spec.v[j - 1]]) * comb(spec.n, j)
+                for j in levels)
+    assert abs(Fraction(state.expectation) - exact) <= len(levels) * ulp(state.ns)
+
+
 def test_derandomized_heavier_spec():
     spec = SuperSelectorSpec(9, 3, (1, 2, 2))
     M = construct_derandomized(spec)
@@ -505,10 +562,13 @@ def test_fill_state_bytes_per_subset():
     tracemalloc.start()
     try:
         state = DerandState(spec)
-        size = tracemalloc.get_traced_memory()[0]
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert size / state.ns < 150
+    # The start value is one product per level, not an ns-long list, so
+    # init peaks at about the state it keeps (127 B per subset here).
+    assert peak / state.ns < 135
 
 
 def _frozen_hits(masks, n, p):

@@ -436,3 +436,18 @@ def test_negative_values_keep_their_messages():
         parse_spec("2 2\n-1 2\n", source="s.txt")
     assert parse_vector(" 10 \n0\n") == (10, 0)
     assert parse_spec("3 2\n1 2\n") == SuperSelectorSpec(3, 2, (1, 2))
+
+
+def test_spec_refuses_trailing_content():
+    # Like a matrix, a spec ends at its last line: a second v line is an
+    # error, not ignored, so two different files cannot read as one spec.
+    with pytest.raises(ParseError, match="s.txt:3: trailing content after spec"):
+        parse_spec("12 3\n1 2 2\n4 5 6\n", source="s.txt")
+    with pytest.raises(ParseError, match="s.txt:5: trailing content after spec"):
+        parse_spec("12 3\n1 2 2\n\n \nx", source="s.txt")
+    # A bad line 2 is reported first, as a bad row is before a matrix's tail.
+    with pytest.raises(ParseError, match=r"s.txt:2: v_1=2 outside \[0, 1\]"):
+        parse_spec("12 3\n2 2 2\n4 5 6\n", source="s.txt")
+    spec = SuperSelectorSpec(12, 3, (1, 2, 2))
+    assert parse_spec("12 3\r\n1 2 2\r\n\r\n \n\n") == spec
+    assert parse_spec("12 3\n1 2 2") == spec
