@@ -207,16 +207,23 @@ class CompressedWord:
         return self.y + self.z
 
 
+def _check_p(M: BitMatrix, p: int):
+    """The codecs' range for p: 1 <= p and 2p <= n, else InputError."""
+    if p < 1:
+        raise InputError(f"need p >= 1, got p={p}")
+    if 2 * p > M.n:
+        raise InputError(f"2p = {2 * p} exceeds n = {M.n}: no (2p, p+1, n)-selector")
+
+
 def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     """Compress an n-bit vector with at most p ones to m + 2p bits.
 
     M must be a certified (2p, p+1, n)-selector; that caps the candidate
     list at 2p - 1 entries, so the fixed-size mask always fits. It needs
-    2p <= n, and a list longer than 2p shows that M is not such a
-    selector: InputError. So does an entry of x other than 0 or 1.
+    1 <= p and 2p <= n, and a list longer than 2p shows that M is not
+    such a selector: InputError. So does an entry of x other than 0 or 1.
     """
-    if 2 * p > M.n:
-        raise InputError(f"2p = {2 * p} exceeds n = {M.n}: no (2p, p+1, n)-selector")
+    _check_p(M, p)
     if len(x) != M.n:
         raise InputError(f"vector length {len(x)} != n={M.n}")
     mask = row_mask(x, "vector")
@@ -238,12 +245,14 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
 
 def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
     """Invert compress: recompute the candidate list from y and read the
-    support off the mask. An entry of y or z other than 0 or 1 raises
+    support off the mask. It needs 1 <= p and 2p <= n; a p outside that,
+    a part of the wrong length or an entry other than 0 or 1 raises
     InputError. A word that compress gives for no vector with at most p
     ones raises InconsistentObservationError: more than 2p candidates, a
     mask bit beyond them, more than p bits set, or a support whose
     columns do not OR to y. Otherwise compress gives w back, since the
     candidates and the mask are the same."""
+    _check_p(M, p)
     if len(w.y) != M.m:
         raise InputError(f"union part has length {len(w.y)}, matrix m={M.m}")
     if len(w.z) != 2 * p:

@@ -364,9 +364,10 @@ class _PairKernel:
     """The level j >= 2 checks of one matrix, built on the first such
     level and shared by the rest of the call.
 
-    The kernel reads M's rows up to the last nonzero one, as they are: a
-    zero row isolates nothing, and a repeated row only ORs the same bits
-    in twice. Per row R it builds two pair bitsets:
+    The kernel reads M's rows up to the last nonzero one, or row 0 when
+    all are zero (the walk fails them at the first prefix), as they are:
+    a zero row isolates nothing, and a repeated row only ORs the same
+    bits in twice. Per row R it builds two pair bitsets:
     `solo`, whose low n*n bits mark where R has 1 at b and 0 at c and
     whose high n*n bits mark where R has 0 at b and 1 at c, and
     `neither`, where R is 0 at both. Level 2 settles the empty prefix
@@ -387,7 +388,7 @@ class _PairKernel:
         self.size = size = n * n
         self.matrix = M
         rows = list(M.rows)
-        while rows and not rows[-1]:
+        while len(rows) > 1 and not rows[-1]:
             rows.pop()
         # Zero rows, M's own and those padding the rows to whole bytes
         # of a row mask, have empty pair bitsets and isolate nothing.
@@ -434,8 +435,6 @@ class _PairKernel:
         """Every j-set (j >= 2) of columns has >= k isolated columns."""
         if j == 2:
             return self._settle(k, 0, reduce(or_, self.solo, 0), [])
-        if not self.nbytes:
-            return False
         if self.solo_tables is None:
             self._build_tables()
         return self._walk(j - 2, k, 0, 0, [])

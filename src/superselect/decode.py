@@ -86,7 +86,9 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
     Each round restricts to columns componentwise below the residual,
     pins the private-1 columns, and subtracts them. On a matrix built
     for additive group testing every round clears at least half of the
-    remaining members, so the loop drains the residual.
+    remaining members, so the loop drains the residual. On any input the
+    loop ends: a round that does not raise pins at least one column not
+    pinned before, so at most n + 1 rounds run.
     """
     _check_observation(M, spec, s)
     if any(e < 0 for e in s):
@@ -94,12 +96,7 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
     residual = list(s)
     found = set()
     cols = M.cols
-    # Consistent inputs identify >= 1 column per round, so n rounds
-    # suffice even when the |P| <= p promise is broken.
-    for _ in range(M.n + 1):
-        hit = row_mask(residual)
-        if not hit:
-            return tuple(sorted(found))
+    while hit := row_mask(residual):
         newly = identify(cols, hit)[0]
         if not newly:
             raise InconsistentObservationError(
@@ -123,4 +120,4 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
                         f"residual went negative at row {r}"
                     )
                 x ^= low
-    raise InconsistentObservationError("decode did not converge")
+    return tuple(sorted(found))

@@ -162,18 +162,17 @@ def derand_threshold(spec: SuperSelectorSpec) -> int:
     levels `fill_spec` keeps meets the full spec. At this m a random
     matrix succeeds with positive probability, and the
     conditional-expectations construction is guaranteed to succeed.
+
+    The search doubles m from 1 until the mass drops below 1 (at once
+    when no level is constrained: the mass is 0), then bisects.
     """
     terms = _log_failure_terms(spec.n, spec.p, _filled_v(spec.v))
-    if not terms:
-        return 1
-    if _failure_mass(terms, 1) < 1.0:
-        return 1
-    hi = 2
+    hi = 1
     while _failure_mass(terms, hi) >= 1.0:
         hi *= 2
         if hi > 1 << 40:
             raise InputError("threshold search diverged; spec out of range")
-    lo = hi // 2  # mass(lo) >= 1, mass(hi) < 1
+    lo = hi // 2  # mass(lo) >= 1 when lo >= 1, mass(hi) < 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _failure_mass(terms, mid) < 1.0:

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from superselect import apps
 from superselect import (
     BitMatrix,
     CompressedWord,
@@ -267,6 +268,14 @@ def test_chain_is_cached():
     assert monotone_chain(6, 2) is monotone_chain(6, 2)
 
 
+def test_chain_that_fails_to_drain_raises(monkeypatch):
+    # Every level pins over half of what remains on a certified chain; a
+    # level that pins nothing leaves members after the last one.
+    monkeypatch.setattr(apps, "identify", lambda cols, hit: ((), ()))
+    with pytest.raises(RuntimeError, match=r"^chain failed to drain \[1, 4\]$"):
+        monotone_chain(6, 2).encode((4, 1))
+
+
 # --------------------------------------------------------------- compression
 
 
@@ -321,6 +330,29 @@ def test_compress_rejects_p_past_half_n(compressor, p):
     M, _ = compressor
     with pytest.raises(InputError, match=f"exceeds n = {M.n}"):
         compress(M, p, (0,) * M.n)
+
+
+@pytest.mark.parametrize("p", [6, 10**400], ids=["6", "10**400"])
+def test_decompress_rejects_p_past_half_n(compressor, p):
+    # p is checked before the word's parts, so the error names p, not the
+    # length of z.
+    M, q = compressor
+    w = compress(M, q, (0,) * M.n)
+    with pytest.raises(InputError, match=rf"^2p = {2 * p} exceeds n = {M.n}: "):
+        decompress(M, p, w)
+
+
+@pytest.mark.parametrize("p", [0, -1, -3])
+def test_codecs_refuse_p_below_one(compressor, p):
+    # compress(M, -1, zeros) used to say "support size 0 exceeds p=-1",
+    # and decompress took p = 0 as a promise of an empty support.
+    M, _ = compressor
+    message = rf"^need p >= 1, got p={p}$"
+    with pytest.raises(InputError, match=message):
+        compress(M, p, (0,) * M.n)
+    for z in [(), (0, 0)]:
+        with pytest.raises(InputError, match=message):
+            decompress(M, p, CompressedWord((0,) * M.m, z))
 
 
 @pytest.mark.parametrize("value", ODD_ENTRIES)

@@ -12,6 +12,7 @@ import gc
 import itertools
 import os
 import random
+import runpy
 import subprocess
 import sys
 import threading
@@ -168,6 +169,22 @@ def test_build_verifies_emitted_matrix_once(tmp_path, manifest, capsys,
     assert rc == 0
     assert "verify=ok" in capsys.readouterr().out
     assert checked == [parse_matrix(out.read_text())]
+
+
+def test_build_verify_offers_only_on(tmp_path, manifest, capsys):
+    # Every construction runs the exhaustive check, so "off" is refused
+    # before a run starts: no output and no manifest line.
+    spath = spec_file(tmp_path, SuperSelectorSpec(6, 2, (1, 2)))
+    out = tmp_path / "m.txt"
+    argv = ["build", "--spec", spath, "--out", str(out), "--manifest", manifest]
+    assert main(argv + ["--verify", "on"]) == 0
+    assert capsys.readouterr().out.endswith(" verify=ok\n")
+    assert (tmp_path / "runs.tsv").read_text().endswith("\tok\n")
+    out.unlink()
+    assert main(argv + ["--verify", "off"]) == 2
+    assert "invalid choice: 'off' (choose from 'on')" in capsys.readouterr().err
+    assert not out.exists()
+    assert len((tmp_path / "runs.tsv").read_text().splitlines()) == 1
 
 
 def test_build_random_exhausts_attempts(tmp_path, manifest, capsys):
@@ -552,14 +569,46 @@ def test_decompress_rejects_a_word_compress_never_gives(tmp_path, manifest,
     assert not (tmp_path / "y.txt").exists()
 
 
-def test_decompress_rejects_wrong_length(tmp_path, manifest):
+def test_decompress_rejects_wrong_length(tmp_path, manifest, capsys):
+    # decompress checks the length of both parts; the CLI has no check of
+    # its own.
     p = 2
     M = construct_derandomized(selector_spec(2 * p, p + 1, 10))
-    rc = main(["decompress", "--matrix", matrix_file(tmp_path, M),
-               "--p", str(p),
-               "--in", vector_file(tmp_path, (0,) * (M.m + 1)),
-               "--out", str(tmp_path / "y.txt"), "--manifest", manifest])
+    for length, message in [
+        (M.m + 1, "mask length 1 != 2p = 4"),
+        (M.m - 1, f"union part has length {M.m - 1}, matrix m={M.m}"),
+    ]:
+        rc = main(["decompress", "--matrix", matrix_file(tmp_path, M),
+                   "--p", str(p),
+                   "--in", vector_file(tmp_path, (0,) * length),
+                   "--out", str(tmp_path / "y.txt"), "--manifest", manifest])
+        assert rc == 2
+        assert _one_error_line(tmp_path, capsys, "decompress") == "error: " + message
+
+
+# A 4x8 matrix whose columns 4..7 are zero, and an 8-bit input.
+_ZERO_TAIL = BitMatrix(8, [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("command", ["compress", "decompress"])
+@pytest.mark.parametrize("p, message", [
+    ("0", "need p >= 1, got p=0"),
+    ("-1", "need p >= 1, got p=-1"),
+    ("-2", "need p >= 1, got p=-2"),
+    ("-3", "need p >= 1, got p=-3"),
+    ("5", "2p = 10 exceeds n = 8: no (2p, p+1, n)-selector"),
+], ids=["0", "-1", "-2", "-3", "5"])
+def test_codec_p_out_of_range_is_a_usage_error(tmp_path, manifest, capsys,
+                                              command, p, message):
+    # decompress --p -2 used to say "expected 0 bits, got 8", --p 0 to
+    # exit 1 as a decode failure, and --p 5 "expected 14 bits, got 8";
+    # compress --p -1 named the support size.
+    rc = main([command, "--matrix", matrix_file(tmp_path, _ZERO_TAIL),
+               "--p", p, "--in", vector_file(tmp_path, (0,) * 8, "x.txt"),
+               "--out", str(tmp_path / "o.txt"), "--manifest", manifest])
     assert rc == 2
+    assert _one_error_line(tmp_path, capsys, command) == "error: " + message
+    assert not (tmp_path / "o.txt").exists()
 
 
 # -------------------------------------------------------- monotone encoding
@@ -1109,7 +1158,33 @@ def test_module_entry_runs_a_command(tmp_path):
         "upper", "lower", "threshold", "selector"]
     assert lines[0] == f"upper={superselector_upper_bound(spec).m}"
     assert proc.stderr == ""
-    assert manifest.read_text().split("\t")[0] == "bounds"
+    runs = manifest.read_text().splitlines()
+    assert len(runs) == 1 and runs[0].split("\t")[::6] == ["bounds", "ok"]
+
+
+def test_module_entry_reports_a_malformed_spec_in_one_line(tmp_path):
+    manifest = tmp_path / "runs.tsv"
+    path = write(tmp_path / "spec.txt", "8 2\n1 x\n")
+    proc = _run_module("bounds", "--spec", path, "--manifest", str(manifest))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # One line and no traceback.
+    assert proc.stderr == f"error: {path}:2: non-integer entry in '1 x'\n"
+    assert manifest.read_text().endswith("\terror:ParseError\n")
+
+
+@pytest.mark.filterwarnings("ignore:'superselect.cli' found in sys.modules")
+def test_module_entry_exits_with_what_main_returns(tmp_path, monkeypatch,
+                                                   capsys):
+    # The `python -m` path run in this process: main() reads sys.argv, and
+    # its return value becomes the SystemExit code.
+    path = write(tmp_path / "spec.txt", "8 2\n1 x\n")
+    monkeypatch.setattr(sys, "argv", ["superselect", "bounds", "--spec", path,
+                                      "--manifest", str(tmp_path / "runs.tsv")])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("superselect.cli", run_name="__main__")
+    assert done.value.code == 2
+    assert capsys.readouterr().err == f"error: {path}:2: non-integer entry in '1 x'\n"
 
 
 def test_module_entry_exits_two_on_unknown_command():

@@ -435,6 +435,12 @@ def test_first_greedy_entry_judges_the_start():
     assert (state.r, state.c) == (0, 0)
 
 
+def test_derandomized_refuses_a_matrix_the_final_check_fails(monkeypatch):
+    monkeypatch.setattr(construct, "is_superselector", lambda M, spec, budget: False)
+    with pytest.raises(PrecisionFault, match="^verification failed on the finished matrix$"):
+        construct_derandomized(SuperSelectorSpec(6, 2, (1, 2)))
+
+
 def test_derandomized_start_at_floor_raises(monkeypatch):
     # construct_derandomized has no start check of its own: the fill's
     # first greedy entry refuses a start at #subsets - 1.

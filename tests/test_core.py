@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 from math import comb
@@ -17,6 +18,7 @@ from superselect.core import (
     _subset_counts,
     arithmetic_sum,
     boolean_sum,
+    format_matrix,
     identify,
     is_list_disjunct,
     is_superselector,
@@ -219,6 +221,18 @@ def test_superselector_zero_matrix_fails_any_constraint():
     assert not is_superselector(M, SuperSelectorSpec(3, 2, (0, 1)))
 
 
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_zero_matrix_fails_every_constrained_spec(m):
+    # The pair kernel keeps row 0 of an all-zero matrix, and its walk
+    # fails the first prefix of every level j >= 3.
+    for n in range(3, 7):
+        M = BitMatrix.zeros(m, n)
+        for p in range(1, min(n, 4) + 1):
+            for v in itertools.product(*[range(i + 1) for i in range(1, p + 1)]):
+                spec = SuperSelectorSpec(n, p, v)
+                assert is_superselector(M, spec) == (not spec.levels())
+
+
 @pytest.mark.parametrize("spec", [SuperSelectorSpec(64, 3, (1, 2, 2)),
                                   SuperSelectorSpec(12, 4, (1, 2, 2, 3))], ids=str)
 def test_verifiers_leave_no_reference_cycles(spec):
@@ -393,6 +407,27 @@ def test_entry_column_row_consistency():
     for c in range(M.n):
         for r in range(M.m):
             assert M.cols[c] >> r & 1 == M.entry(r, c)
+
+
+@pytest.mark.parametrize("r, c", [(6, 0), (0, 9), (-1, 0), (0, -1)])
+def test_entry_out_of_range_is_refused(r, c):
+    with pytest.raises(InputError, match=rf"^entry \({r},{c}\) out of range$"):
+        random_matrix(6, 9, seed=11).entry(r, c)
+
+
+@pytest.mark.parametrize("row", [8, 9, -1])
+def test_row_too_wide_for_n_is_refused(row):
+    with pytest.raises(InputError, match="^row 1 does not fit in 3 columns$"):
+        BitMatrix(3, [1, row])
+
+
+def test_parsed_and_built_matrices_are_equal_with_one_hash():
+    M = random_matrix(5, 7, seed=4)
+    parsed = parse_matrix(format_matrix(M))
+    assert parsed == M and M == parsed
+    assert hash(parsed) == hash(M)
+    assert parsed != BitMatrix.identity(7)
+    assert repr(parsed) == repr(M) == "BitMatrix(m=5, n=7)"
 
 
 def test_every_public_name_resolves():

@@ -21,6 +21,8 @@ from superselect import (
     construct_derandomized,
     identify_from_union,
 )
+from superselect import decode
+from superselect.core import identify
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,32 @@ def test_additive_rejects_oversubscribed_row():
     spec = SuperSelectorSpec(2, 2, (1, 2))
     with pytest.raises(InconsistentObservationError):
         additive_decode(M, spec, (1, 1, 1))
+
+
+def test_additive_decode_ends_within_n_plus_one_rounds(monkeypatch):
+    # The loop has no round cap: a round that does not raise pins a column
+    # not pinned before, so at most n + 1 rounds (identify calls) run.
+    rounds = []
+
+    def counted(cols, hit):
+        rounds[-1] += 1
+        return identify(cols, hit)
+
+    monkeypatch.setattr(decode, "identify", counted)
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        M = BitMatrix(n, [rng.getrandbits(n) for _ in range(rng.randint(1, 10))])
+        spec = SuperSelectorSpec(n, 1, (1,))
+        s = rng.choice([arithmetic_sum(M, rng.sample(range(n), rng.randint(0, n))),
+                        [rng.randint(0, 3) for _ in range(M.m)]])
+        rounds.append(0)
+        try:
+            additive_decode(M, spec, s)
+        except InconsistentObservationError:
+            pass
+        assert rounds[-1] <= n + 1
+    assert max(rounds) >= 2
 
 
 @settings(max_examples=40, deadline=None)

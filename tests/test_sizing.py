@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superselect import sizing
 from superselect.core import InputError, SuperSelectorSpec, selector_spec
 from superselect.sizing import (
     LOG2_E,
@@ -187,6 +188,20 @@ def test_threshold_single_column_spec():
 
 def test_threshold_vacuous_spec():
     assert derand_threshold(SuperSelectorSpec(9, 3, (0, 0, 0))) == 1
+
+
+def test_threshold_search_that_never_drops_below_one_diverges(monkeypatch):
+    # Past m = 2^40 the doubling gives up rather than run on.
+    asked = []
+
+    def stuck(terms, m):
+        asked.append(m)
+        return 1.0
+
+    monkeypatch.setattr(sizing, "_failure_mass", stuck)
+    with pytest.raises(InputError, match="^threshold search diverged"):
+        derand_threshold(SuperSelectorSpec(10, 3, (1, 2, 2)))
+    assert asked == [1 << i for i in range(41)]
 
 
 def test_threshold_matches_direct_mass_evaluation():
