@@ -112,8 +112,11 @@ class DerandState:
     c on, so w is a per-code table made at init for every bucket, each
     row scales it by g, and a term costs one lookup. The pass over
     bucket 0 also lists the subsets that realize a pattern under each
-    bit. A satisfied subset leaves the index; once none is left, every
-    later d is exactly 0.0 and `run` appends the all-zero rows.
+    bit. A satisfied subset's alive mask is set to 0, which no other
+    subset's reaches (it keeps an unrealized column), and the subset
+    leaves each column's buckets when that column is next visited; once
+    no unsatisfied subset is left, every later d is exactly 0.0 and
+    `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
@@ -250,7 +253,7 @@ class DerandState:
                 cbit = 1 << c
                 buckets = hits[c]
                 if stale & cbit:
-                    buckets = hits[c] = [[i for i in b if not done[code[i]]]
+                    buckets = hits[c] = [[i for i in b if alive[i]]
                                          for b in buckets]
                     stale ^= cbit
                 # Bucket 0 also lists who realizes a pattern: a lone alive
@@ -302,6 +305,7 @@ class DerandState:
                     t = (mask >> pre.bit_length()).bit_count()
                     s = code[i] = nxt[code[i] * p + t]
                     if done[s]:
+                        alive[i] = 0
                         stale |= mask
                         unsat -= 1
                 c += 1

@@ -20,7 +20,9 @@ per-call tables over the matrix's rows up to the last nonzero one, one
 those rows, a level j costs C(n, j-2) prefixes times O(j·m'/4)
 operations on n²-bit ints, plus, once per call, O(m') operations for
 the per-row bitsets and 8·m' table entries. No j-set is visited on its
-own.
+own. `is_superselector` walks a level j >= 3 only when no higher
+constrained level implies it (`_filled_v`, the rule the fill and the
+threshold also read), which leaves its verdict unchanged.
 
 The mask of rows that a set of columns hits, their Boolean sum, comes
 from one routine, `rows_hit`, which ORs their entries of the column
@@ -360,6 +362,18 @@ def _chunk_tables(sets: list) -> list:
     return out[0::2] + out[1::2]
 
 
+def _pair_masks(n: int) -> tuple:
+    """(every, slant, upper) for n >= 2: bit b*n and bit b*(n-1) for each
+    b < n, and every pair b < c. Each is a geometric series in closed
+    form; block b of `upper` holds ones - (2 << b) + 1, and the sum of
+    those is every << n less twice the diagonal, bit b*(n+1) for each b."""
+    ones = (1 << n) - 1
+    every = ((1 << n * n) - 1) // ones
+    slant = ((1 << n * (n - 1)) - 1) // (ones >> 1)
+    diagonal = ((1 << n * (n + 1)) - 1) // ((ones << 1) | 1)
+    return every, slant, (every << n) - (diagonal << 1)
+
+
 class _PairKernel:
     """The level j >= 2 checks of one matrix, built on the first such
     level and shared by the rest of the call.
@@ -396,10 +410,7 @@ class _PairKernel:
         rows += [0] * (8 * self.nbytes - len(rows))
         self.full = (1 << len(rows)) - 1
         ones = (1 << n) - 1
-        every = sum(1 << (b * n) for b in range(n))
-        slant = sum(1 << (b * (n - 1)) for b in range(n))
-        # Every pair b < c.
-        upper = sum((ones ^ ((2 << b) - 1)) << (b * n) for b in range(n))
+        every, slant, upper = _pair_masks(n)
         self.upper = upper
         self.solo = solo = []
         self.neither = neither = []
@@ -407,10 +418,12 @@ class _PairKernel:
             # Bit b*n for each 1 of the row at b: the copy of the row
             # at b*(n-1) puts its bit b there. Bit 0 is added apart, as
             # the only bit whose copies would meet.
-            spread = (row & ~1) * slant & every | row & 1
+            low = row & 1
+            spread = (row ^ low) * slant & every | low
             at_b = spread * ones & upper
             at_c = row * every & upper
-            solo.append(at_b & ~at_c | (at_c & ~at_b) << size)
+            both = at_b & at_c
+            solo.append(at_b ^ both | (at_c ^ both) << size)
             neither.append(upper ^ (at_b | at_c))
         self.solo_tables = None
 
@@ -422,7 +435,8 @@ class _PairKernel:
         # isolate a prefix column from every pair with b >= s.
         quiet = [self.full] * (self.n + 1)
         for s in range(self.n - 1, -1, -1):
-            quiet[s] = quiet[s + 1] & ~cols[s]
+            q = quiet[s + 1]
+            quiet[s] = q ^ (q & cols[s])
         self.quiet = quiet
 
     def _union(self, tables: list, mask: int) -> int:
@@ -442,15 +456,14 @@ class _PairKernel:
     def _walk(self, left: int, k: int, start: int, hit: int,
               alone: list) -> bool:
         # Extend the prefix by `left` more columns from `start` on. A
-        # new column x keeps y & ~x of each y in `alone` and adds x & ~hit.
+        # new column x keeps y & ~x of each y in `alone` and adds x & ~hit,
+        # each written y ^ (y & x) so that no operand is negative.
         cols = self.cols
-        free = ~hit
         for a in range(start, self.n - left - 1):
             x = cols[a]
-            nx = ~x
-            nxt = [z for y in alone if (z := y & nx)]
-            if x & free:
-                nxt.append(x & free)
+            nxt = [z for y in alone if (z := y ^ (y & x))]
+            if own := x ^ (x & hit):
+                nxt.append(own)
             if left > 1:
                 ok = self._walk(left - 1, k, a + 1, hit | x, nxt)
             else:
@@ -480,29 +493,57 @@ class _PairKernel:
         shift = start * self.n
         tail = self.upper >> shift << shift
         if not spare:
-            return not tail & ~reduce(and_, inputs)
+            return tail & reduce(and_, inputs) == tail
         over = [0] * (spare + 1)
         for x in inputs:
-            miss = tail & ~x
+            miss = tail ^ (tail & x)
             for i in range(spare, 0, -1):
                 over[i] |= over[i - 1] & miss
             over[0] |= miss
         return not over[spare]
 
 
+def _filled_v(v: tuple) -> tuple:
+    """v with every implied level's v_i set to 0.
+
+    Level i is implied when v_i <= max over j > i of v_j - (j - i): drop a
+    column from a j-set and the same rows still isolate at least v_j - 1
+    of the columns that remain, and p <= n, so every i-set extends to a
+    j-set. Walking down from level p, `best` is that maximum.
+    """
+    v = list(v)
+    best = 0
+    for i in range(len(v) - 1, -1, -1):
+        vi = v[i]
+        if vi <= best:
+            v[i] = 0
+        best = max(best, vi) - 1
+    return tuple(v)
+
+
 def is_superselector(
     M: BitMatrix, spec: SuperSelectorSpec, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> bool:
-    """Exhaustive check of every constrained level of the spec: every
-    j-set of columns has >= v_j isolated columns. The pair bitsets are
-    built when level 2 or higher is reached, the tables when level 3 or
-    higher is."""
+    """Exhaustive check of the spec: every j-set of columns has >= v_j
+    isolated columns, at every constrained level j.
+
+    Levels 1 and 2, when constrained, are always walked: they are the
+    cheap early reject and need no chunk tables. From level 3 on, only
+    the levels `_filled_v` keeps are walked. The verdict is the same as
+    walking them all: an implied level holds whenever the levels above
+    it that are kept hold, since dropping a column keeps an isolated
+    column isolated; and every walked level is a constrained one. A
+    failing implied level is therefore reported as a failure of a
+    level that implies it. The budget still charges every constrained
+    level. The pair bitsets are built when level 2 or higher is
+    reached, the tables when level 3 or higher is."""
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
     _budget_guard(sum(_subset_counts(M.n, [(j, 0) for j in levels])), budget)
+    kept = _filled_v(spec.v)
     pairs = None
-    for j in levels:
+    for j in [j for j in levels if j <= 2 or kept[j - 1]]:
         if j == 1:
             ok = all(M.cols)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, e, exp, inf, log2
 
-from .core import InputError, SuperSelectorSpec, _subset_counts
+from .core import InputError, SuperSelectorSpec, _filled_v, _subset_counts
 
 LOG2_E = log2(e)
 
@@ -44,27 +44,10 @@ def _log2_ratio(n: int, j: int) -> float:
         return log2(n) - log2(j)
 
 
-def _filled_v(v: tuple) -> tuple:
-    """v with every implied level's v_i set to 0.
-
-    Level i is implied when v_i <= max over j > i of v_j - (j - i): drop a
-    column from a j-set and the same rows still isolate at least v_j - 1
-    of the columns that remain, and p <= n, so every i-set extends to a
-    j-set. Walking down from level p, `best` is that maximum.
-    """
-    v = list(v)
-    best = 0
-    for i in range(len(v) - 1, -1, -1):
-        vi = v[i]
-        if vi <= best:
-            v[i] = 0
-        best = max(best, vi) - 1
-    return tuple(v)
-
-
 def fill_spec(spec: SuperSelectorSpec) -> SuperSelectorSpec:
-    """The spec with every implied level's v_i set to 0 (`_filled_v`); p,
-    and with it x = (p-1)/p, stay."""
+    """The spec with every implied level's v_i set to 0 (`core._filled_v`,
+    the rule `is_superselector` also reads); p, and with it x = (p-1)/p,
+    stay."""
     return SuperSelectorSpec(spec.n, spec.p, _filled_v(spec.v))
 
 

@@ -7,9 +7,12 @@ enumerates every l-set T outside each d-set S. `list_disjunct_counts`
 is the counting form that scanned the rows once per d-set S, before
 `is_list_disjunct` moved onto the column view. `column_view_holds` is
 the depth-first column-view walk that settled each j-set at its own
-leaf, before the selector check moved onto pair bitsets. All are slow
-and are kept only so the kernels in `superselect.core` can be checked
-against them. None checks its arguments or a budget. Do not use them
+leaf, before the selector check moved onto pair bitsets.
+`superselector_holds` judges every constrained level, implied or not.
+`pair_masks_by_sums` builds the pair kernel's constant masks as the
+sums of n shifted terms they were before their closed forms. All are
+slow and are kept only so the kernels in `superselect.core` can be
+checked against them. None checks its arguments or a budget. Do not use them
 outside the tests.
 """
 
@@ -117,3 +120,13 @@ def list_disjunct_counts(M: BitMatrix, d: int, l: int) -> bool:
         if (full & ~free & ~smask).bit_count() >= l:
             return False
     return True
+
+
+def pair_masks_by_sums(n: int) -> tuple:
+    """(every, slant, upper) over the n*n-bit pair layout: bit b*n and
+    bit b*(n-1) for each b < n, and every pair b < c at bit b*n + c."""
+    ones = (1 << n) - 1
+    every = sum(1 << (b * n) for b in range(n))
+    slant = sum(1 << (b * (n - 1)) for b in range(n))
+    upper = sum((ones ^ ((2 << b) - 1)) << (b * n) for b in range(n))
+    return every, slant, upper

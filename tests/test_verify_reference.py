@@ -2,7 +2,9 @@
 `is_list_disjunct` against the frozen verifiers in `reference_verify.py`:
 the row scans, the depth-first column-view walk the pair kernel
 replaced, and the per-S row-scan counting form that `is_list_disjunct`
-replaced."""
+replaced. `is_superselector` skips the implied levels from level 3 on,
+so its verdicts on specs with such levels are checked against the row
+scan of every level."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from reference_verify import (
     column_view_holds,
     list_disjunct_counts,
     list_disjunct_holds,
+    pair_masks_by_sums,
     selector_holds,
     superselector_holds,
 )
@@ -30,6 +33,7 @@ from superselect import (
     sample_random_matrix,
     selector_spec,
 )
+from superselect.core import _filled_v, _pair_masks, _PairKernel
 from test_fill_reference import CORPUS_DIGESTS
 
 # The benchmark's certify specs, sampled at threshold size. Seeds 0-3
@@ -230,3 +234,71 @@ def test_at_scale_sample_matches_column_walk():
     M = _certify_sample(spec, 0)
     assert is_superselector(M, spec)
     _same_as_column_walk(M, spec.p)
+
+
+# Specs with implied levels >= 3, which `is_superselector` does not walk.
+# The kept levels are (2, 4), (6,), (2, 6) and (2, 4) besides level 1.
+IMPLIED_SPECS = (
+    SuperSelectorSpec(24, 4, (1, 2, 2, 3)),
+    SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6)),
+    SuperSelectorSpec(10, 6, (1, 2, 2, 2, 2, 4)),
+    SuperSelectorSpec(8, 4, (1, 2, 3, 4)),
+)
+
+
+def _implied_inputs(spec):
+    # Threshold-size samples, the same cut to half their rows, and the
+    # certify corruption of each.
+    for seed in range(6):
+        M = _certify_sample(spec, seed)
+        yield M
+        yield BitMatrix(M.n, M.rows[:M.m // 2])
+        yield _duplicate_last_column(M)
+
+
+@pytest.mark.parametrize("spec", IMPLIED_SPECS, ids=str)
+def test_implied_level_specs_match_every_level_row_scan(spec):
+    kept = _filled_v(spec.v)
+    assert any(spec.v[j - 1] and not kept[j - 1] for j in range(3, spec.p + 1))
+    answers = set()
+    for M in _implied_inputs(spec):
+        got = is_superselector(M, spec)
+        assert got == superselector_holds(M, spec), (M.m, M.rows)
+        answers.add(got)
+    assert answers == {True, False}
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 8), data=st.data())
+def test_drawn_specs_match_every_level_row_scan(n, data):
+    # Any v over any p >= 3, so implied levels of every kind occur.
+    p = data.draw(st.integers(3, n))
+    v = tuple(data.draw(st.integers(0, i)) for i in range(1, p + 1))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    M, spec = BitMatrix(n, rows), SuperSelectorSpec(n, p, v)
+    assert is_superselector(M, spec) == superselector_holds(M, spec), v
+
+
+def test_only_kept_levels_from_three_on_are_walked(monkeypatch):
+    walked = []
+    holds = _PairKernel.holds
+    monkeypatch.setattr(_PairKernel, "holds",
+                        lambda self, j, k: walked.append(j) or holds(self, j, k))
+    spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
+    assert is_superselector(BitMatrix.identity(12), spec)
+    assert walked == [2, 6]
+
+
+def test_pair_masks_match_their_sums():
+    for n in range(2, 71):
+        assert _pair_masks(n) == pair_masks_by_sums(n), n
+
+
+def test_duplicate_column_reject_builds_no_tables(monkeypatch):
+    # Equal columns fail level 2, before any level-3 table is built.
+    def refuse(self):
+        raise AssertionError("chunk tables built")
+    monkeypatch.setattr(_PairKernel, "_build_tables", refuse)
+    spec = CERTIFY_SPECS[0]
+    for seed in SEEDS:
+        assert not is_superselector(_duplicate_last_column(_certify_sample(spec, seed)), spec)
