@@ -14,15 +14,23 @@ pays for the other and the verifiers and the decoders share one.
 The exhaustive selector checks walk the (j-2)-column prefixes of the
 j-sets depth first, carrying the rows the prefix hits once and more
 than once, and settle every completion of a prefix by two more columns
-in one pass over bitsets indexed by column pairs. The bitsets come from
+in one pass over bitsets indexed by column pairs. A column that is not
+isolated is covered, and a j-set fails k exactly when some j-k+1 of
+its columns are covered: when the rows those columns hit once lie
+inside the rows the other k-1 hit. For k in {1, 3, j-1} a prefix is
+settled from that covered side, with one or two ORs of pair bitsets
+and one masked compare; for any other k, and at level 2, the isolated
+columns of each pair are counted, bit-sliced. The bitsets come from
 per-call tables over the matrix's rows up to the last nonzero one, one
-16-entry table per 4-row chunk, built on the first level j >= 3. With m'
-those rows, a level j costs C(n, j-2) prefixes times O(j·m'/4)
-operations on n²-bit ints, plus, once per call, O(m') operations for
-the per-row bitsets and 8·m' table entries. No j-set is visited on its
-own. `is_superselector` walks a level j >= 3 only when no higher
-constrained level implies it (`_filled_v`, the rule the fill and the
-threshold also read), which leaves its verdict unchanged.
+16-entry table per 4-row chunk for each kind of bitset a level reads,
+built on first use. With m' those rows, a level j costs C(n, j-2)
+prefixes times 1-2 ORs of O(m'/4) operations on n²-bit ints for k in
+{1, 3, j-1}, and O(j·m'/4) operations for any other k, plus, once per
+call, O(m') operations for the per-row bitsets and 4·m' entries per
+table kind. No j-set is visited on its own. `is_superselector` walks a
+level j >= 3 only when no higher constrained level implies it
+(`_filled_v`, the rule the fill and the threshold also read), which
+leaves its verdict unchanged.
 
 The mask of rows that a set of columns hits, their Boolean sum, comes
 from one routine, `rows_hit`, which ORs their entries of the column
@@ -379,23 +387,50 @@ class _PairKernel:
     level and shared by the rest of the call.
 
     The kernel reads M's rows up to the last nonzero one, or row 0 when
-    all are zero (the walk fails them at the first prefix), as they are:
-    a zero row isolates nothing, and a repeated row only ORs the same
-    bits in twice. Per row R it builds two pair bitsets:
+    all are zero (every check then fails at its first prefix), as they
+    are: a zero row isolates nothing, and a repeated row only ORs the
+    same bits in twice. Per row R it builds two pair bitsets:
     `solo`, whose low n*n bits mark where R has 1 at b and 0 at c and
     whose high n*n bits mark where R has 0 at b and 1 at c, and
     `neither`, where R is 0 at both. Level 2 settles the empty prefix
     with the OR of every row's `solo`.
 
-    The first level j >= 3 adds the rows' column view and, per 4-row
-    chunk, a table of each bitset (`_chunk_tables`), so that the OR over
-    a mask of rows costs one lookup per chunk. The walk carries the rows
-    the prefix hits and, per prefix column a, `alone`: the nonzero part
-    of cols[a] no other prefix column hits.
+    From level 3 on, `holds` walks the (j-2)-column prefixes of the
+    j-sets (`_prefixes`), carrying the rows the prefix hits and, per
+    prefix column a, `alone`: the nonzero part of cols[a] no other prefix
+    column hits, so that their OR is the rows it hits once. Each level
+    reads ORs of one or two of the bitsets over a mask of rows, from a
+    16-entry table per 4-row chunk (`_chunk_tables`), built for the
+    bitsets its form reads on first use: `differ`, the halves of `solo`
+    ORed, marks where R tells b from c.
+
+    A column that is not isolated is covered. A j-set fails k exactly
+    when some j-k+1 of its columns are all covered, that is, when the
+    rows those columns hit once lie inside the rows the other k-1 hit.
+    For k in {1, 3, j-1}, `_covered` settles each prefix from that side
+    with one or two ORs and one masked compare:
+
+    - k = 3: the prefix is the j-2 covered columns and a pair (b, c)
+      touching no prefix column is the other two; the set fails when no
+      row the prefix hits once is 0 at both, which the `neither` OR over
+      those rows shows.
+    - k = j-1: the pair is the 2 covered columns and the prefix the
+      rest; the set fails when no row the prefix misses tells b from c,
+      which the `differ` OR over those rows shows.
+    - k = 1: all j columns are covered when no row is hit once, so a
+      pair above the prefix fails when neither OR holds it: `differ`
+      over the rows the prefix misses, `neither` over those it hits once.
+
+    The first two take every (j-2)-set as a prefix and every pair that
+    touches none of its columns, below it or above. For any other k the
+    covered side would visit C(j-2, j-k+1) times as many sets, and `_walk`
+    counts isolated columns instead: per pair, b and c by the `solo` OR
+    over the rows the prefix misses, each prefix column by the `neither`
+    OR over its `alone` rows, bit-sliced in `_settle`.
     """
 
-    __slots__ = ("n", "size", "matrix", "solo", "neither", "upper", "cols",
-                 "full", "nbytes", "solo_tables", "neither_tables", "quiet")
+    __slots__ = ("n", "size", "matrix", "solo", "neither", "every", "upper",
+                 "full", "nbytes", "tables", "touch")
 
     def __init__(self, M: BitMatrix):
         n = self.n = M.n
@@ -405,13 +440,13 @@ class _PairKernel:
         while len(rows) > 1 and not rows[-1]:
             rows.pop()
         # Zero rows, M's own and those padding the rows to whole bytes
-        # of a row mask, have empty pair bitsets and isolate nothing.
+        # of a row mask, have empty `solo` bitsets and isolate nothing.
         self.nbytes = (len(rows) + 7) // 8
         rows += [0] * (8 * self.nbytes - len(rows))
         self.full = (1 << len(rows)) - 1
         ones = (1 << n) - 1
         every, slant, upper = _pair_masks(n)
-        self.upper = upper
+        self.every, self.upper = every, upper
         self.solo = solo = []
         self.neither = neither = []
         for row in rows:
@@ -425,19 +460,20 @@ class _PairKernel:
             both = at_b & at_c
             solo.append(at_b ^ both | (at_c ^ both) << size)
             neither.append(upper ^ (at_b | at_c))
-        self.solo_tables = None
+        self.tables = {}
+        self.touch = None
 
-    def _build_tables(self):
-        self.cols = cols = self.matrix.cols
-        self.solo_tables = _chunk_tables(self.solo)
-        self.neither_tables = _chunk_tables(self.neither)
-        # quiet[s]: the rows with no 1 in columns s and up, which
-        # isolate a prefix column from every pair with b >= s.
-        quiet = [self.full] * (self.n + 1)
-        for s in range(self.n - 1, -1, -1):
-            q = quiet[s + 1]
-            quiet[s] = q ^ (q & cols[s])
-        self.quiet = quiet
+    def _tables(self, kind: str) -> list:
+        """The chunk tables of the per-row bitsets `kind`, built on first
+        use: "solo", "neither" or "differ"."""
+        if kind not in self.tables:
+            if kind == "differ":
+                size, upper = self.size, self.upper
+                bitsets = [s & upper | s >> size for s in self.solo]
+            else:
+                bitsets = getattr(self, kind)
+            self.tables[kind] = _chunk_tables(bitsets)
+        return self.tables[kind]
 
     def _union(self, tables: list, mask: int) -> int:
         """OR of the pair bitsets of the rows in mask."""
@@ -448,47 +484,104 @@ class _PairKernel:
     def holds(self, j: int, k: int) -> bool:
         """Every j-set (j >= 2) of columns has >= k isolated columns."""
         if j == 2:
-            return self._settle(k, 0, reduce(or_, self.solo, 0), [])
-        if self.solo_tables is None:
-            self._build_tables()
-        return self._walk(j - 2, k, 0, 0, [])
+            pair = reduce(or_, self.solo, 0)
+            return self._settle(2 - k, 0, [pair, pair >> self.size])
+        if k in (1, 3, j - 1):
+            return self._covered(j, k)
+        return self._walk(j, k)
 
-    def _walk(self, left: int, k: int, start: int, hit: int,
-              alone: list) -> bool:
-        # Extend the prefix by `left` more columns from `start` on. A
-        # new column x keeps y & ~x of each y in `alone` and adds x & ~hit,
-        # each written y ^ (y & x) so that no operand is negative.
-        cols = self.cols
-        for a in range(start, self.n - left - 1):
-            x = cols[a]
-            nxt = [z for y in alone if (z := y ^ (y & x))]
-            if own := x ^ (x & hit):
-                nxt.append(own)
-            if left > 1:
-                ok = self._walk(left - 1, k, a + 1, hit | x, nxt)
-            else:
-                solo = self._union(self.solo_tables, self.full ^ (hit | x))
-                ok = self._settle(k, a + 1, solo, nxt)
-            if not ok:
-                return False
-        return True
+    def _covered(self, j: int, k: int) -> bool:
+        # Level j >= 3 with k in {1, 3, j-1}, from the covered side.
+        union, full = self._union, self.full
+        if k == 1:
+            differ, neither = self._tables("differ"), self._tables("neither")
 
-    def _settle(self, k: int, start: int, solo: int, alone: list) -> bool:
-        # Pair (b, c) gets one input per column that may be isolated:
-        # b and c by the `solo` OR of the rows the prefix misses, each
-        # prefix column by a row of its `alone` that is 0 at both. At
-        # least k of the len(alone) + 2 inputs must hold, so at most
-        # `spare` may miss; over[i] marks the pairs with more than i
-        # misses so far, bit-sliced.
-        spare = len(alone) + 2 - k
+            def leaf(start, hit, alone, avoid):
+                once = reduce(or_, alone, 0)
+                told = union(differ, full ^ hit) | union(neither, once)
+                return self._settle(0, start, [told])
+
+            return self._prefixes(leaf, j, self.n - 2, 0)
+        if k == j - 1:
+            differ = self._tables("differ")
+
+            def leaf(start, hit, alone, avoid):
+                return avoid & union(differ, full ^ hit) == avoid
+        else:
+            neither = self._tables("neither")
+
+            def leaf(start, hit, alone, avoid):
+                return avoid & union(neither, reduce(or_, alone, 0)) == avoid
+
+        if self.touch is None:
+            # touch[a]: the pairs (a, c) and (b, a).
+            n, ones, every = self.n, (1 << self.n) - 1, self.every
+            self.touch = [ones << a * n | every << a for a in range(n)]
+        return self._prefixes(leaf, j, self.n, self.upper)
+
+    def _walk(self, j: int, k: int) -> bool:
+        # Level j >= 3 for any k, counting isolated columns.
+        solo, neither = self._tables("solo"), self._tables("neither")
+        union, full, size = self._union, self.full, self.size
+        cols = self.matrix.cols
+        # quiet[s]: the rows with no 1 in columns s and up, which
+        # isolate a prefix column from every pair with b >= s.
+        quiet = [full] * (self.n + 1)
+        for s in range(self.n - 1, -1, -1):
+            q = quiet[s + 1]
+            quiet[s] = q ^ (q & cols[s])
+
+        def leaf(start, hit, alone, avoid):
+            # Pair (b, c) gets one input per column that may be isolated:
+            # b and c by the `solo` OR of the rows the prefix misses, each
+            # column of `alone` by the `neither` OR over its rows. A
+            # column with a quiet row is isolated from every pair and
+            # needs none. At least k of the len(alone) + 2 must hold.
+            pair = union(solo, full ^ hit)
+            q = quiet[start]
+            inputs = [pair, pair >> size]
+            inputs += [union(neither, y) for y in alone if not y & q]
+            return self._settle(len(alone) + 2 - k, start, inputs)
+
+        return self._prefixes(leaf, j, self.n - 2, 0)
+
+    def _prefixes(self, leaf, j: int, stop: int, avoid: int) -> bool:
+        """Whether `leaf(start, hit, alone, avoid)` holds at every (j-2)-set
+        of the columns below `stop`, visited depth first in the order of
+        itertools.combinations. `start` is one past the prefix's last
+        column and `hit` the rows it hits; `avoid` starts as every pair
+        and keeps the pairs (b, c) that touch no prefix column, or stays
+        0 when the leaf reads no such mask."""
+        cols, touch = self.matrix.cols, self.touch
+
+        def extend(extend, left, start, hit, alone, avoid):
+            # A new column x keeps y & ~x of each y in `alone` and adds
+            # x & ~hit, each written y ^ (y & x) so that no operand is
+            # negative. `extend` is passed in, not read from the
+            # enclosing scope: a closure over itself would be a cycle
+            # that keeps the tables alive until the cyclic collector runs.
+            for a in range(start, stop - left + 1):
+                x = cols[a]
+                nxt = [z for y in alone if (z := y ^ (y & x))]
+                if own := x ^ (x & hit):
+                    nxt.append(own)
+                rest = avoid ^ (avoid & touch[a]) if avoid else 0
+                if left > 1:
+                    ok = extend(extend, left - 1, a + 1, hit | x, nxt, rest)
+                else:
+                    ok = leaf(a + 1, hit | x, nxt, rest)
+                if not ok:
+                    return False
+            return True
+
+        return extend(extend, j - 2, 0, 0, [], avoid)
+
+    def _settle(self, spare: int, start: int, inputs: list) -> bool:
+        # Whether every pair (b, c) with b >= start is held by all but at
+        # most `spare` of the pair bitsets `inputs`; over[i] marks the
+        # pairs with more than i misses so far, bit-sliced.
         if spare < 0:
             return False
-        inputs = [solo, solo >> self.size]
-        if alone:
-            # A quiet row of `alone` isolates its column from every pair.
-            quiet = self.quiet[start]
-            union, tables = self._union, self.neither_tables
-            inputs += [union(tables, y) for y in alone if not y & quiet]
         # The pairs with b >= start; a table per start would hold n³ bits.
         shift = start * self.n
         tail = self.upper >> shift << shift
@@ -536,7 +629,12 @@ def is_superselector(
     failing implied level is therefore reported as a failure of a
     level that implies it. The budget still charges every constrained
     level. The pair bitsets are built when level 2 or higher is
-    reached, the tables when level 3 or higher is."""
+    reached, the tables a level reads when it starts. A walked level j
+    >= 3 costs C(n, j-2) prefixes times 1-2 table ORs when v_j is 1, 3
+    or j-1, where the kernel counts covered columns (a j-set fails when
+    j-v_j+1 of its columns have their once-hit rows inside the rows of
+    the rest), and times up to j ORs and a bit-sliced count of isolated
+    columns for any other v_j."""
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()

@@ -4,7 +4,9 @@ the row scans, the depth-first column-view walk the pair kernel
 replaced, and the per-S row-scan counting form that `is_list_disjunct`
 replaced. `is_superselector` skips the implied levels from level 3 on,
 so its verdicts on specs with such levels are checked against the row
-scan of every level."""
+scan of every level. The levels j >= 3 with k in {1, 3, j-1} are
+settled by counting covered columns; they are also checked against the
+kernel's own isolated-column walk, `_PairKernel._walk`."""
 
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from superselect import (
     sample_random_matrix,
     selector_spec,
 )
+from superselect import core
 from superselect.core import _filled_v, _pair_masks, _PairKernel
 from test_fill_reference import CORPUS_DIGESTS
 
@@ -296,9 +299,60 @@ def test_pair_masks_match_their_sums():
 
 def test_duplicate_column_reject_builds_no_tables(monkeypatch):
     # Equal columns fail level 2, before any level-3 table is built.
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("chunk tables built")
-    monkeypatch.setattr(_PairKernel, "_build_tables", refuse)
+    monkeypatch.setattr(core, "_chunk_tables", refuse)
+    monkeypatch.setattr(_PairKernel, "_tables", refuse)
     spec = CERTIFY_SPECS[0]
     for seed in SEEDS:
         assert not is_superselector(_duplicate_last_column(_certify_sample(spec, seed)), spec)
+
+
+def _covered_levels(n):
+    # Every level j >= 3 of n columns with each k it settles by covered
+    # columns: 1, 3 and j - 1, as far as k <= j.
+    for j in range(3, n + 1):
+        for k in sorted({1, 3, j - 1} & set(range(1, j + 1))):
+            yield j, k
+
+
+def _same_covered_answers(M):
+    for j, k in _covered_levels(M.n):
+        want = selector_holds(M, j, k)
+        assert _PairKernel(M).holds(j, k) == want, (j, k)
+        assert _PairKernel(M)._walk(j, k) == want, (j, k)
+
+
+COVERED_EDGE_MATRICES = {
+    "zero": BitMatrix.zeros(5, 6),
+    "one-row": BitMatrix(7, [0b1011010]),
+    "identity-n=j": BitMatrix.identity(5),
+    "duplicate-pair": BitMatrix(6, [0b000011, 0b110100, 0b011000, 0b101100]),
+}
+
+
+@pytest.mark.parametrize("M", COVERED_EDGE_MATRICES.values(), ids=COVERED_EDGE_MATRICES.keys())
+def test_covered_levels_match_walk_and_row_scan_on_edge_matrices(M):
+    _same_covered_answers(M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 9), data=st.data())
+def test_covered_levels_match_walk_and_row_scan(n, data):
+    # j runs up to n, so n = j is always among the levels.
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    _same_covered_answers(BitMatrix(n, rows))
+
+
+def test_covered_levels_do_not_enter_the_walk(monkeypatch):
+    walked = []
+    walk = _PairKernel._walk
+    monkeypatch.setattr(_PairKernel, "_walk",
+                        lambda self, j, k: walked.append((j, k)) or walk(self, j, k))
+    M = BitMatrix.identity(8)
+    for j, k in _covered_levels(M.n):
+        assert _PairKernel(M).holds(j, k)
+    assert walked == []
+    for j, k in ((4, 2), (4, 4), (6, 6)):
+        assert _PairKernel(M).holds(j, k)
+    assert walked == [(4, 2), (4, 4), (6, 6)]
