@@ -33,10 +33,10 @@ from .core import (
     BitMatrix,
     InputError,
     SuperSelectorSpec,
+    _TO_DIGITS,
     _budget_guard,
     _subset_counts,
     is_superselector,
-    row_mask,
 )
 from .sizing import derand_threshold, fill_spec, level_alpha
 
@@ -347,15 +347,17 @@ def sample_random_matrix(m: int, n: int, p: int, seed: int) -> BitMatrix:
     """m x n matrix with i.i.d. entries, zero with probability (p-1)/p.
 
     Entries are drawn row-major (column-ascending), so a seed pins the
-    whole matrix. A row is collected as its n flags and converted to an
-    int once, so it costs O(n) word work.
+    whole matrix. The m·n draws are written straight into the matrix
+    text, one 0 or 1 per entry, n to a row line; the row and column views
+    are read from that text when first used.
     """
     if m < 1 or n < 1 or p < 1:
         raise InputError("m, n, p must be positive")
     x = (p - 1) / p
     draw = random.Random(seed).random
-    return BitMatrix(n, [row_mask([draw() >= x for _ in range(n)])
-                         for _ in range(m)])
+    flags = bytes([draw() >= x for _ in range(m * n)]).translate(_TO_DIGITS).decode()
+    text = "\n".join([flags[i:i + n] for i in range(0, m * n, n)])
+    return BitMatrix._from_text(m, n, text)
 
 
 def construct_randomized(spec: SuperSelectorSpec, seed: int,

@@ -11,12 +11,14 @@ cached: the rows as n-character slices and the column view,
 stride-(n+1) slices of the text reversed, so a reader of one view never
 pays for the other and the verifiers and the decoders share one.
 
-The exhaustive selector checks walk the (j-2)-column prefixes of the
-j-sets depth first, carrying the rows the prefix hits once and more
-than once, and settle every completion of a prefix by two more columns
-in one pass over bitsets indexed by column pairs. A column that is not
-isolated is covered, and a j-set fails k exactly when some j-k+1 of
-its columns are covered: when the rows those columns hit once lie
+Two columns have an isolated one exactly when they differ, so distinct
+columns decide level 2 at k = 1 and a repeated column fails any k
+there. The other selector checks walk the (j-2)-column prefixes of the
+j-sets depth first, carrying the rows the prefix hits and, as one int,
+those it hits once, and settle every completion of a prefix by two more
+columns in one pass over bitsets indexed by column pairs. A column that
+is not isolated is covered, and a j-set fails k exactly when some j-k+1
+of its columns are covered: when the rows those columns hit once lie
 inside the rows the other k-1 hit. For k in {1, 3, j-1} a prefix is
 settled from that covered side, with one or two ORs of pair bitsets
 and one masked compare; for any other k, and at level 2, the isolated
@@ -383,8 +385,8 @@ def _pair_masks(n: int) -> tuple:
 
 
 class _PairKernel:
-    """The level j >= 2 checks of one matrix, built on the first such
-    level and shared by the rest of the call.
+    """The level j >= 2 checks of one matrix, built on the first level
+    the column view does not decide and shared by the rest of the call.
 
     The kernel reads M's rows up to the last nonzero one, or row 0 when
     all are zero (every check then fails at its first prefix), as they
@@ -396,11 +398,10 @@ class _PairKernel:
     with the OR of every row's `solo`.
 
     From level 3 on, `holds` walks the (j-2)-column prefixes of the
-    j-sets (`_prefixes`), carrying the rows the prefix hits and, per
-    prefix column a, `alone`: the nonzero part of cols[a] no other prefix
-    column hits, so that their OR is the rows it hits once. Each level
-    reads ORs of one or two of the bitsets over a mask of rows, from a
-    16-entry table per 4-row chunk (`_chunk_tables`), built for the
+    j-sets (`_prefixes`), carrying the rows the prefix hits and `once`,
+    the rows it hits exactly once, as one int. Each level reads ORs of
+    one or two of the bitsets over a mask of rows, from a 16-entry
+    table per 4-row chunk (`_chunk_tables`), built for the
     bitsets its form reads on first use: `differ`, the halves of `solo`
     ORed, marks where R tells b from c.
 
@@ -425,8 +426,9 @@ class _PairKernel:
     touches none of its columns, below it or above. For any other k the
     covered side would visit C(j-2, j-k+1) times as many sets, and `_walk`
     counts isolated columns instead: per pair, b and c by the `solo` OR
-    over the rows the prefix misses, each prefix column by the `neither`
-    OR over its `alone` rows, bit-sliced in `_settle`.
+    over the rows the prefix misses, each prefix column a by the
+    `neither` OR over its `alone` rows, cols[a] & once, which only the
+    walk's leaf derives, bit-sliced in `_settle`.
     """
 
     __slots__ = ("n", "size", "matrix", "solo", "neither", "every", "upper",
@@ -496,8 +498,7 @@ class _PairKernel:
         if k == 1:
             differ, neither = self._tables("differ"), self._tables("neither")
 
-            def leaf(start, hit, alone, avoid):
-                once = reduce(or_, alone, 0)
+            def leaf(start, hit, once, avoid):
                 told = union(differ, full ^ hit) | union(neither, once)
                 return self._settle(0, start, [told])
 
@@ -505,13 +506,13 @@ class _PairKernel:
         if k == j - 1:
             differ = self._tables("differ")
 
-            def leaf(start, hit, alone, avoid):
+            def leaf(start, hit, once, avoid):
                 return avoid & union(differ, full ^ hit) == avoid
         else:
             neither = self._tables("neither")
 
-            def leaf(start, hit, alone, avoid):
-                return avoid & union(neither, reduce(or_, alone, 0)) == avoid
+            def leaf(start, hit, once, avoid):
+                return avoid & union(neither, once) == avoid
 
         if self.touch is None:
             # touch[a]: the pairs (a, c) and (b, a).
@@ -530,41 +531,44 @@ class _PairKernel:
         for s in range(self.n - 1, -1, -1):
             q = quiet[s + 1]
             quiet[s] = q ^ (q & cols[s])
+        picked = [0] * (j - 2)
 
-        def leaf(start, hit, alone, avoid):
+        def leaf(start, hit, once, avoid):
             # Pair (b, c) gets one input per column that may be isolated:
             # b and c by the `solo` OR of the rows the prefix misses, each
-            # column of `alone` by the `neither` OR over its rows. A
-            # column with a quiet row is isolated from every pair and
-            # needs none. At least k of the len(alone) + 2 must hold.
+            # prefix column by the `neither` OR over the rows it alone
+            # hits. A column with a quiet row is isolated from every pair
+            # and needs none. At least k of the len(alone) + 2 must hold.
             pair = union(solo, full ^ hit)
             q = quiet[start]
+            alone = [y for x in picked if (y := x & once)]
             inputs = [pair, pair >> size]
             inputs += [union(neither, y) for y in alone if not y & q]
             return self._settle(len(alone) + 2 - k, start, inputs)
 
-        return self._prefixes(leaf, j, self.n - 2, 0)
+        return self._prefixes(leaf, j, self.n - 2, 0, picked)
 
-    def _prefixes(self, leaf, j: int, stop: int, avoid: int) -> bool:
-        """Whether `leaf(start, hit, alone, avoid)` holds at every (j-2)-set
+    def _prefixes(self, leaf, j: int, stop: int, avoid: int, picked=None) -> bool:
+        """Whether `leaf(start, hit, once, avoid)` holds at every (j-2)-set
         of the columns below `stop`, visited depth first in the order of
         itertools.combinations. `start` is one past the prefix's last
-        column and `hit` the rows it hits; `avoid` starts as every pair
-        and keeps the pairs (b, c) that touch no prefix column, or stays
-        0 when the leaf reads no such mask."""
+        column, `hit` the rows it hits and `once` the rows it hits
+        exactly once; `avoid` starts as every pair and keeps the pairs
+        (b, c) that touch no prefix column, or stays 0 when the leaf
+        reads no such mask. A list `picked` of j-2 entries, if given,
+        holds the prefix's columns of cols at each leaf."""
         cols, touch = self.matrix.cols, self.touch
+        picked = picked or [0] * (j - 2)
 
-        def extend(extend, left, start, hit, alone, avoid):
-            # A new column x keeps y & ~x of each y in `alone` and adds
-            # x & ~hit, each written y ^ (y & x) so that no operand is
-            # negative. `extend` is passed in, not read from the
-            # enclosing scope: a closure over itself would be a cycle
+        def extend(extend, left, start, hit, once, avoid):
+            # A new column x takes its rows out of `once` and adds those
+            # no earlier column hit, each written y ^ (y & x) so that no
+            # operand is negative. `extend` is passed in, not read from
+            # the enclosing scope: a closure over itself would be a cycle
             # that keeps the tables alive until the cyclic collector runs.
             for a in range(start, stop - left + 1):
-                x = cols[a]
-                nxt = [z for y in alone if (z := y ^ (y & x))]
-                if own := x ^ (x & hit):
-                    nxt.append(own)
+                x = picked[left - 1] = cols[a]
+                nxt = once ^ (once & x) | x ^ (x & hit)
                 rest = avoid ^ (avoid & touch[a]) if avoid else 0
                 if left > 1:
                     ok = extend(extend, left - 1, a + 1, hit | x, nxt, rest)
@@ -574,7 +578,7 @@ class _PairKernel:
                     return False
             return True
 
-        return extend(extend, j - 2, 0, 0, [], avoid)
+        return extend(extend, j - 2, 0, 0, 0, avoid)
 
     def _settle(self, spare: int, start: int, inputs: list) -> bool:
         # Whether every pair (b, c) with b >= start is held by all but at
@@ -620,21 +624,23 @@ def is_superselector(
     """Exhaustive check of the spec: every j-set of columns has >= v_j
     isolated columns, at every constrained level j.
 
-    Levels 1 and 2, when constrained, are always walked: they are the
-    cheap early reject and need no chunk tables. From level 3 on, only
-    the levels `_filled_v` keeps are walked. The verdict is the same as
-    walking them all: an implied level holds whenever the levels above
-    it that are kept hold, since dropping a column keeps an isolated
-    column isolated; and every walked level is a constrained one. A
-    failing implied level is therefore reported as a failure of a
+    Levels 1 and 2, when constrained, are always checked: they are the
+    cheap early reject and need no chunk tables. Only v_2 = 2 on
+    distinct columns builds the pair kernel there: distinct columns
+    decide v_2 = 1, and a repeated column fails any v_2. From level 3
+    on, only the levels `_filled_v` keeps are walked. The verdict is the
+    same as walking them all: an implied level holds whenever the levels
+    above it that are kept hold, since dropping a column keeps an
+    isolated column isolated; and every walked level is a constrained
+    one. A failing implied level is therefore reported as a failure of a
     level that implies it. The budget still charges every constrained
-    level. The pair bitsets are built when level 2 or higher is
-    reached, the tables a level reads when it starts. A walked level j
-    >= 3 costs C(n, j-2) prefixes times 1-2 table ORs when v_j is 1, 3
-    or j-1, where the kernel counts covered columns (a j-set fails when
-    j-v_j+1 of its columns have their once-hit rows inside the rows of
-    the rest), and times up to j ORs and a bit-sliced count of isolated
-    columns for any other v_j."""
+    level. The pair bitsets are built for the first level the column
+    view does not decide, the tables a level reads when it starts. A
+    walked level j >= 3 costs C(n, j-2) prefixes times 1-2 table ORs
+    when v_j is 1, 3 or j-1, where the kernel counts covered columns (a
+    j-set fails when j-v_j+1 of its columns have their once-hit rows
+    inside the rows of the rest), and times up to j ORs and a bit-sliced
+    count of isolated columns for any other v_j."""
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
@@ -642,11 +648,15 @@ def is_superselector(
     kept = _filled_v(spec.v)
     pairs = None
     for j in [j for j in levels if j <= 2 or kept[j - 1]]:
+        k = spec.v[j - 1]
         if j == 1:
             ok = all(M.cols)
+        elif j == 2 and (k == 1 or len(set(M.cols)) < M.n):
+            # Two columns have an isolated one exactly when they differ.
+            ok = k == 1 and len(set(M.cols)) == M.n
         else:
             pairs = pairs or _PairKernel(M)
-            ok = pairs.holds(j, spec.v[j - 1])
+            ok = pairs.holds(j, k)
         if not ok:
             return False
     return True

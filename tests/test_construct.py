@@ -177,6 +177,8 @@ def test_sample_rejects_bad_shapes():
     with pytest.raises(InputError):
         sample_random_matrix(0, 4, 2, seed=0)
     with pytest.raises(InputError):
+        sample_random_matrix(4, 0, 2, seed=0)
+    with pytest.raises(InputError):
         sample_random_matrix(4, 4, 0, seed=0)
 
 

@@ -6,7 +6,10 @@ replaced. `is_superselector` skips the implied levels from level 3 on,
 so its verdicts on specs with such levels are checked against the row
 scan of every level. The levels j >= 3 with k in {1, 3, j-1} are
 settled by counting covered columns; they are also checked against the
-kernel's own isolated-column walk, `_PairKernel._walk`."""
+kernel's own isolated-column walk, `_PairKernel._walk`. Level 2 is read
+off the column view at v_2 = 1 and whenever a column repeats; drawn
+matrices with a planted repeated, nested or all-zero column check it
+against the row scan."""
 
 from __future__ import annotations
 
@@ -287,9 +290,10 @@ def test_only_kept_levels_from_three_on_are_walked(monkeypatch):
     holds = _PairKernel.holds
     monkeypatch.setattr(_PairKernel, "holds",
                         lambda self, j, k: walked.append(j) or holds(self, j, k))
+    # v_2 = 1 is settled from the column view, so only level 6 is walked.
     spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
     assert is_superselector(BitMatrix.identity(12), spec)
-    assert walked == [2, 6]
+    assert walked == [6]
 
 
 def test_pair_masks_match_their_sums():
@@ -298,14 +302,49 @@ def test_pair_masks_match_their_sums():
 
 
 def test_duplicate_column_reject_builds_no_tables(monkeypatch):
-    # Equal columns fail level 2, before any level-3 table is built.
+    # A repeated column fails level 2 from the column view, and v_2 = 1
+    # is decided there whatever the answer, so neither builds a kernel.
     def refuse(*args):
-        raise AssertionError("chunk tables built")
-    monkeypatch.setattr(core, "_chunk_tables", refuse)
-    monkeypatch.setattr(_PairKernel, "_tables", refuse)
+        raise AssertionError("pair kernel built")
+    monkeypatch.setattr(_PairKernel, "__init__", refuse)
     spec = CERTIFY_SPECS[0]
     for seed in SEEDS:
-        assert not is_superselector(_duplicate_last_column(_certify_sample(spec, seed)), spec)
+        M = _certify_sample(spec, seed)
+        bad = _duplicate_last_column(M)
+        assert not is_superselector(bad, spec)
+        for v in ((0, 1), (1, 1)):
+            narrow = SuperSelectorSpec(M.n, 2, v)
+            assert is_superselector(M, narrow) == superselector_holds(M, narrow)
+            assert not is_superselector(bad, narrow)
+
+
+@st.composite
+def planted_columns(draw):
+    # A drawn matrix with one planted column: a copy of another column,
+    # nested inside it, or all zero.
+    n = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    keep = {"repeated": -1, "nested": draw(st.integers(0, (1 << len(rows)) - 1)),
+            "zero": 0}[draw(st.sampled_from(("repeated", "nested", "zero")))]
+    planted = []
+    for r, row in enumerate(rows):
+        bit = (row >> a) & (keep >> r) & 1
+        planted.append(row & ~(1 << b) | bit << b)
+    return BitMatrix(n, planted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=planted_columns(), data=st.data())
+def test_column_view_level_two_matches_row_scan(M, data):
+    # v_2 in {1, 2}, alone or with drawn levels above it.
+    p = data.draw(st.integers(2, M.n))
+    v = (data.draw(st.integers(0, 1)), data.draw(st.integers(1, 2)),
+         *(data.draw(st.integers(0, i)) for i in range(3, p + 1)))
+    spec = SuperSelectorSpec(M.n, p, v)
+    assert is_superselector(M, spec) == superselector_holds(M, spec), v
+    level_two = SuperSelectorSpec(M.n, 2, v[:2])
+    assert is_superselector(M, level_two) == superselector_holds(M, level_two), v
 
 
 def _covered_levels(n):
@@ -323,17 +362,33 @@ def _same_covered_answers(M):
         assert _PairKernel(M)._walk(j, k) == want, (j, k)
 
 
+def _from_columns(m, cols):
+    return BitMatrix(len(cols), [sum((x >> r & 1) << c for c, x in enumerate(cols))
+                                 for r in range(m)])
+
+
+# In "nested-columns" column 1 lies inside column 0 and column 4 inside
+# column 3; in "equal-columns" columns 2 and 5 are equal. A prefix
+# holding both columns of such a pair has a column with no row it hits
+# once.
 COVERED_EDGE_MATRICES = {
     "zero": BitMatrix.zeros(5, 6),
     "one-row": BitMatrix(7, [0b1011010]),
     "identity-n=j": BitMatrix.identity(5),
     "duplicate-pair": BitMatrix(6, [0b000011, 0b110100, 0b011000, 0b101100]),
+    "nested-columns": _from_columns(6, [0b011110, 0b001100, 0b100001, 0b110010, 0b100010,
+                                        0b000101, 0b010001]),
+    "equal-columns": _from_columns(6, [0b000111, 0b101010, 0b110100, 0b011001, 0b100101,
+                                       0b110100, 0b001110]),
 }
 
 
 @pytest.mark.parametrize("M", COVERED_EDGE_MATRICES.values(), ids=COVERED_EDGE_MATRICES.keys())
 def test_covered_levels_match_walk_and_row_scan_on_edge_matrices(M):
     _same_covered_answers(M)
+    for j in range(3, M.n + 1):
+        for k in range(1, j + 1):
+            assert _PairKernel(M)._walk(j, k) == selector_holds(M, j, k), (j, k)
 
 
 @settings(max_examples=80, deadline=None)
