@@ -92,30 +92,41 @@ class DerandState:
     holds the subsets with q columns after c, so bucket 0 holds those
     whose row over S ends at c. An entry sums the greedy difference
     d = T1 - T0 of the two hypotheses over the listed subsets only,
-    bucket by bucket; the untouched subsets add the same to both sides.
-    A fill therefore does at most m * sum_j j*C(n,j) subset evaluations.
-    The per-code tables hold p * sum_j sum_{a <= v_j} C(j, a) entries
-    each; the budget guard charges the sum of the two before allocating,
-    and one row's evaluations alone before computing m or the tables.
+    bucket 0 first, each bucket in ascending subset order; the untouched
+    subsets add the same to both sides. A fill therefore does at most
+    m * sum_j j*C(n,j) subset evaluations. The per-code tables hold
+    p * sum_j sum_{a <= v_j} C(j, a) entries each; the budget guard
+    charges the sum of the two before allocating, and one row's
+    evaluations alone before computing m or the tables.
 
     A subset is identified by its column mask (subsets are numbered level
-    by level in ascending mask order, which is colex order). Its state is
-    its alive mask, the columns whose unit pattern no completed row has
-    realized yet, and one small int, its code, which stands for its class
+    by level in ascending mask order, which is colex order). Across rows
+    its state is one small int, its code, which stands for its class
     (level j, patterns realized) and its local alive pattern: bit t set
-    while its t-th column from the end is unrealized. The row's prefix
-    over S (no ones, one lone one, dead) is read off the row's fixed bits,
-    so nothing is reset between rows. A subset adds (w1 - w0)*g to d,
-    where w is the chance that the row realizes a new unit pattern and
-    g = f1 - f0, read off the level's `success_table`; g is one value per
-    class and row, and w1 - w0 depends on q and on the alive pattern from
-    c on, so w is a per-code table made at init for every bucket, each
-    row scales it by g, and a term costs one lookup. The pass over
-    bucket 0 also lists the subsets that realize a pattern under each
-    bit. A satisfied subset's alive mask is set to 0, which no other
-    subset's reaches (it keeps an unrealized column), and the subset
-    leaves each column's buckets when that column is next visited; once
-    no unsatisfied subset is left, every later d is exactly 0.0 and
+    while its t-th column from the end is unrealized, that is, still
+    needed. Within a row it also has a key, which says how the row's
+    fixed bits over S stand: its code while the row has no 1 in S, its
+    class's lone key once the row holds one lone 1 in a column S still
+    needs, and one shared dead key otherwise, when the row can realize
+    nothing new for S. A subset adds to d one lookup, by its key, in its
+    bucket's term table for the row: (w1 - w0)*g for a code, where w is
+    the chance that the row realizes a new unit pattern and g = f1 - f0
+    is read off the level's `success_table` once per class and row;
+    -x^q * g for a lone key, since bit 1 kills the lone one; 0.0 for
+    dead. w1 - w0 depends on q and on the alive pattern from c on, so w
+    is a per-code table made at init for every bucket, and each row
+    scales it by g.
+
+    Keys change only where a 1 is fixed: the subsets in buckets q >= 1 of
+    its column step through a static table per q, a code to its lone key
+    if that column is still needed, else to dead, and a lone key to dead.
+    Bucket 0's subsets end at c, so two static flag tables read the chosen
+    bit's realizations off it (lone keys under 0, codes whose last column
+    is still needed under 1), and a static transition table gives each
+    realizer's next code. At the row's end every key is reset to its
+    code. A satisfied subset's terms are 0, its keys realize nothing, and
+    it leaves each column's buckets when that column is next visited;
+    once no unsatisfied subset is left, every later d is exactly 0.0 and
     `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
@@ -134,10 +145,10 @@ class DerandState:
         n, p = spec.n, spec.p
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
-        # evaluations, and _w, _next and each row's _wg hold p entries per
-        # code; charge both before allocating either. A fill has m >= 1
-        # rows, so one row's evaluations alone can refuse it, before the
-        # threshold and the table sizes are computed.
+        # evaluations, and _w, _next, _turn and each row's _terms hold p
+        # entries per code; charge both before allocating either. A fill
+        # has m >= 1 rows, so one row's evaluations alone can refuse it,
+        # before the threshold and the table sizes are computed.
         counts = list(_subset_counts(n, [(j, 0) for j in levels]))
         per_row = sum(map(mul, levels, counts))
         _budget_guard(per_row, budget, "fill evaluations per row",
@@ -174,7 +185,7 @@ class DerandState:
             # Ascending masks are colex order, the order of every sum.
             self._mask.extend(sorted(map(sum,
                                          itertools.combinations(bits, j))))
-        self._code_cls = code_cls
+        self._code_cls, self._code_u = code_cls, code_u
         self._done = [a == spec.v[j - 1] for j, a in
                       map(self._classes.__getitem__, code_cls)]
         # _next[s * p + t]: the code after code s realizes its local
@@ -186,12 +197,29 @@ class DerandState:
         # with no ones yet in the row adds w * g, w being x^q if c is alive,
         # minus x^(q-1)*(1-x) per alive column after c (none at q = 0, so
         # xpow[-1] adds 0). A lone alive one before c adds -x^q * g, the
-        # term of w with only c alive. Each row scales both by g.
+        # term of w with only c alive. Each row scales these by g.
         self._w = [[(xpow[q] if u >> q & 1 else 0.0)
                     - (u & ((1 << q) - 1)).bit_count() * xpow[q - 1] * omx
                     for u in code_u] for q in range(p)]
         self._xpow = xpow[:p]
         self.ns = self._unsat = len(self._mask)
+        # Keys: past the codes come one lone key per class and one dead
+        # key. _turn[q][key] is a key after a 1 at the subset's column
+        # with q columns after it: a code goes to its lone key if that
+        # column is still needed, that is, if _next has a code for it,
+        # else to dead, and a lone key goes dead.
+        # _real[bit] flags the keys that realize a pattern when the
+        # subset's last column gets bit: lone keys under 0, codes whose
+        # last column is still needed under 1.
+        codes, lone = len(code_u), len(self._classes)
+        dead = codes + lone
+        lone_key = [dead if done else codes + k
+                    for k, done in zip(code_cls, self._done)]
+        self._turn = [[k if s else dead for k, s in
+                       zip(lone_key, self._next[q::p])] + [dead] * (lone + 1)
+                      for q in range(p)]
+        self._real = ([False] * codes + [True] * lone + [False],
+                      [k != dead for k in self._turn[0]])
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
         # contain c and have q columns after it. Descending combinations
         # come in descending mask order, column c at place q: fill, reverse.
@@ -204,7 +232,7 @@ class DerandState:
                     hits[c][q].append(i)
         for bucket in itertools.chain.from_iterable(hits):
             bucket.reverse()
-        self._alive = list(self._mask)
+        self._key = list(self._code)
         # Columns whose index still lists a subset that became satisfied.
         self._stale = 0
         # A greedy difference d within this slack resolves to bit 0; it
@@ -222,8 +250,8 @@ class DerandState:
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
         g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, two
-        neighbours on its level's success table:
-        _wg[q][code] = w * g and _xg[q][class] = x^q * g."""
+        neighbours on its level's success table: _terms[q][key] is w * g
+        for a code, -x^q * g for a class's lone key and 0.0 for dead."""
         rem = self.m - self.r - 1
         g = [0.0] * len(self._classes)
         for k, (j, a) in enumerate(self._classes):
@@ -234,16 +262,21 @@ class DerandState:
                 row = self._tables[j][rem]
                 g[k] = row[need - 1] - row[need]
         gc = list(map(g.__getitem__, self._code_cls))
-        self._wg = [list(map(mul, w, gc)) for w in self._w]
-        self._xg = [[xq * gk for gk in g] for xq in self._xpow]
+        self._terms = terms = []
+        for w, xq in zip(self._w, self._xpow):
+            t = list(map(mul, w, gc))
+            t += [-xq * gk for gk in g]
+            t.append(0.0)
+            terms.append(t)
 
     def _advance(self, count: int, bit: int = None) -> int:
         """Fix the next `count` entries, each greedily or to the forced
         `bit`, with the fill state in locals; return the last bit."""
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
-        masks, alive, code = self._mask, self._alive, self._code
-        hits, nxt, done, cls = self._hits, self._next, self._done, self._code_cls
-        wg, xg = self._wg, self._xg
+        masks, code, key = self._mask, self._code, self._key
+        hits, nxt, done = self._hits, self._next, self._done
+        turn, (real0, real1) = self._turn, self._real
+        terms = self._terms
         tie, floor = self._tie_tol, self.ns - 1
         forced = bit is not None
         r, c, rb = self.r, self.c, self.row_bits
@@ -253,39 +286,13 @@ class DerandState:
                 cbit = 1 << c
                 buckets = hits[c]
                 if stale & cbit:
-                    buckets = hits[c] = [[i for i in b if alive[i]]
+                    buckets = hits[c] = [[i for i in b if not done[code[i]]]
                                          for b in buckets]
                     stale ^= cbit
-                # Bucket 0 also lists who realizes a pattern: a lone alive
-                # one before c under bit 0, c (alive, no ones before it)
-                # under bit 1.
                 d = 0.0
-                real0, real1 = [], []
-                w0, x0 = wg[0], xg[0]
-                for i in buckets[0]:
-                    pre = rb & masks[i]
-                    if pre:
-                        if pre & (pre - 1) or not pre & alive[i]:
-                            continue
-                        d -= x0[cls[code[i]]]
-                        real0.append(i)
-                    else:
-                        d += w0[code[i]]
-                        if alive[i] & cbit:
-                            real1.append(i)
-                for q in range(1, len(buckets)):
-                    wq, xq = wg[q], xg[q]
-                    for i in buckets[q]:
-                        pre = rb & masks[i]
-                        if pre:
-                            # Two ones, or a lone one already realized: the
-                            # row is dead for S and both bits agree.
-                            if pre & (pre - 1) or not pre & alive[i]:
-                                continue
-                            # Bit 1 kills the lone one; bit 0 keeps it.
-                            d -= xq[cls[code[i]]]
-                        else:
-                            d += wq[code[i]]
+                for b, tq in zip(buckets, terms):
+                    for i in b:
+                        d += tq[key[i]]
                 if not forced:
                     bit = 0 if d <= tie else 1
                 after = e + (x * d if bit else -omx * d)
@@ -297,26 +304,31 @@ class DerandState:
                 e = after
                 if bit:
                     rb |= cbit
-                for i in real1 if bit else real0:
-                    mask = masks[i]
-                    pre = rb & mask
-                    alive[i] ^= pre
-                    # The realized column is the t-th of S from the end.
-                    t = (mask >> pre.bit_length()).bit_count()
-                    s = code[i] = nxt[code[i] * p + t]
-                    if done[s]:
-                        alive[i] = 0
-                        stale |= mask
-                        unsat -= 1
+                    for q in range(1, p):
+                        tq = turn[q]
+                        for i in buckets[q]:
+                            key[i] = tq[key[i]]
+                # Bucket 0's subsets end at c: the chosen bit's realizers.
+                real = real1 if bit else real0
+                for i in buckets[0]:
+                    if real[key[i]]:
+                        mask = masks[i]
+                        # The realized column is the t-th of S from the end.
+                        t = (mask >> (rb & mask).bit_length()).bit_count()
+                        s = code[i] = nxt[code[i] * p + t]
+                        if done[s]:
+                            stale |= mask
+                            unsat -= 1
                 c += 1
                 if c == n:
                     self.rows.append(rb)
+                    key[:] = code
                     rb = c = 0
                     r += 1
                     if r < self.m:
                         self.r = r
                         self._load_row()
-                        wg, xg = self._wg, self._xg
+                        terms = self._terms
         finally:
             self.r, self.c, self.row_bits = r, c, rb
             self.expectation, self._stale, self._unsat = e, stale, unsat

@@ -541,6 +541,7 @@ class _PairKernel:
             # and needs none. At least k of the len(alone) + 2 must hold.
             pair = union(solo, full ^ hit)
             q = quiet[start]
+            picked[0] = cols[start - 1]
             alone = [y for x in picked if (y := x & once)]
             inputs = [pair, pair >> size]
             inputs += [union(neither, y) for y in alone if not y & q]
@@ -556,9 +557,10 @@ class _PairKernel:
         exactly once; `avoid` starts as every pair and keeps the pairs
         (b, c) that touch no prefix column, or stays 0 when the leaf
         reads no such mask. A list `picked` of j-2 entries, if given,
-        holds the prefix's columns of cols at each leaf."""
+        holds the prefix's columns of cols at each leaf, all but its last,
+        cols[start - 1], which a leaf that asks for them stores in
+        picked[0] itself."""
         cols, touch = self.matrix.cols, self.touch
-        picked = picked or [0] * (j - 2)
 
         def extend(extend, left, start, hit, once, avoid):
             # A new column x takes its rows out of `once` and adds those
@@ -567,10 +569,12 @@ class _PairKernel:
             # the enclosing scope: a closure over itself would be a cycle
             # that keeps the tables alive until the cyclic collector runs.
             for a in range(start, stop - left + 1):
-                x = picked[left - 1] = cols[a]
+                x = cols[a]
                 nxt = once ^ (once & x) | x ^ (x & hit)
                 rest = avoid ^ (avoid & touch[a]) if avoid else 0
                 if left > 1:
+                    if picked:
+                        picked[left - 1] = x
                     ok = extend(extend, left - 1, a + 1, hit | x, nxt, rest)
                 else:
                     ok = leaf(a + 1, hit | x, nxt, rest)

@@ -12,7 +12,12 @@ def current(state, i: int) -> float:
     code = state._code[i]
     if state._done[code]:
         return 1.0
-    c, mask, alive = state.c, state._mask[i], state._alive[i]
+    c, mask = state.c, state._mask[i]
+    # The still-needed columns: bit t of the code's local pattern stands
+    # for the t-th column of S from the end.
+    u = state._code_u[code]
+    cols = [col for col in range(state.n) if mask >> col & 1]
+    alive = sum(1 << col for t, col in enumerate(reversed(cols)) if u >> t & 1)
     j, a = state._classes[state._code_cls[code]]
     need = state.spec.v[j - 1] - a
     tab = state._tables[j]

@@ -124,13 +124,18 @@ def test_small_spec_rows_match_scan_kernel(n, data):
 
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
-    # the pair-expanded ones float for float.
+    # the pair-expanded ones float for float: the code slice of each
+    # bucket's term table is w * g, the lone-key slice -x^q * g, and the
+    # dead key 0.0.
     state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
+    codes, lone = len(state._code_cls), len(state._classes)
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
-        assert state._wg == wg, (spec, r)
-        assert state._xg == xg, (spec, r)
+        assert [t[:codes] for t in state._terms] == wg, (spec, r)
+        assert [[-y for y in t[codes:-1]] for t in state._terms] == xg, (spec, r)
+        assert all(len(t) == codes + lone + 1 and t[-1] == 0.0
+                   for t in state._terms), (spec, r)
         for _ in range(spec.n):
             state.step()
 
