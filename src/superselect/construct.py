@@ -99,35 +99,37 @@ class DerandState:
     charges the sum of the two before allocating, and one row's
     evaluations alone before computing m or the tables.
 
-    A subset is identified by its column mask (subsets are numbered level
-    by level in ascending mask order, which is colex order). Across rows
-    its state is one small int, its code, which stands for its class
-    (level j, patterns realized) and its local alive pattern: bit t set
-    while its t-th column from the end is unrealized, that is, still
-    needed. Within a row it also has a key, which says how the row's
-    fixed bits over S stand: its code while the row has no 1 in S, its
-    class's lone key once the row holds one lone 1 in a column S still
-    needs, and one shared dead key otherwise, when the row can realize
-    nothing new for S. A subset adds to d one lookup, by its key, in its
-    bucket's term table for the row: (w1 - w0)*g for a code, where w is
-    the chance that the row realizes a new unit pattern and g = f1 - f0
-    is read off the level's `success_table` once per class and row;
-    -x^q * g for a lone key, since bit 1 kills the lone one; 0.0 for
-    dead. w1 - w0 depends on q and on the alive pattern from c on, so w
-    is a per-code table made at init for every bucket, and each row
+    Subsets are numbered level by level in colex order, the order of every
+    sum. Across rows a subset's state is one small int, its code, which
+    stands for its class (level j, patterns realized) and its local alive
+    pattern: bit t set while its t-th column from the end is unrealized,
+    that is, still needed. Within a row it also has a key, which says how
+    the row's fixed bits over S stand: its code while the row has no 1 in
+    S, the lone key (t, class) once the row holds one lone 1 in the
+    still-needed column t of S, and one shared dead key otherwise, when
+    the row can realize nothing new for S. A subset adds to d one lookup,
+    by its key, in its bucket's term table for the row: (w1 - w0)*g for a
+    code, where w is the chance that the row realizes a new unit pattern
+    and g = f1 - f0 is read off the level's `success_table` once per class
+    and row; -x^q * g for a lone key, since bit 1 kills the lone one; 0.0
+    for dead. w1 - w0 depends on q and on the alive pattern from c on, so
+    w is a per-code table made at init for every bucket, and each row
     scales it by g.
 
     Keys change only where a 1 is fixed: the subsets in buckets q >= 1 of
-    its column step through a static table per q, a code to its lone key
-    if that column is still needed, else to dead, and a lone key to dead.
-    Bucket 0's subsets end at c, so two static flag tables read the chosen
-    bit's realizations off it (lone keys under 0, codes whose last column
-    is still needed under 1), and a static transition table gives each
-    realizer's next code. At the row's end every key is reset to its
-    code. A satisfied subset's terms are 0, its keys realize nothing, and
-    it leaves each column's buckets when that column is next visited;
-    once no unsatisfied subset is left, every later d is exactly 0.0 and
-    `run` appends the all-zero rows.
+    its column step through a static table per q, a code to lone key
+    (q, class) if that column is still needed, else to dead, and a lone
+    key to dead. Bucket 0's subsets end at c, so two static flag tables
+    read the chosen bit's realizations off it (lone keys under 0, codes
+    whose last column is still needed under 1); the realized column is
+    the key's t, or c itself for a code, and a static transition table
+    gives each realizer's next code. At the row's end every key is reset
+    to its code. A satisfied subset's terms are 0 and its keys realize
+    nothing. It leaves each column's buckets when that column is next
+    visited: its columns all lie at or before the column c that
+    satisfied it, so the whole row prefix up to c is marked stale, a few
+    columns more than S holds. Once no unsatisfied subset is left, every
+    later d is exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
@@ -170,9 +172,9 @@ class DerandState:
         # so a subset starts at the first code of its level. The u of a
         # class come, ascending, from its a realized columns, so the tables
         # hold sum_j sum_{a <= v_j} C(j, a) codes, not 2^j per level.
-        self._classes, self._code, self._mask = [], [], []
+        self._classes, self._code = [], []
         index, code_cls, code_u = {}, [], []
-        bits = [1 << c for c in range(n)]
+        bits = [1 << t for t in range(p)]
         for j, count in zip(levels, counts):
             self._code.extend([len(code_u)] * count)
             for a in range(spec.v[j - 1] + 1):
@@ -182,9 +184,6 @@ class DerandState:
                     code_cls.append(len(self._classes))
                     code_u.append(u)
                 self._classes.append((j, a))
-            # Ascending masks are colex order, the order of every sum.
-            self._mask.extend(sorted(map(sum,
-                                         itertools.combinations(bits, j))))
         self._code_cls, self._code_u = code_cls, code_u
         self._done = [a == spec.v[j - 1] for j, a in
                       map(self._classes.__getitem__, code_cls)]
@@ -202,29 +201,40 @@ class DerandState:
                     - (u & ((1 << q) - 1)).bit_count() * xpow[q - 1] * omx
                     for u in code_u] for q in range(p)]
         self._xpow = xpow[:p]
-        self.ns = self._unsat = len(self._mask)
-        # Keys: past the codes come one lone key per class and one dead
-        # key. _turn[q][key] is a key after a 1 at the subset's column
-        # with q columns after it: a code goes to its lone key if that
-        # column is still needed, that is, if _next has a code for it,
-        # else to dead, and a lone key goes dead.
+        self.ns = self._unsat = ns = sum(counts)
+        # Keys: past the codes come p blocks of ncls lone keys, then one
+        # dead key. Lone key codes + t * ncls + k stands for a subset of
+        # class k whose row holds one 1, in its still-needed column t, the
+        # t-th of S from the end. _turn[q][key] is the key after a 1 at
+        # the subset's column with q columns after it: a code goes to lone
+        # key (q, class) if that column is still needed, that is, if _next
+        # has a code for it, else to dead, and a lone key goes dead.
         # _real[bit] flags the keys that realize a pattern when the
         # subset's last column gets bit: lone keys under 0, codes whose
-        # last column is still needed under 1.
-        codes, lone = len(code_u), len(self._classes)
-        dead = codes + lone
-        lone_key = [dead if done else codes + k
-                    for k, done in zip(code_cls, self._done)]
-        self._turn = [[k if s else dead for k, s in
-                       zip(lone_key, self._next[q::p])] + [dead] * (lone + 1)
-                      for q in range(p)]
-        self._real = ([False] * codes + [True] * lone + [False],
+        # last column is still needed under 1. _lone_t[key] is the column
+        # a realizer realizes, counted from the end of S: 0 for a code,
+        # whose last column c is the one, and t for lone key (t, class).
+        codes, ncls = len(code_u), len(self._classes)
+        dead = codes + p * ncls
+        # blocks[q][k] is lone key (q, k), one int shared by every _turn
+        # entry; a satisfied code reads the dead key past the block.
+        cls = [ncls if done else k for k, done in zip(code_cls, self._done)]
+        blocks = [[*range(codes + q * ncls, codes + (q + 1) * ncls), dead]
+                  for q in range(p)]
+        self._turn = [[block[k] if s else dead
+                       for k, s in zip(cls, self._next[q::p])]
+                      + [dead] * (p * ncls + 1)
+                      for q, block in enumerate(blocks)]
+        self._real = ([False] * codes + [True] * (p * ncls) + [False],
                       [k != dead for k in self._turn[0]])
+        self._lone_t = [0] * codes + [t for t in range(p)
+                                      for _ in range(ncls)] + [0]
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
-        # contain c and have q columns after it. Descending combinations
-        # come in descending mask order, column c at place q: fill, reverse.
+        # contain c and have q columns after it. Subsets are numbered level
+        # by level in colex order; descending combinations come in reverse
+        # colex order, column c at place q: fill, reverse.
         self._hits = hits = [[[] for _ in range(p)] for _ in range(n)]
-        i = len(self._mask)
+        i = ns
         for j in reversed(levels):
             for S in itertools.combinations(range(n - 1, -1, -1), j):
                 i -= 1
@@ -251,7 +261,8 @@ class DerandState:
         """Tabulate the terms of the current row, rem rows after it, from
         g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, two
         neighbours on its level's success table: _terms[q][key] is w * g
-        for a code, -x^q * g for a class's lone key and 0.0 for dead."""
+        for a code, -x^q * g for each of a class's p lone keys and 0.0 for
+        dead."""
         rem = self.m - self.r - 1
         g = [0.0] * len(self._classes)
         for k, (j, a) in enumerate(self._classes):
@@ -265,7 +276,7 @@ class DerandState:
         self._terms = terms = []
         for w, xq in zip(self._w, self._xpow):
             t = list(map(mul, w, gc))
-            t += [-xq * gk for gk in g]
+            t += [-xq * gk for gk in g] * self.spec.p
             t.append(0.0)
             terms.append(t)
 
@@ -273,7 +284,7 @@ class DerandState:
         """Fix the next `count` entries, each greedily or to the forced
         `bit`, with the fill state in locals; return the last bit."""
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
-        masks, code, key = self._mask, self._code, self._key
+        code, key, lone_t = self._code, self._key, self._lone_t
         hits, nxt, done = self._hits, self._next, self._done
         turn, (real0, real1) = self._turn, self._real
         terms = self._terms
@@ -311,13 +322,12 @@ class DerandState:
                 # Bucket 0's subsets end at c: the chosen bit's realizers.
                 real = real1 if bit else real0
                 for i in buckets[0]:
-                    if real[key[i]]:
-                        mask = masks[i]
-                        # The realized column is the t-th of S from the end.
-                        t = (mask >> (rb & mask).bit_length()).bit_count()
-                        s = code[i] = nxt[code[i] * p + t]
+                    k = key[i]
+                    if real[k]:
+                        s = code[i] = nxt[code[i] * p + lone_t[k]]
                         if done[s]:
-                            stale |= mask
+                            # S lies within columns 0 .. c.
+                            stale |= (cbit << 1) - 1
                             unsat -= 1
                 c += 1
                 if c == n:

@@ -6,13 +6,26 @@ sums greedy differences.
 
 from __future__ import annotations
 
+from itertools import combinations
 
-def current(state, i: int) -> float:
-    """Success probability of subset i given the entries fixed so far."""
+
+def masks(state) -> list:
+    """Column mask of every tracked subset, in the fill's numbering: level
+    by level, each level's masks ascending (colex order)."""
+    bits = [1 << c for c in range(state.n)]
+    return [mask for j in state.spec.levels()
+            for mask in sorted(map(sum, combinations(bits, j)))]
+
+
+def current(state, i: int, mask: int = None) -> float:
+    """Success probability of subset i, whose column mask is `mask`
+    (looked up when not given), given the entries fixed so far."""
     code = state._code[i]
     if state._done[code]:
         return 1.0
-    c, mask = state.c, state._mask[i]
+    c = state.c
+    if mask is None:
+        mask = masks(state)[i]
     # The still-needed columns: bit t of the code's local pattern stands
     # for the t-th column of S from the end.
     u = state._code_u[code]
@@ -43,4 +56,4 @@ def current(state, i: int) -> float:
 def xcur(state) -> list:
     """Per tracked subset, its success probability given the entries
     fixed so far."""
-    return [current(state, i) for i in range(state.ns)]
+    return [current(state, i, mask) for i, mask in enumerate(masks(state))]

@@ -9,13 +9,15 @@ yet (add the code's w * g), one lone alive one (subtract x^q * g), or
 dead (skip). The row tables were two lists per bucket, `_wg[q][code]`
 and `_xg[q][class]`. `BranchState` is `DerandState` with that row
 loading and that kernel put back, so the tests can compare the two entry
-by entry. Do not use it outside the tests.
+by entry. The fill keeps no column masks, so `BranchState` builds its
+own from `fill_probe.masks`. Do not use it outside the tests.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
+from fill_probe import masks
 from superselect import DerandState, PrecisionFault
 
 
@@ -24,6 +26,7 @@ class BranchState(DerandState):
 
     def __init__(self, spec, **kwargs):
         super().__init__(spec, **kwargs)
+        self._mask = masks(self)
         self._alive = list(self._mask)
 
     def _load_row(self):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fill_probe import current, xcur
+from fill_probe import current, masks, xcur
 from superselect import (
     DEFAULT_SUBSET_BUDGET,
     BudgetError,
@@ -260,7 +260,7 @@ def _forced(state, bit):
 
 def _index(state, *S):
     """Position of the subset S in the state, found by its column mask."""
-    return state._mask.index(sum(1 << c for c in S))
+    return masks(state).index(sum(1 << c for c in S))
 
 
 def _greedy_trace(state):
@@ -563,8 +563,9 @@ def test_code_tables_hold_only_reachable_codes(p, k):
 
 
 def test_fill_state_bytes_per_subset():
-    # One per-column index of q-buckets: about 130 B per subset here;
-    # three parallel lists per column (hits, after, ends) took 170 B.
+    # One per-column index of q-buckets and no per-subset column mask:
+    # about 88 B per subset here; with the masks it took 127 B, and three
+    # parallel lists per column (hits, after, ends) 170 B.
     spec = SuperSelectorSpec(20, 4, (1, 2, 2, 3))
     gc.collect()
     tracemalloc.start()
@@ -573,10 +574,10 @@ def test_fill_state_bytes_per_subset():
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert size / state.ns < 150
+    assert size / state.ns < 95
     # The start value is one product per level, not an ns-long list, so
-    # init peaks at about the state it keeps (127 B per subset here).
-    assert peak / state.ns < 135
+    # init peaks at about the state it keeps (88 B per subset here).
+    assert peak / state.ns < 95
 
 
 def _frozen_hits(masks, n, p):
@@ -597,7 +598,7 @@ def _frozen_hits(masks, n, p):
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
 def test_index_matches_frozen_per_bit_builder(spec):
     state = DerandState(spec)
-    assert state._hits == _frozen_hits(state._mask, spec.n, spec.p)
+    assert state._hits == _frozen_hits(masks(state), spec.n, spec.p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,7 +609,22 @@ def test_index_matches_frozen_per_bit_builder_on_drawn_specs(n, data):
     if not any(v):
         v[data.draw(st.integers(0, p - 1))] = 1
     state = DerandState(SuperSelectorSpec(n, p, tuple(v)))
-    assert state._hits == _frozen_hits(state._mask, n, p)
+    assert state._hits == _frozen_hits(masks(state), n, p)
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_lazy_rebuild_drops_every_satisfied_subset(spec):
+    # The index is filtered lazily, on the columns marked stale; a
+    # subset satisfied before an entry at column c must be gone from
+    # _hits[c] once that entry is fixed. Digests cannot see a subset left
+    # behind: its terms are 0.0 and its keys realize nothing.
+    state = DerandState(spec)
+    while state.r < state.m:
+        c = state.c
+        satisfied = {i for i, s in enumerate(state._code) if state._done[s]}
+        state.step()
+        left = satisfied.intersection(i for b in state._hits[c] for i in b)
+        assert not left, (spec, state.r, c, sorted(left))
 
 
 def test_step_past_completion_fails():

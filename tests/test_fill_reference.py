@@ -9,7 +9,7 @@ The fill tracks only the levels `fill_spec` keeps, so every reference
 is fed `fill_spec(spec)`: the kernel is compared entry by entry on the
 spec it actually fills.
 
-The two at-scale pins carry the `slow` marker (about 8 s each), which
+The three at-scale pins carry the `slow` marker (about 1 s each), which
 the default run deselects; `python -m pytest -m slow` runs them."""
 
 from __future__ import annotations
@@ -85,10 +85,13 @@ WORKLOAD_DIGESTS = {
 # The levels t = 8, 4, 2 of the (8, 4) monotone chain, from the same fill.
 CHAIN_DIGESTS = ((40, "4b00f6f485ea"), (27, "e4d95b7e91ef"), (14, "35a15530a321"))
 
-# At-scale specs, from the same fill; each builds in about 8 s.
+# At-scale specs, from the same fill; each builds and verifies in about
+# 1 s. (128,3,(1,2,3)) is the union spec at the size where the fill's
+# nonzero prefix (37 rows) is well below n.
 SLOW_DIGESTS = {
     SuperSelectorSpec(128, 3, (1, 2, 2)): (42, "47fe707bac3d"),
     SuperSelectorSpec(32, 5, (1, 2, 2, 3, 3)): (56, "1900518eda90"),
+    SuperSelectorSpec(128, 3, (1, 2, 3)): (87, "ab1db9447db7"),
 }
 
 
@@ -125,17 +128,20 @@ def test_small_spec_rows_match_scan_kernel(n, data):
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
     # the pair-expanded ones float for float: the code slice of each
-    # bucket's term table is w * g, the lone-key slice -x^q * g, and the
-    # dead key 0.0.
+    # bucket's term table is w * g, each of the p lone-key blocks
+    # -x^q * g, and the dead key 0.0.
     state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
-    codes, lone = len(state._code_cls), len(state._classes)
+    codes, lone, p = len(state._code_cls), len(state._classes), spec.p
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
         assert [t[:codes] for t in state._terms] == wg, (spec, r)
-        assert [[-y for y in t[codes:-1]] for t in state._terms] == xg, (spec, r)
-        assert all(len(t) == codes + lone + 1 and t[-1] == 0.0
-                   for t in state._terms), (spec, r)
+        for t in range(p):
+            block = slice(codes + t * lone, codes + (t + 1) * lone)
+            assert [[-y for y in tq[block]] for tq in state._terms] == xg, \
+                (spec, r, t)
+        assert all(len(tq) == codes + p * lone + 1 and tq[-1] == 0.0
+                   for tq in state._terms), (spec, r)
         for _ in range(spec.n):
             state.step()
 
