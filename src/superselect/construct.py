@@ -124,12 +124,21 @@ class DerandState:
     whose last column is still needed under 1); the realized column is
     the key's t, or c itself for a code, and a static transition table
     gives each realizer's next code. At the row's end every key is reset
-    to its code. A satisfied subset's terms are 0 and its keys realize
-    nothing. It leaves each column's buckets when that column is next
-    visited: its columns all lie at or before the column c that
-    satisfied it, so the whole row prefix up to c is marked stale, a few
-    columns more than S holds. Once no unsatisfied subset is left, every
-    later d is exactly 0.0 and `run` appends the all-zero rows.
+    to its code. A satisfied subset is inert: its terms are 0.0, a 1
+    sends its key to dead and it realizes nothing, so it may stay listed
+    at the cost of its evaluations. Its columns all lie at or before the
+    column c that satisfied it, so the whole row prefix up to c is marked
+    stale, a few columns more than S holds. A stale column is rebuilt,
+    one scan of its buckets, by the rent-or-buy rule: a visit pays about
+    f = 1 - unsat/since of a scan in stale evaluations, since being the
+    unsatisfied count at the column's last rebuild, and the column is
+    rebuilt at the visit where the f summed since then reaches 1. So a
+    column is scanned only once its stale visits have cost about one
+    scan, and it pays less than one scan in stale evaluations between
+    two rebuilds: the break-even rule of rent-or-buy. The estimate is one
+    division per stale visit and no work per satisfaction. Once no
+    unsatisfied subset is left, every later d is exactly 0.0 and `run`
+    appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
@@ -243,8 +252,12 @@ class DerandState:
         for bucket in itertools.chain.from_iterable(hits):
             bucket.reverse()
         self._key = list(self._code)
-        # Columns whose index still lists a subset that became satisfied.
+        # Columns whose index may still list a subset that became
+        # satisfied, and per column _unsat at its last rebuild and the
+        # estimated stale share it has summed since (see _advance).
         self._stale = 0
+        self._since = [ns] * n
+        self._waste = [0.0] * n
         # A greedy difference d within this slack resolves to bit 0; it
         # absorbs summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
@@ -286,6 +299,7 @@ class DerandState:
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         code, key, lone_t = self._code, self._key, self._lone_t
         hits, nxt, done = self._hits, self._next, self._done
+        since, waste = self._since, self._waste
         turn, (real0, real1) = self._turn, self._real
         terms = self._terms
         tie, floor = self._tie_tol, self.ns - 1
@@ -297,9 +311,17 @@ class DerandState:
                 cbit = 1 << c
                 buckets = hits[c]
                 if stale & cbit:
-                    buckets = hits[c] = [[i for i in b if not done[code[i]]]
-                                         for b in buckets]
-                    stale ^= cbit
+                    # Rent or buy: about 1 - unsat/since[c] of c's entries
+                    # are stale, so rebuild once the stale shares summed
+                    # since the last rebuild reach one scan.
+                    f = 1.0 - unsat / since[c]
+                    if waste[c] + f >= 1.0:
+                        buckets = hits[c] = [[i for i in b if not done[code[i]]]
+                                             for b in buckets]
+                        stale ^= cbit
+                        since[c], waste[c] = unsat, 0.0
+                    else:
+                        waste[c] += f
                 d = 0.0
                 for b, tq in zip(buckets, terms):
                     for i in b:

@@ -57,3 +57,20 @@ def xcur(state) -> list:
     """Per tracked subset, its success probability given the entries
     fixed so far."""
     return [current(state, i, mask) for i, mask in enumerate(masks(state))]
+
+
+def work(state) -> tuple:
+    """Step the fill as `run` does, up to the point where no unsatisfied
+    subset is left, and count its element operations: the evaluations,
+    sum of len over `_hits[c]` after each entry, and the scans, the old
+    length of `_hits[c]` whenever an entry rebuilt it."""
+    evals = scans = 0
+    while state.r < state.m and not (state.c == 0 and state._unsat == 0):
+        c = state.c
+        old = state._hits[c]
+        state.step()
+        new = state._hits[c]
+        evals += sum(map(len, new))
+        if new is not old:
+            scans += sum(map(len, old))
+    return evals, scans

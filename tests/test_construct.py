@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fill_probe import current, masks, xcur
+from fill_probe import current, masks, work, xcur
 from superselect import (
     DEFAULT_SUBSET_BUDGET,
     BudgetError,
@@ -613,18 +613,52 @@ def test_index_matches_frozen_per_bit_builder_on_drawn_specs(n, data):
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
-def test_lazy_rebuild_drops_every_satisfied_subset(spec):
-    # The index is filtered lazily, on the columns marked stale; a
-    # subset satisfied before an entry at column c must be gone from
-    # _hits[c] once that entry is fixed. Digests cannot see a subset left
-    # behind: its terms are 0.0 and its keys realize nothing.
+def test_rebuild_drops_every_satisfied_subset(spec):
+    # A stale column is rebuilt by the rent-or-buy rule, not on every
+    # visit; when an entry at column c does rebuild _hits[c], no subset
+    # satisfied before that entry may be left in it. The rule's estimate
+    # divides by since[c], which is above _unsat while c is stale.
     state = DerandState(spec)
     while state.r < state.m:
         c = state.c
+        if state._stale >> c & 1:
+            assert state._since[c] > state._unsat >= 0, (spec, state.r, c)
         satisfied = {i for i, s in enumerate(state._code) if state._done[s]}
+        old = state._hits[c]
         state.step()
-        left = satisfied.intersection(i for b in state._hits[c] for i in b)
-        assert not left, (spec, state.r, c, sorted(left))
+        if state._hits[c] is not old:
+            left = satisfied.intersection(i for b in state._hits[c] for i in b)
+            assert not left, (spec, state.r, c, sorted(left))
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_listed_satisfied_subsets_are_inert(spec):
+    # Digests cannot see a satisfied subset left in the buckets, so check
+    # at every visit that it adds 0.0 to d, that a 1 sends its key to
+    # dead and that it realizes nothing under either bit.
+    state = DerandState(spec)
+    dead = len(state._terms[0]) - 1
+    real0, real1 = state._real
+    listed = 0
+    while state.r < state.m:
+        for q, b in enumerate(state._hits[state.c]):
+            for i in b:
+                if state._done[state._code[i]]:
+                    k = state._key[i]
+                    assert state._terms[q][k] == 0.0, (spec, i, k)
+                    assert {turn[k] for turn in state._turn} == {dead}
+                    assert not real0[k] and not real1[k], (spec, i, k)
+                    listed += 1
+        state.step()
+    assert listed, spec
+
+
+def test_fill_work_on_the_corpus():
+    # Evaluations plus rebuild scans over one corpus pass: 527,541 under
+    # the rent-or-buy rebuild, 681,042 when every stale visit rebuilds,
+    # 953,759 when nothing is ever rebuilt.
+    totals = [work(DerandState(spec)) for spec in CORPUS_DIGESTS]
+    assert sum(map(sum, totals)) <= 600_000, totals
 
 
 def test_step_past_completion_fails():
