@@ -16,7 +16,11 @@ by how many of their columns follow c, so a fill costs at most
 m * sum_j j*C(n,j) subset evaluations over the levels j that
 `sizing.fill_spec` keeps: the implied levels hold once the kept ones do,
 so the fill tracks none of their subsets, while the exhaustive check of
-the finished matrix still judges the full spec.
+the finished matrix still judges the full spec. A subset's state is a
+small code for its class and still-needed columns, and the fill numbers
+a code only when it first reaches it, so its tables hold the codes
+reached, not every code of the spec: (16,9,16) tracks one subset, whose
+class space holds 50,643 codes, and reaches 10 of them.
 """
 
 from __future__ import annotations
@@ -94,10 +98,11 @@ class DerandState:
     d = T1 - T0 of the two hypotheses over the listed subsets only,
     bucket 0 first, each bucket in ascending subset order; the untouched
     subsets add the same to both sides. A fill therefore does at most
-    m * sum_j j*C(n,j) subset evaluations. The per-code tables hold
-    p * sum_j sum_{a <= v_j} C(j, a) entries each; the budget guard
-    charges the sum of the two before allocating, and one row's
-    evaluations alone before computing m or the tables.
+    m * sum_j j*C(n,j) subset evaluations. The per-code tables hold p
+    entries for each code the fill has reached, which is at most
+    p * sum_j sum_{a <= v_j} C(j, a) each; the budget guard charges the
+    evaluations plus that bound up front, and one row's evaluations
+    alone before computing m or the tables.
 
     Subsets are numbered level by level in colex order, the order of every
     sum. Across rows a subset's state is one small int, its code, which
@@ -113,17 +118,28 @@ class DerandState:
     and g = f1 - f0 is read off the level's `success_table` once per class
     and row; -x^q * g for a lone key, since bit 1 kills the lone one; 0.0
     for dead. w1 - w0 depends on q and on the alive pattern from c on, so
-    w is a per-code table made at init for every bucket, and each row
-    scales it by g.
+    w is a per-code table for every bucket, and each row scales it by g.
+
+    Codes are numbered in the order the fill first reaches them, after
+    the p blocks of lone keys and the dead key, so the tables grow at the
+    end: init numbers one start code per level, and a row's tables cover
+    only the codes reached so far. A transition table gives the code
+    after a code realizes one of its columns. An edge to a code not yet
+    reached points at the dead key, which is flagged satisfied, so the
+    realization that first takes it finds it on the branch it takes for
+    a satisfied code anyway; there the code is numbered, its entries are
+    appended, its edges to the codes already numbered are filled and
+    theirs to it are patched. That slow path runs once per code, and the
+    evaluation, turn and realization loops do no extra work per subset.
 
     Keys change only where a 1 is fixed: the subsets in buckets q >= 1 of
-    its column step through a static table per q, a code to lone key
+    its column step through a table per q, a code to lone key
     (q, class) if that column is still needed, else to dead, and a lone
-    key to dead. Bucket 0's subsets end at c, so two static flag tables
-    read the chosen bit's realizations off it (lone keys under 0, codes
-    whose last column is still needed under 1); the realized column is
-    the key's t, or c itself for a code, and a static transition table
-    gives each realizer's next code. At the row's end every key is reset
+    key to dead. Bucket 0's subsets end at c, so two flag tables read
+    the chosen bit's realizations off it (lone keys under 0, codes whose
+    last column is still needed under 1); the realized column is the
+    key's t, or c itself for a code, and the transition table gives each
+    realizer's next code. At the row's end every key is reset
     to its code. A satisfied subset is inert: its terms are 0.0, a 1
     sends its key to dead and it realizes nothing, so it may stay listed
     at the cost of its evaluations. Its columns all lie at or before the
@@ -156,10 +172,11 @@ class DerandState:
         n, p = spec.n, spec.p
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
-        # evaluations, and _w, _next, _turn and each row's _terms hold p
-        # entries per code; charge both before allocating either. A fill
-        # has m >= 1 rows, so one row's evaluations alone can refuse it,
-        # before the threshold and the table sizes are computed.
+        # evaluations, and _w, _next, _turn and each row's _terms can grow
+        # to p entries for every code; charge both before allocating
+        # either. A fill has m >= 1 rows, so one row's evaluations alone
+        # can refuse it, before the threshold and the table sizes are
+        # computed.
         counts = list(_subset_counts(n, [(j, 0) for j in levels]))
         per_row = sum(map(mul, levels, counts))
         _budget_guard(per_row, budget, "fill evaluations per row",
@@ -174,70 +191,58 @@ class DerandState:
                       "fill evaluations and table entries", "the derandomized fill")
         self._tables = {j: success_table(self.m, j, spec.v[j - 1],
                                          level_alpha(p, j)) for j in levels}
-        xpow = [self.x ** q for q in range(p + 1)]
         # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
-        # one of each level is satisfied. Codes are the (class k, alive
-        # pattern u with j - a bits) pairs in that order, keyed k << p | u,
-        # so a subset starts at the first code of its level. The u of a
-        # class come, ascending, from its a realized columns, so the tables
-        # hold sum_j sum_{a <= v_j} C(j, a) codes, not 2^j per level.
-        self._classes, self._code = [], []
-        index, code_cls, code_u = {}, [], []
-        bits = [1 << t for t in range(p)]
-        for j, count in zip(levels, counts):
-            self._code.extend([len(code_u)] * count)
-            for a in range(spec.v[j - 1] + 1):
-                for u in sorted((1 << j) - 1 ^ sum(realized) for realized
-                                in itertools.combinations(bits[:j], a)):
-                    index[len(self._classes) << p | u] = len(code_u)
-                    code_cls.append(len(self._classes))
-                    code_u.append(u)
-                self._classes.append((j, a))
-        self._code_cls, self._code_u = code_cls, code_u
-        self._done = [a == spec.v[j - 1] for j, a in
-                      map(self._classes.__getitem__, code_cls)]
-        # _next[s * p + t]: the code after code s realizes its local
-        # column t (0 where that column is not alive; no code leads to 0).
-        self._next = array("I", [index.get((k + 1) << p | u ^ 1 << t, 0)
-                                 for k, u in zip(code_cls, code_u)
-                                 for t in range(p)])
-        # _w[q][code], a per-code table made once here: in bucket q a code
-        # with no ones yet in the row adds w * g, w being x^q if c is alive,
-        # minus x^(q-1)*(1-x) per alive column after c (none at q = 0, so
-        # xpow[-1] adds 0). A lone alive one before c adds -x^q * g, the
-        # term of w with only c alive. Each row scales these by g.
-        self._w = [[(xpow[q] if u >> q & 1 else 0.0)
-                    - (u & ((1 << q) - 1)).bit_count() * xpow[q - 1] * omx
-                    for u in code_u] for q in range(p)]
-        self._xpow = xpow[:p]
-        self.ns = self._unsat = ns = sum(counts)
-        # Keys: past the codes come p blocks of ncls lone keys, then one
-        # dead key. Lone key codes + t * ncls + k stands for a subset of
-        # class k whose row holds one 1, in its still-needed column t, the
-        # t-th of S from the end. _turn[q][key] is the key after a 1 at
-        # the subset's column with q columns after it: a code goes to lone
-        # key (q, class) if that column is still needed, that is, if _next
-        # has a code for it, else to dead, and a lone key goes dead.
+        # one of each level is satisfied.
+        self._classes = [(j, a) for j in levels for a in range(spec.v[j - 1] + 1)]
+        ncls = len(self._classes)
+        # Keys: p blocks of ncls lone keys, the dead key, then the codes.
+        # Lone key t * ncls + k stands for a subset of class k whose row
+        # holds one 1, in its still-needed column t, the t-th of S from
+        # the end. A code is numbered when the fill first reaches it
+        # (_add_code), so the code range grows at the end and the tables
+        # hold only the codes reached. The kernel's tables are indexed by
+        # key: _done, _next (p entries a key), _turn[q], _real[bit] and
+        # _lone_t. _code_cls, _code_u and _w[q] hold code dead + 1 + i at
+        # index i: its class, its alive pattern u (bit t set while its
+        # t-th column from the end is still needed) and its weight in
+        # bucket q (see _wtab).
+        self._dead = dead = p * ncls
+        self._code_cls, self._code_u = [], []
+        self._w = [[] for _ in range(p)]
+        # _next[s * p + t]: the code after code s realizes its local column
+        # t. An edge to a code not reached yet points at the dead key,
+        # which _done flags, so the realization meets it on the branch it
+        # takes for a satisfied code.
+        self._done = [False] * dead + [True]
+        self._next = array("I", [dead]) * (p * (dead + 1))
+        # _turn[q][key] is the key after a 1 at the subset's column with q
+        # columns after it: a code goes to lone key (q, class) if that
+        # column is still needed, else to dead, and a lone key goes dead.
         # _real[bit] flags the keys that realize a pattern when the
         # subset's last column gets bit: lone keys under 0, codes whose
         # last column is still needed under 1. _lone_t[key] is the column
-        # a realizer realizes, counted from the end of S: 0 for a code,
-        # whose last column c is the one, and t for lone key (t, class).
-        codes, ncls = len(code_u), len(self._classes)
-        dead = codes + p * ncls
-        # blocks[q][k] is lone key (q, k), one int shared by every _turn
-        # entry; a satisfied code reads the dead key past the block.
-        cls = [ncls if done else k for k, done in zip(code_cls, self._done)]
-        blocks = [[*range(codes + q * ncls, codes + (q + 1) * ncls), dead]
-                  for q in range(p)]
-        self._turn = [[block[k] if s else dead
-                       for k, s in zip(cls, self._next[q::p])]
-                      + [dead] * (p * ncls + 1)
-                      for q, block in enumerate(blocks)]
-        self._real = ([False] * codes + [True] * (p * ncls) + [False],
-                      [k != dead for k in self._turn[0]])
-        self._lone_t = [0] * codes + [t for t in range(p)
-                                      for _ in range(ncls)] + [0]
+        # a realizer realizes, counted from the end of S: t for lone key
+        # (t, class), and 0 for a code, whose last column c is the one.
+        self._turn = [[dead] * (dead + 1) for _ in range(p)]
+        self._real = ([True] * dead + [False], [False] * (dead + 1))
+        self._lone_t = [t for t in range(p) for _ in range(ncls)] + [0]
+        # _wtab[q][alive][b]: the weight w of a code in bucket q whose
+        # column there is alive or not, with b alive columns after it. A
+        # code with no ones yet in the row adds w * g: x^q if its column is
+        # alive, minus x^(q-1)*(1-x) per alive column after it (none at
+        # q = 0, so xpow[-1] adds 0).
+        self._xpow = xpow = [self.x ** q for q in range(p)]
+        self._wtab = [[[(xpow[q] if alive else 0.0) - b * xpow[q - 1] * omx
+                        for b in range(p)] for alive in (0, 1)]
+                      for q in range(p)]
+        # _index[k << p | u] is the number of code (class k, u).
+        self._index = {}
+        # A subset starts at its level's first code, every column needed.
+        self._code, k = [], 0
+        for j, count in zip(levels, counts):
+            self._code += [self._add_code(k, (1 << j) - 1)] * count
+            k += spec.v[j - 1] + 1
+        self.ns = self._unsat = ns = sum(counts)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
         # contain c and have q columns after it. Subsets are numbered level
         # by level in colex order; descending combinations come in reverse
@@ -270,12 +275,63 @@ class DerandState:
             count * self._tables[j][self.m][spec.v[j - 1]]
             for j, count in zip(levels, counts)], 0)
 
+    def _add_code(self, k: int, u: int) -> int:
+        """Number the code (class k, alive pattern u), the next key: append
+        its entries to every table, fill its edges to the codes already
+        numbered and point theirs at it; return its number. A satisfied
+        code realizes nothing: no edges, and a 1 sends it to dead."""
+        p, dead, index, nxt = self.spec.p, self._dead, self._index, self._next
+        j, a = self._classes[k]
+        s = len(self._done)
+        done = a == self.spec.v[j - 1]
+        live = 0 if done else u
+        index[k << p | u] = s
+        self._code_cls.append(k)
+        self._code_u.append(u)
+        self._done.append(done)
+        self._lone_t.append(0)
+        self._real[0].append(False)
+        self._real[1].append(live & 1 == 1)
+        up = (k + 1) << p | u
+        nxt.extend([index.get(up ^ 1 << t, dead) if live >> t & 1 else dead
+                    for t in range(p)])
+        if a:
+            # Its predecessors: class k - 1, one more column alive.
+            down = (k - 1) << p | u
+            for t in range(j):
+                if not u >> t & 1:
+                    pred = index.get(down | 1 << t)
+                    if pred is not None:
+                        nxt[pred * p + t] = s
+        # Bucket by bucket: the weight, and the key after a 1 (lone key
+        # q * ncls + k while column q is alive).
+        after, lone, ncls = 0, k, len(self._classes)
+        for w, turn, (w0, w1) in zip(self._w, self._turn, self._wtab):
+            if u & 1:
+                w.append(w1[after])
+                turn.append(lone if live else dead)
+                after += 1
+            else:
+                w.append(w0[after])
+                turn.append(dead)
+            u >>= 1
+            lone += ncls
+        return s
+
+    def _reach(self, s: int, t: int) -> int:
+        """Number the code that code s leads to by realizing its local
+        column t, which the fill has just reached for the first time."""
+        i = s - self._dead - 1
+        return self._add_code(self._code_cls[i] + 1, self._code_u[i] ^ 1 << t)
+
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
         g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, two
-        neighbours on its level's success table: _terms[q][key] is w * g
-        for a code, -x^q * g for each of a class's p lone keys and 0.0 for
-        dead."""
+        neighbours on its level's success table: _terms[q][key] is -x^q * g
+        for each of a class's p lone keys, 0.0 for dead and w * g for a
+        code. A code first reached later in the row gets its terms with the
+        next row: its subset ends at the column that reached it, so this
+        row visits it no more."""
         rem = self.m - self.r - 1
         g = [0.0] * len(self._classes)
         for k, (j, a) in enumerate(self._classes):
@@ -288,9 +344,9 @@ class DerandState:
         gc = list(map(g.__getitem__, self._code_cls))
         self._terms = terms = []
         for w, xq in zip(self._w, self._xpow):
-            t = list(map(mul, w, gc))
-            t += [-xq * gk for gk in g] * self.spec.p
+            t = [-xq * gk for gk in g] * self.spec.p
             t.append(0.0)
+            t += map(mul, w, gc)
             terms.append(t)
 
     def _advance(self, count: int, bit: int = None) -> int:
@@ -298,7 +354,7 @@ class DerandState:
         `bit`, with the fill state in locals; return the last bit."""
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         code, key, lone_t = self._code, self._key, self._lone_t
-        hits, nxt, done = self._hits, self._next, self._done
+        hits, nxt, done, dead = self._hits, self._next, self._done, self._dead
         since, waste = self._since, self._waste
         turn, (real0, real1) = self._turn, self._real
         terms = self._terms
@@ -346,11 +402,16 @@ class DerandState:
                 for i in buckets[0]:
                     k = key[i]
                     if real[k]:
-                        s = code[i] = nxt[code[i] * p + lone_t[k]]
+                        s = nxt[code[i] * p + lone_t[k]]
                         if done[s]:
-                            # S lies within columns 0 .. c.
-                            stale |= (cbit << 1) - 1
-                            unsat -= 1
+                            if s == dead:
+                                # First reach of the code S moves to.
+                                s = self._reach(code[i], lone_t[k])
+                            if done[s]:
+                                # S lies within columns 0 .. c.
+                                stale |= (cbit << 1) - 1
+                                unsat -= 1
+                        code[i] = s
                 c += 1
                 if c == n:
                     self.rows.append(rb)

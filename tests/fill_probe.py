@@ -17,6 +17,31 @@ def masks(state) -> list:
             for mask in sorted(map(sum, combinations(bits, j)))]
 
 
+def code_of(state, s: int) -> tuple:
+    """(class, alive pattern u) of code s, the class indexing
+    `state._classes`; bit t of u is set while the t-th column of the
+    subset from the end is still needed."""
+    i = s - state._dead - 1
+    return state._code_cls[i], state._code_u[i]
+
+
+def weights(state, s: int) -> list:
+    """The weight w of code s in each bucket q: its row term there is
+    w times its class's g."""
+    i = s - state._dead - 1
+    return [w[i] for w in state._w]
+
+
+def codes(state) -> dict:
+    """{number: (class, u)} of every code the fill has numbered. Codes
+    follow the p blocks of lone keys and the dead key, in the order the
+    fill first reached them, so fills that reach them in another order
+    number them differently: compare codes by (class, u). The kernel's
+    tables (`_done`, `_next` by p, `_turn`, `_real`, `_lone_t` and each
+    row's `_terms`) are indexed by these numbers."""
+    return {s: code_of(state, s) for s in range(state._dead + 1, len(state._done))}
+
+
 def current(state, i: int, mask: int = None) -> float:
     """Success probability of subset i, whose column mask is `mask`
     (looked up when not given), given the entries fixed so far."""
@@ -28,10 +53,10 @@ def current(state, i: int, mask: int = None) -> float:
         mask = masks(state)[i]
     # The still-needed columns: bit t of the code's local pattern stands
     # for the t-th column of S from the end.
-    u = state._code_u[code]
+    k, u = code_of(state, code)
     cols = [col for col in range(state.n) if mask >> col & 1]
     alive = sum(1 << col for t, col in enumerate(reversed(cols)) if u >> t & 1)
-    j, a = state._classes[state._code_cls[code]]
+    j, a = state._classes[k]
     need = state.spec.v[j - 1] - a
     tab = state._tables[j]
     unfixed = (mask >> c).bit_count()

@@ -7,17 +7,18 @@ completed row had realized, and every visit read the row's prefix over
 the subset, `row_bits & mask`, and branched three ways on it: no ones
 yet (add the code's w * g), one lone alive one (subtract x^q * g), or
 dead (skip). The row tables were two lists per bucket, `_wg[q][code]`
-and `_xg[q][class]`. `BranchState` is `DerandState` with that row
-loading and that kernel put back, so the tests can compare the two entry
-by entry. The fill keeps no column masks, so `BranchState` builds its
-own from `fill_probe.masks`. Do not use it outside the tests.
+and `_xg[q][class]`; here both are indexed by code number. `BranchState`
+is `DerandState` with that row loading and that kernel put back, so the
+tests can compare the two entry by entry. The fill keeps no column
+masks, so `BranchState` builds its own from `fill_probe.masks`. It reads
+the fill's codes through `fill_probe.codes` and `fill_probe.weights`,
+and numbers a code it reaches first through the fill's own `_reach`, as
+the keyed kernel does. Do not use it outside the tests.
 """
 
 from __future__ import annotations
 
-from operator import mul
-
-from fill_probe import masks
+from fill_probe import codes, masks, weights
 from superselect import DerandState, PrecisionFault
 
 
@@ -37,14 +38,18 @@ class BranchState(DerandState):
             if need > 0:
                 row = self._tables[j][rem]
                 g[k] = row[need - 1] - row[need]
-        gc = list(map(g.__getitem__, self._code_cls))
-        self._wg = [list(map(mul, w, gc)) for w in self._w]
-        self._xg = [[xq * gk for gk in g] for xq in self._xpow]
+        # w * g and x^q * g of each code's class, both by code number.
+        self._wg = [[0.0] * len(self._done) for _ in self._xpow]
+        self._xg = [[0.0] * len(self._done) for _ in self._xpow]
+        for s, (k, _) in codes(self).items():
+            for wg, xg, w, xq in zip(self._wg, self._xg, weights(self, s),
+                                     self._xpow):
+                wg[s], xg[s] = w * g[k], xq * g[k]
 
     def _advance(self, count: int, bit: int = None) -> int:
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         masks, alive, code = self._mask, self._alive, self._code
-        hits, nxt, done, cls = self._hits, self._next, self._done, self._code_cls
+        hits, nxt, done = self._hits, self._next, self._done
         wg, xg = self._wg, self._xg
         tie, floor = self._tie_tol, self.ns - 1
         forced = bit is not None
@@ -66,7 +71,7 @@ class BranchState(DerandState):
                     if pre:
                         if pre & (pre - 1) or not pre & alive[i]:
                             continue
-                        d -= x0[cls[code[i]]]
+                        d -= x0[code[i]]
                         real0.append(i)
                     else:
                         d += w0[code[i]]
@@ -79,7 +84,7 @@ class BranchState(DerandState):
                         if pre:
                             if pre & (pre - 1) or not pre & alive[i]:
                                 continue
-                            d -= xq[cls[code[i]]]
+                            d -= xq[code[i]]
                         else:
                             d += wq[code[i]]
                 if not forced:
@@ -98,7 +103,10 @@ class BranchState(DerandState):
                     pre = rb & mask
                     alive[i] ^= pre
                     t = (mask >> pre.bit_length()).bit_count()
-                    s = code[i] = nxt[code[i] * p + t]
+                    s = nxt[code[i] * p + t]
+                    if s == self._dead:
+                        s = self._reach(code[i], t)
+                    code[i] = s
                     if done[s]:
                         alive[i] = 0
                         stale |= mask

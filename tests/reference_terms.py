@@ -15,8 +15,10 @@ built by scanning all 2^j local patterns of each level: the (class,
 alive pattern u) pairs numbered densely in class order through an index
 dict, and `next[s * p + t]`, the code after code s realizes its local
 column t, looked up in that index (0 where no code follows). The fill
-now lists each class's patterns from its realized columns; the tests
-check that it numbers the same codes. Do not use it outside the tests.
+now numbers a code when it first reaches it; the tests check, code by
+(class, u), that each one it numbers is a code of this scan with the
+same class, satisfied flag and transitions. Do not use it outside the
+tests.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class ReferenceTerms:
                         code_cls.append(len(self.classes))
                         code_u.append(u)
                 self.classes.append((j, a))
-        self.code_cls = code_cls
+        self.code_cls, self.code_u, self.index = code_cls, code_u, index
         self.done = [a == spec.v[j - 1] for j, a in
                      map(self.classes.__getitem__, code_cls)]
         self.next = [index.get((k + 1) << p | u ^ 1 << t, 0)

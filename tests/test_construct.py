@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fill_probe import current, masks, work, xcur
+from fill_probe import codes, current, masks, work, xcur
 from superselect import (
     DEFAULT_SUBSET_BUDGET,
     BudgetError,
@@ -28,6 +29,7 @@ from superselect import (
     construct_randomized,
     derand_threshold,
     fill_spec,
+    format_matrix,
     is_superselector,
     sample_random_matrix,
     selector_spec,
@@ -546,20 +548,63 @@ def test_derandomized_budget_charges_the_index_work():
     assert is_superselector(M, spec)
 
 
+def _numbers_only_reached_codes(state):
+    # After every entry the codes the fill has numbered are exactly the
+    # codes some subset has held so far; the kernel's tables hold one
+    # entry per key (p per key in _next), the per-code ones one per code.
+    reached = set(state._code)
+    while state.r < state.m:
+        assert set(codes(state)) == reached, (state.spec, state.r, state.c)
+        state.step()
+        reached.update(state._code)
+    assert set(codes(state)) == reached, state.spec
+    keys, p = state._dead + 1 + len(reached), state.spec.p
+    assert len(state._done) == len(state._lone_t) == keys
+    assert len(state._real[0]) == len(state._real[1]) == keys
+    assert len(state._next) == keys * p
+    assert [len(t) for t in state._turn] == [keys] * p
+    assert len(state._code_cls) == len(state._code_u) == len(reached)
+    assert [len(w) for w in state._w] == [len(reached)] * p
+    return reached
+
+
 @pytest.mark.parametrize("p, k", [(22, 1), (20, 2)])
 def test_code_tables_hold_only_reachable_codes(p, k):
     # A plain selector on its own p columns has one level, and its codes
     # are the patterns with at most k of p columns realized: 23 and 211
-    # here, not 2^p. Its per-code tables and its fill stay that small.
+    # here, not 2^p. The fill numbers only those it reaches.
     spec = selector_spec(p, k, p)
-    state = DerandState(spec)
-    codes = sum(comb(p, a) for a in range(k + 1))
-    assert len(state._code_cls) == len(state._done) == codes
-    assert len(state._next) == codes * p
-    assert [len(w) for w in state._w] == [codes] * p
+    reached = _numbers_only_reached_codes(DerandState(spec))
+    assert len(reached) <= sum(comb(p, a) for a in range(k + 1))
     M = construct_derandomized(spec)
-    assert M.m == state.m
+    assert M.m == derand_threshold(spec)
     assert is_superselector(M, spec)
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_fill_numbers_only_the_codes_it_reaches(spec):
+    _numbers_only_reached_codes(DerandState(spec))
+
+
+def test_selector_16_9_16_builds_from_the_codes_it_reaches():
+    # One tracked subset whose class space holds sum_{a <= 9} C(16, a) =
+    # 50,643 codes, of which the fill reaches 10. Tabulating them all
+    # took 64 MB at init; numbering only those reached keeps init near
+    # 0.2 MB. The budget still charges the whole code space (see
+    # test_derandomized_budget_charges_the_code_tables), and the default
+    # budget admits it.
+    spec = selector_spec(16, 9, 16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        DerandState(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    M = construct_derandomized(spec)
+    assert M.m == 45
+    assert hashlib.sha256(format_matrix(M).encode()).hexdigest()[:12] == "19fd565f1b36"
 
 
 def test_fill_state_bytes_per_subset():
@@ -637,7 +682,7 @@ def test_listed_satisfied_subsets_are_inert(spec):
     # at every visit that it adds 0.0 to d, that a 1 sends its key to
     # dead and that it realizes nothing under either bit.
     state = DerandState(spec)
-    dead = len(state._terms[0]) - 1
+    dead = state._dead
     real0, real1 = state._real
     listed = 0
     while state.r < state.m:

@@ -9,18 +9,19 @@ The fill tracks only the levels `fill_spec` keeps, so every reference
 is fed `fill_spec(spec)`: the kernel is compared entry by entry on the
 spec it actually fills.
 
-The three at-scale pins carry the `slow` marker (about 1 s each), which
-the default run deselects; `python -m pytest -m slow` runs them."""
+The at-scale pins carry the `slow` marker (about 1 s each), which the
+default run deselects; `python -m pytest -m slow` runs them."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fill_probe import xcur
+from fill_probe import code_of, codes, xcur
 from reference_scan import ScanState
 from reference_terms import ReferenceTerms
 from superselect import (
@@ -85,6 +86,11 @@ WORKLOAD_DIGESTS = {
 # The levels t = 8, 4, 2 of the (8, 4) monotone chain, from the same fill.
 CHAIN_DIGESTS = ((40, "4b00f6f485ea"), (27, "e4d95b7e91ef"), (14, "35a15530a321"))
 
+# The levels t = 14, 7, 4, 2 of the (16, 7) monotone chain, from the same
+# fill; its widest level tracks 14 columns with v_i = i // 2 + 1.
+WIDE_CHAIN_DIGESTS = ((89, "f53552b1d8e3"), (57, "9907a2d2b289"),
+                      (40, "03996ecda00b"), (20, "4516072afb7a"))
+
 # At-scale specs, from the same fill; each builds and verifies in about
 # 1 s. (128,3,(1,2,3)) is the union spec at the size where the fill's
 # nonzero prefix (37 rows) is well below n.
@@ -127,20 +133,24 @@ def test_small_spec_rows_match_scan_kernel(n, data):
 
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
-    # the pair-expanded ones float for float: the code slice of each
-    # bucket's term table is w * g, each of the p lone-key blocks
-    # -x^q * g, and the dead key 0.0.
+    # the pair-expanded ones float for float: the term of each code the
+    # fill has numbered is the w * g of the scan's code with the same
+    # (class, u), each of the p lone-key blocks is -x^q * g, and the dead
+    # key 0.0. Every numbered key has a term.
     state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
-    codes, lone, p = len(state._code_cls), len(state._classes), spec.p
+    lone, p, dead = len(state._classes), spec.p, state._dead
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
-        assert [t[:codes] for t in state._terms] == wg, (spec, r)
+        for s, (k, u) in codes(state).items():
+            at = ref.index[k << p | u]
+            assert [tq[s] for tq in state._terms] == [w[at] for w in wg], \
+                (spec, r, k, u)
         for t in range(p):
-            block = slice(codes + t * lone, codes + (t + 1) * lone)
+            block = slice(t * lone, (t + 1) * lone)
             assert [[-y for y in tq[block]] for tq in state._terms] == xg, \
                 (spec, r, t)
-        assert all(len(tq) == codes + p * lone + 1 and tq[-1] == 0.0
+        assert all(len(tq) == len(state._done) and tq[dead] == 0.0
                    for tq in state._terms), (spec, r)
         for _ in range(spec.n):
             state.step()
@@ -173,20 +183,48 @@ def test_small_spec_row_tables_match_pair_tables(n, data):
     _same_row_tables(SuperSelectorSpec(n, p, v))
 
 
-def _same_codes(spec):
-    # Listing each class's patterns from its realized columns numbers the
-    # same codes as the scan of all 2^j patterns: the same start code per
-    # subset, class and satisfied flag per code, and transition table.
-    state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
-    assert state._code == ref.start, spec
-    assert state._code_cls == ref.code_cls, spec
-    assert state._done == ref.done, spec
-    assert list(state._next) == ref.next, spec
+def _same_codes(state, ref):
+    # Every code the fill has numbered is one code of the scan of all 2^j
+    # patterns, found by (class, u), with the same satisfied flag; each
+    # edge a realization can take (a still-needed column of an
+    # unsatisfied code) points at the scan's next code when the fill has
+    # numbered that one too, and every other entry at the dead key.
+    p, dead = state.spec.p, state._dead
+    numbered = codes(state)
+    number = {cu: s for s, cu in numbered.items()}
+    assert len(number) == len(numbered), state.spec
+    for s, (k, u) in numbered.items():
+        at = ref.index[k << p | u]
+        assert state._done[s] == ref.done[at], (state.spec, k, u)
+        for t in range(p):
+            want = dead
+            if u >> t & 1 and not ref.done[at]:
+                to = ref.next[at * p + t]
+                want = number.get((ref.code_cls[to], ref.code_u[to]), dead)
+            assert state._next[s * p + t] == want, (state.spec, k, u, t)
+
+
+def _same_codes_as_the_fill_goes(spec):
+    # At the start each subset holds the scan's start code; then the
+    # codes are checked after a greedy fill, and after a forced replay
+    # of random bits, which reaches codes in another order.
+    ref = ReferenceTerms(fill_spec(spec))
+    state = DerandState(spec)
+    assert [code_of(state, s) for s in state._code] == \
+        [(ref.code_cls[s], ref.code_u[s]) for s in ref.start], spec
+    _same_codes(state, ref)
+    state.run()
+    _same_codes(state, ref)
+    draw = random.Random(spec.n).random
+    state = DerandState(spec)
+    while state.r < state.m:
+        state.step(int(draw() < 0.5))
+    _same_codes(state, ref)
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
 def test_codes_match_frozen_pattern_scan(spec):
-    _same_codes(spec)
+    _same_codes_as_the_fill_goes(spec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,7 +234,7 @@ def test_small_spec_codes_match_frozen_pattern_scan(n, data):
     v = tuple(
         data.draw(st.integers(0, j), label=f"v_{j}") for j in range(1, p + 1)
     )
-    _same_codes(SuperSelectorSpec(n, p, v))
+    _same_codes_as_the_fill_goes(SuperSelectorSpec(n, p, v))
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
@@ -250,3 +288,10 @@ def test_chain_level_digests_are_pinned():
 @pytest.mark.parametrize("spec", list(SLOW_DIGESTS), ids=str)
 def test_at_scale_digest_is_pinned(spec):
     assert _pin(construct_derandomized(spec)) == SLOW_DIGESTS[spec]
+
+
+@pytest.mark.slow
+def test_wide_chain_level_digests_are_pinned():
+    chain = monotone_chain(16, 7)
+    assert tuple(_pin(M) for M, _ in chain.levels) == WIDE_CHAIN_DIGESTS
+    assert chain.total_length == 206
