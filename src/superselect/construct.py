@@ -16,11 +16,13 @@ by how many of their columns follow c, so a fill costs at most
 m * sum_j j*C(n,j) subset evaluations over the levels j that
 `sizing.fill_spec` keeps: the implied levels hold once the kept ones do,
 so the fill tracks none of their subsets, while the exhaustive check of
-the finished matrix still judges the full spec. A subset's state is a
-small code for its class and still-needed columns, and the fill numbers
-a code only when it first reaches it, so its tables hold the codes
-reached, not every code of the spec: (16,9,16) tracks one subset, whose
-class space holds 50,643 codes, and reaches 10 of them.
+the finished matrix still judges the full spec. An unsatisfied
+subset's state is a small code for its class and still-needed columns,
+and a satisfied one holds the dead key for good. The fill numbers a code
+only when it first reaches it, and never one of a satisfied class, so
+its tables hold the unsatisfied codes reached, not every code of the
+spec: (16,9,16) tracks one subset, whose class space holds 50,643 codes,
+and reaches 9 of them.
 """
 
 from __future__ import annotations
@@ -99,62 +101,72 @@ class DerandState:
     bucket 0 first, each bucket in ascending subset order; the untouched
     subsets add the same to both sides. A fill therefore does at most
     m * sum_j j*C(n,j) subset evaluations. The per-code tables hold p
-    entries for each code the fill has reached, which is at most
-    p * sum_j sum_{a <= v_j} C(j, a) each; the budget guard charges the
-    evaluations plus that bound up front, and one row's evaluations
-    alone before computing m or the tables.
+    entries for each code the fill has reached, all of them unsatisfied,
+    so at most p * sum_j sum_{a < v_j} C(j, a) each; the budget guard
+    charges the evaluations plus p * sum_j sum_{a <= v_j} C(j, a) up
+    front, a looser bound that also counts the satisfied codes, which
+    are never numbered, and one row's evaluations alone before computing
+    m or the tables.
 
     Subsets are numbered level by level in colex order, the order of every
-    sum. Across rows a subset's state is one small int, its code, which
-    stands for its class (level j, patterns realized) and its local alive
-    pattern: bit t set while its t-th column from the end is unrealized,
-    that is, still needed. Within a row it also has a key, which says how
-    the row's fixed bits over S stand: its code while the row has no 1 in
-    S, the lone key (t, class) once the row holds one lone 1 in the
-    still-needed column t of S, and one shared dead key otherwise, when
-    the row can realize nothing new for S. A subset adds to d one lookup,
-    by its key, in its bucket's term table for the row: (w1 - w0)*g for a
-    code, where w is the chance that the row realizes a new unit pattern
-    and g = f1 - f0 is read off the level's `success_table` once per class
-    and row; -x^q * g for a lone key, since bit 1 kills the lone one; 0.0
-    for dead. w1 - w0 depends on q and on the alive pattern from c on, so
-    w is a per-code table for every bucket, and each row scales it by g.
+    sum. Across rows a subset's state is one small int, its code. An
+    unsatisfied subset's code stands for its class (level j, patterns
+    realized a < v_j) and its local alive pattern: bit t set while its
+    t-th column from the end is unrealized, that is, still needed. A
+    satisfied subset holds the dead key instead, the fill's one terminal
+    state. Within a row it also has a key, which says how the row's fixed
+    bits over S stand: its code while the row has no 1 in S, the lone key
+    (t, class) once the row holds one lone 1 in the still-needed column t
+    of S, and one shared dead key otherwise, when the row can realize
+    nothing new for S, and always once S is satisfied. There are
+    K = sum_j v_j unsatisfied classes, so p * K lone keys. A subset adds
+    to d one lookup, by its key, in its bucket's term table for the row:
+    (w1 - w0)*g for a code, where w is the chance that the row realizes a
+    new unit pattern and g = f1 - f0 is read off the level's
+    `success_table` once per class and row; -x^q * g for a lone key,
+    since bit 1 kills the lone one; 0.0 for dead. w1 - w0 depends on q
+    and on the alive pattern from c on, so w is a per-code table for
+    every bucket, and each row scales it by g.
 
     Codes are numbered in the order the fill first reaches them, after
     the p blocks of lone keys and the dead key, so the tables grow at the
     end: init numbers one start code per level, and a row's tables cover
     only the codes reached so far. A transition table gives the code
-    after a code realizes one of its columns. An edge to a code not yet
-    reached points at the dead key, which is flagged satisfied, so the
-    realization that first takes it finds it on the branch it takes for
-    a satisfied code anyway; there the code is numbered, its entries are
-    appended, its edges to the codes already numbered are filled and
-    theirs to it are patched. That slow path runs once per code, and the
-    evaluation, turn and realization loops do no extra work per subset.
+    after a code realizes one of its columns, or the dead key if that
+    satisfies the subset, set when the code is numbered. An edge to a
+    code not yet reached holds 0, a lone key's number, which no
+    realization can lead to, so a next key at or below the dead key is
+    the one rare case a realization tests for: the dead key satisfies
+    the subset, and a lower one is a first reach. There the code is
+    numbered, its entries are appended, its edges to the codes already
+    numbered are filled and theirs to it are patched. That slow path
+    runs once per code, and the evaluation, turn and realization loops
+    do no extra work per subset.
 
     Keys change only where a 1 is fixed: the subsets in buckets q >= 1 of
     its column step through a table per q, a code to lone key
     (q, class) if that column is still needed, else to dead, and a lone
-    key to dead. Bucket 0's subsets end at c, so two flag tables read
-    the chosen bit's realizations off it (lone keys under 0, codes whose
-    last column is still needed under 1); the realized column is the
-    key's t, or c itself for a code, and the transition table gives each
-    realizer's next code. At the row's end every key is reset
-    to its code. A satisfied subset is inert: its terms are 0.0, a 1
-    sends its key to dead and it realizes nothing, so it may stay listed
-    at the cost of its evaluations. Its columns all lie at or before the
-    column c that satisfied it, so the whole row prefix up to c is marked
-    stale, a few columns more than S holds. A stale column is rebuilt,
-    one scan of its buckets, by the rent-or-buy rule: a visit pays about
-    f = 1 - unsat/since of a scan in stale evaluations, since being the
-    unsatisfied count at the column's last rebuild, and the column is
-    rebuilt at the visit where the f summed since then reaches 1. So a
-    column is scanned only once its stale visits have cost about one
-    scan, and it pays less than one scan in stale evaluations between
-    two rebuilds: the break-even rule of rent-or-buy. The estimate is one
-    division per stale visit and no work per satisfaction. Once no
-    unsatisfied subset is left, every later d is exactly 0.0 and `run`
-    appends the all-zero rows.
+    key to dead. Bucket 0's subsets end at c, so a table per bit reads
+    the chosen bit's realizations off it: the realized column, counted
+    from the end of S, for lone key (t, class) under 0 (its t) and for a
+    code whose last column is still needed under 1 (0, the column c
+    itself), else None; the transition table gives each realizer's next
+    code. At the row's end every key is reset to its code. A satisfied
+    subset is inert: the dead key's terms are 0.0, a 1 keeps it dead and
+    it realizes nothing, so it may stay listed at the cost of its
+    evaluations until a rebuild drops it. Its columns all lie at or
+    before the column c that satisfied it, so the whole row prefix up to
+    c is marked stale, a few columns more than S holds. A stale column is
+    rebuilt, one scan of its buckets that keeps the subsets off the dead
+    key, by the rent-or-buy rule: a visit pays about f = 1 - unsat/since
+    of a scan in stale evaluations, since being the unsatisfied count at
+    the column's last rebuild, and the column is rebuilt at the visit
+    where the f summed since then reaches 1. So a column is scanned only
+    once its stale visits have cost about one scan, and it pays less than
+    one scan in stale evaluations between two rebuilds: the break-even
+    rule of rent-or-buy. The estimate is one division per stale visit and
+    no work per satisfaction. Once no unsatisfied subset is left, every
+    later d is exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
@@ -173,10 +185,11 @@ class DerandState:
         levels = spec.levels()
         # The per-column index makes at most m * sum_j j*C(n,j) subset
         # evaluations, and _w, _next, _turn and each row's _terms can grow
-        # to p entries for every code; charge both before allocating
-        # either. A fill has m >= 1 rows, so one row's evaluations alone
-        # can refuse it, before the threshold and the table sizes are
-        # computed.
+        # to p entries for every unsatisfied code; charge both, the tables
+        # as p entries for every code, satisfied ones too, before
+        # allocating either. A fill has m >= 1 rows, so one row's
+        # evaluations alone can refuse it, before the threshold and the
+        # table sizes are computed.
         counts = list(_subset_counts(n, [(j, 0) for j in levels]))
         per_row = sum(map(mul, levels, counts))
         _budget_guard(per_row, budget, "fill evaluations per row",
@@ -191,41 +204,40 @@ class DerandState:
                       "fill evaluations and table entries", "the derandomized fill")
         self._tables = {j: success_table(self.m, j, spec.v[j - 1],
                                          level_alpha(p, j)) for j in levels}
-        # Classes (level j, patterns realized a) for a = 0 .. v_j; the last
-        # one of each level is satisfied.
-        self._classes = [(j, a) for j in levels for a in range(spec.v[j - 1] + 1)]
+        # The unsatisfied classes (level j, patterns realized a), a < v_j.
+        # A satisfied subset holds the dead key for good, so no code of a
+        # satisfied class is ever numbered.
+        self._classes = [(j, a) for j in levels for a in range(spec.v[j - 1])]
         ncls = len(self._classes)
         # Keys: p blocks of ncls lone keys, the dead key, then the codes.
         # Lone key t * ncls + k stands for a subset of class k whose row
         # holds one 1, in its still-needed column t, the t-th of S from
-        # the end. A code is numbered when the fill first reaches it
-        # (_add_code), so the code range grows at the end and the tables
-        # hold only the codes reached. The kernel's tables are indexed by
-        # key: _done, _next (p entries a key), _turn[q], _real[bit] and
-        # _lone_t. _code_cls, _code_u and _w[q] hold code dead + 1 + i at
-        # index i: its class, its alive pattern u (bit t set while its
-        # t-th column from the end is still needed) and its weight in
-        # bucket q (see _wtab).
+        # the end. The dead key stands for a row that can realize nothing
+        # new for S, and for a satisfied S in every row. A code is
+        # numbered when the fill first reaches it (_add_code), so the code
+        # range grows at the end and the tables hold only the codes
+        # reached. The kernel's tables are indexed by key: _next (p entries
+        # a key), _turn[q] and _real[bit]. _code_cls, _code_u and _w[q]
+        # hold code dead + 1 + i at index i: its class, its alive pattern u
+        # (bit t set while its t-th column from the end is still needed)
+        # and its weight in bucket q (see _wtab).
         self._dead = dead = p * ncls
         self._code_cls, self._code_u = [], []
         self._w = [[] for _ in range(p)]
         # _next[s * p + t]: the code after code s realizes its local column
-        # t. An edge to a code not reached yet points at the dead key,
-        # which _done flags, so the realization meets it on the branch it
-        # takes for a satisfied code.
-        self._done = [False] * dead + [True]
-        self._next = array("I", [dead]) * (p * (dead + 1))
+        # t, dead if that satisfies the subset, and 0, a lone key's number
+        # that no realization can target, while that code is not reached.
+        self._next = array("I", [0]) * (p * (dead + 1))
         # _turn[q][key] is the key after a 1 at the subset's column with q
         # columns after it: a code goes to lone key (q, class) if that
         # column is still needed, else to dead, and a lone key goes dead.
-        # _real[bit] flags the keys that realize a pattern when the
-        # subset's last column gets bit: lone keys under 0, codes whose
-        # last column is still needed under 1. _lone_t[key] is the column
-        # a realizer realizes, counted from the end of S: t for lone key
-        # (t, class), and 0 for a code, whose last column c is the one.
+        # _real[bit][key] is the column, counted from the end of S, that
+        # the key realizes when the subset's last column gets bit, or
+        # None: t for lone key (t, class) under 0, and 0 under 1 for a
+        # code whose last column c is still needed.
         self._turn = [[dead] * (dead + 1) for _ in range(p)]
-        self._real = ([True] * dead + [False], [False] * (dead + 1))
-        self._lone_t = [t for t in range(p) for _ in range(ncls)] + [0]
+        self._real = ([t for t in range(p) for _ in range(ncls)] + [None],
+                      [None] * (dead + 1))
         # _wtab[q][alive][b]: the weight w of a code in bucket q whose
         # column there is alive or not, with b alive columns after it. A
         # code with no ones yet in the row adds w * g: x^q if its column is
@@ -241,7 +253,7 @@ class DerandState:
         self._code, k = [], 0
         for j, count in zip(levels, counts):
             self._code += [self._add_code(k, (1 << j) - 1)] * count
-            k += spec.v[j - 1] + 1
+            k += spec.v[j - 1]
         self.ns = self._unsat = ns = sum(counts)
         # Per-column index: _hits[c][q] lists, ascending, the subsets that
         # contain c and have q columns after it. Subsets are numbered level
@@ -278,23 +290,21 @@ class DerandState:
     def _add_code(self, k: int, u: int) -> int:
         """Number the code (class k, alive pattern u), the next key: append
         its entries to every table, fill its edges to the codes already
-        numbered and point theirs at it; return its number. A satisfied
-        code realizes nothing: no edges, and a 1 sends it to dead."""
+        numbered and point theirs at it; return its number."""
         p, dead, index, nxt = self.spec.p, self._dead, self._index, self._next
         j, a = self._classes[k]
-        s = len(self._done)
-        done = a == self.spec.v[j - 1]
-        live = 0 if done else u
+        s = dead + 1 + len(self._code_cls)
         index[k << p | u] = s
         self._code_cls.append(k)
         self._code_u.append(u)
-        self._done.append(done)
-        self._lone_t.append(0)
-        self._real[0].append(False)
-        self._real[1].append(live & 1 == 1)
-        up = (k + 1) << p | u
-        nxt.extend([index.get(up ^ 1 << t, dead) if live >> t & 1 else dead
-                    for t in range(p)])
+        self._real[0].append(None)
+        self._real[1].append(0 if u & 1 else None)
+        if a + 1 == self.spec.v[j - 1]:
+            # Any realization satisfies the subset.
+            nxt.extend([dead] * p)
+        else:
+            up = (k + 1) << p | u
+            nxt.extend([index.get(up ^ 1 << t, 0) for t in range(p)])
         if a:
             # Its predecessors: class k - 1, one more column alive.
             down = (k - 1) << p | u
@@ -309,7 +319,7 @@ class DerandState:
         for w, turn, (w0, w1) in zip(self._w, self._turn, self._wtab):
             if u & 1:
                 w.append(w1[after])
-                turn.append(lone if live else dead)
+                turn.append(lone)
                 after += 1
             else:
                 w.append(w0[after])
@@ -326,21 +336,20 @@ class DerandState:
 
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
-        g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, two
-        neighbours on its level's success table: _terms[q][key] is -x^q * g
-        for each of a class's p lone keys, 0.0 for dead and w * g for a
-        code. A code first reached later in the row gets its terms with the
-        next row: its subset ends at the column that reached it, so this
-        row visits it no more."""
+        g = f(rem, need-1, pool-1) - f(rem, need, pool) of each class, all
+        with need >= 1, two neighbours on its level's success table:
+        _terms[q][key] is -x^q * g for each of a class's p lone keys, 0.0
+        for dead and w * g for a code. A code first reached later in the
+        row gets its terms with the next row: its subset ends at the column
+        that reached it, so this row visits it no more."""
         rem = self.m - self.r - 1
-        g = [0.0] * len(self._classes)
-        for k, (j, a) in enumerate(self._classes):
+        # The table holds exact zeros where need > rem, so no boundary
+        # cases remain.
+        g = []
+        for j, a in self._classes:
             need = self.spec.v[j - 1] - a
-            if need > 0:
-                # The table holds exact zeros where need > rem, so no
-                # boundary cases remain.
-                row = self._tables[j][rem]
-                g[k] = row[need - 1] - row[need]
+            row = self._tables[j][rem]
+            g.append(row[need - 1] - row[need])
         gc = list(map(g.__getitem__, self._code_cls))
         self._terms = terms = []
         for w, xq in zip(self._w, self._xpow):
@@ -353,8 +362,8 @@ class DerandState:
         """Fix the next `count` entries, each greedily or to the forced
         `bit`, with the fill state in locals; return the last bit."""
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
-        code, key, lone_t = self._code, self._key, self._lone_t
-        hits, nxt, done, dead = self._hits, self._next, self._done, self._dead
+        code, key, hits = self._code, self._key, self._hits
+        nxt, dead = self._next, self._dead
         since, waste = self._since, self._waste
         turn, (real0, real1) = self._turn, self._real
         terms = self._terms
@@ -372,7 +381,7 @@ class DerandState:
                     # since the last rebuild reach one scan.
                     f = 1.0 - unsat / since[c]
                     if waste[c] + f >= 1.0:
-                        buckets = hits[c] = [[i for i in b if not done[code[i]]]
+                        buckets = hits[c] = [[i for i in b if code[i] != dead]
                                              for b in buckets]
                         stale ^= cbit
                         since[c], waste[c] = unsat, 0.0
@@ -400,14 +409,14 @@ class DerandState:
                 # Bucket 0's subsets end at c: the chosen bit's realizers.
                 real = real1 if bit else real0
                 for i in buckets[0]:
-                    k = key[i]
-                    if real[k]:
-                        s = nxt[code[i] * p + lone_t[k]]
-                        if done[s]:
-                            if s == dead:
+                    t = real[key[i]]
+                    if t is not None:
+                        s = nxt[code[i] * p + t]
+                        if s <= dead:
+                            if s < dead:
                                 # First reach of the code S moves to.
-                                s = self._reach(code[i], lone_t[k])
-                            if done[s]:
+                                s = self._reach(code[i], t)
+                            else:
                                 # S lies within columns 0 .. c.
                                 stale |= (cbit << 1) - 1
                                 unsat -= 1

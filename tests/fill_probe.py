@@ -33,20 +33,21 @@ def weights(state, s: int) -> list:
 
 
 def codes(state) -> dict:
-    """{number: (class, u)} of every code the fill has numbered. Codes
+    """{number: (class, u)} of every code the fill has numbered, all of
+    unsatisfied classes: a satisfied subset holds the dead key. Codes
     follow the p blocks of lone keys and the dead key, in the order the
     fill first reached them, so fills that reach them in another order
     number them differently: compare codes by (class, u). The kernel's
-    tables (`_done`, `_next` by p, `_turn`, `_real`, `_lone_t` and each
-    row's `_terms`) are indexed by these numbers."""
-    return {s: code_of(state, s) for s in range(state._dead + 1, len(state._done))}
+    tables (`_next` by p, `_turn`, `_real` and each row's `_terms`) are
+    indexed by these numbers."""
+    return dict(enumerate(zip(state._code_cls, state._code_u), state._dead + 1))
 
 
 def current(state, i: int, mask: int = None) -> float:
     """Success probability of subset i, whose column mask is `mask`
     (looked up when not given), given the entries fixed so far."""
     code = state._code[i]
-    if state._done[code]:
+    if code == state._dead:
         return 1.0
     c = state.c
     if mask is None:

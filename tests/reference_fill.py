@@ -13,7 +13,8 @@ tests can compare the two entry by entry. The fill keeps no column
 masks, so `BranchState` builds its own from `fill_probe.masks`. It reads
 the fill's codes through `fill_probe.codes` and `fill_probe.weights`,
 and numbers a code it reaches first through the fill's own `_reach`, as
-the keyed kernel does. Do not use it outside the tests.
+the keyed kernel does; a subset that a realization satisfies moves to
+the fill's dead key, as there. Do not use it outside the tests.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class BranchState(DerandState):
                 row = self._tables[j][rem]
                 g[k] = row[need - 1] - row[need]
         # w * g and x^q * g of each code's class, both by code number.
-        self._wg = [[0.0] * len(self._done) for _ in self._xpow]
-        self._xg = [[0.0] * len(self._done) for _ in self._xpow]
+        keys = self._dead + 1 + len(self._code_cls)
+        self._wg = [[0.0] * keys for _ in self._xpow]
+        self._xg = [[0.0] * keys for _ in self._xpow]
         for s, (k, _) in codes(self).items():
             for wg, xg, w, xq in zip(self._wg, self._xg, weights(self, s),
                                      self._xpow):
@@ -49,7 +51,7 @@ class BranchState(DerandState):
     def _advance(self, count: int, bit: int = None) -> int:
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         masks, alive, code = self._mask, self._alive, self._code
-        hits, nxt, done = self._hits, self._next, self._done
+        hits, nxt, dead = self._hits, self._next, self._dead
         wg, xg = self._wg, self._xg
         tie, floor = self._tie_tol, self.ns - 1
         forced = bit is not None
@@ -104,10 +106,10 @@ class BranchState(DerandState):
                     alive[i] ^= pre
                     t = (mask >> pre.bit_length()).bit_count()
                     s = nxt[code[i] * p + t]
-                    if s == self._dead:
+                    if s < dead:
                         s = self._reach(code[i], t)
                     code[i] = s
-                    if done[s]:
+                    if s == dead:
                         alive[i] = 0
                         stale |= mask
                         unsat -= 1

@@ -15,10 +15,11 @@ built by scanning all 2^j local patterns of each level: the (class,
 alive pattern u) pairs numbered densely in class order through an index
 dict, and `next[s * p + t]`, the code after code s realizes its local
 column t, looked up in that index (0 where no code follows). The fill
-now numbers a code when it first reaches it; the tests check, code by
-(class, u), that each one it numbers is a code of this scan with the
-same class, satisfied flag and transitions. Do not use it outside the
-tests.
+now numbers a code when it first reaches it and never one of a
+satisfied class; the tests check, code by (class, u), that each one it
+numbers is an unsatisfied code of this scan with the same class and
+transitions, an edge into a satisfied class pointing at the fill's dead
+key. Do not use it outside the tests.
 """
 
 from __future__ import annotations

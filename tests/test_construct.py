@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fill_probe import codes, current, masks, work, xcur
+from fill_probe import code_of, codes, current, masks, work, xcur
 from superselect import (
     DEFAULT_SUBSET_BUDGET,
     BudgetError,
@@ -38,6 +38,7 @@ from superselect import construct
 from superselect.construct import success_table
 from superselect.sizing import level_alpha
 from test_acceptance import SUITE
+from test_fill_kernel_reference import _drawn_spec, _random_bits
 from test_fill_reference import APP_SPECS, CORPUS_DIGESTS
 
 
@@ -550,16 +551,18 @@ def test_derandomized_budget_charges_the_index_work():
 
 def _numbers_only_reached_codes(state):
     # After every entry the codes the fill has numbered are exactly the
-    # codes some subset has held so far; the kernel's tables hold one
-    # entry per key (p per key in _next), the per-code ones one per code.
-    reached = set(state._code)
+    # codes some subset has held so far, the dead key aside; the kernel's
+    # tables hold one entry per key (p per key in _next), the per-code
+    # ones one per code.
+    dead = state._dead
+    reached = set(state._code) - {dead}
     while state.r < state.m:
         assert set(codes(state)) == reached, (state.spec, state.r, state.c)
         state.step()
         reached.update(state._code)
+        reached.discard(dead)
     assert set(codes(state)) == reached, state.spec
-    keys, p = state._dead + 1 + len(reached), state.spec.p
-    assert len(state._done) == len(state._lone_t) == keys
+    keys, p = dead + 1 + len(reached), state.spec.p
     assert len(state._real[0]) == len(state._real[1]) == keys
     assert len(state._next) == keys * p
     assert [len(t) for t in state._turn] == [keys] * p
@@ -570,12 +573,13 @@ def _numbers_only_reached_codes(state):
 
 @pytest.mark.parametrize("p, k", [(22, 1), (20, 2)])
 def test_code_tables_hold_only_reachable_codes(p, k):
-    # A plain selector on its own p columns has one level, and its codes
-    # are the patterns with at most k of p columns realized: 23 and 211
-    # here, not 2^p. The fill numbers only those it reaches.
+    # A plain selector on its own p columns has one level, and its
+    # unsatisfied codes are the patterns with fewer than k of p columns
+    # realized: 1 and 21 here, not 2^p. The fill numbers only those it
+    # reaches.
     spec = selector_spec(p, k, p)
     reached = _numbers_only_reached_codes(DerandState(spec))
-    assert len(reached) <= sum(comb(p, a) for a in range(k + 1))
+    assert len(reached) <= sum(comb(p, a) for a in range(k))
     M = construct_derandomized(spec)
     assert M.m == derand_threshold(spec)
     assert is_superselector(M, spec)
@@ -588,9 +592,9 @@ def test_fill_numbers_only_the_codes_it_reaches(spec):
 
 def test_selector_16_9_16_builds_from_the_codes_it_reaches():
     # One tracked subset whose class space holds sum_{a <= 9} C(16, a) =
-    # 50,643 codes, of which the fill reaches 10. Tabulating them all
-    # took 64 MB at init; numbering only those reached keeps init near
-    # 0.2 MB. The budget still charges the whole code space (see
+    # 50,643 codes, of which the fill reaches 9: it numbers no code of
+    # the satisfied class. Tabulating them all took 64 MB at init;
+    # numbering only those reached keeps init near 0.2 MB. The budget still charges the whole code space (see
     # test_derandomized_budget_charges_the_code_tables), and the default
     # budget admits it.
     spec = selector_spec(16, 9, 16)
@@ -668,7 +672,7 @@ def test_rebuild_drops_every_satisfied_subset(spec):
         c = state.c
         if state._stale >> c & 1:
             assert state._since[c] > state._unsat >= 0, (spec, state.r, c)
-        satisfied = {i for i, s in enumerate(state._code) if state._done[s]}
+        satisfied = {i for i, s in enumerate(state._code) if s == state._dead}
         old = state._hits[c]
         state.step()
         if state._hits[c] is not old:
@@ -679,8 +683,8 @@ def test_rebuild_drops_every_satisfied_subset(spec):
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
 def test_listed_satisfied_subsets_are_inert(spec):
     # Digests cannot see a satisfied subset left in the buckets, so check
-    # at every visit that it adds 0.0 to d, that a 1 sends its key to
-    # dead and that it realizes nothing under either bit.
+    # at every visit that its key is the dead key, which adds 0.0 to d,
+    # stays dead under a 1 and realizes nothing under either bit.
     state = DerandState(spec)
     dead = state._dead
     real0, real1 = state._real
@@ -688,14 +692,64 @@ def test_listed_satisfied_subsets_are_inert(spec):
     while state.r < state.m:
         for q, b in enumerate(state._hits[state.c]):
             for i in b:
-                if state._done[state._code[i]]:
+                if state._code[i] == dead:
                     k = state._key[i]
+                    assert k == dead, (spec, i, k)
                     assert state._terms[q][k] == 0.0, (spec, i, k)
                     assert {turn[k] for turn in state._turn} == {dead}
-                    assert not real0[k] and not real1[k], (spec, i, k)
+                    assert real0[k] is None and real1[k] is None, (spec, i, k)
                     listed += 1
         state.step()
     assert listed, spec
+
+
+def _satisfied_hold_the_dead_key(spec, replay=()):
+    # At every row end, counted from the rows and the subsets' masks: a
+    # subset holds the dead key exactly when the rows so far give it v_j
+    # distinct unit rows, and otherwise a code of class (j, that count)
+    # whose alive pattern marks the columns no unit row has hit; _unsat
+    # counts the subsets off the dead key, and no numbered code is of a
+    # satisfied class. `replay` forces the first entries.
+    state = DerandState(spec)
+    v, dead, replay = state.spec.v, state._dead, iter(replay)
+    cols = [[c for c in range(spec.n) if mask >> c & 1][::-1]
+            for mask in masks(state)]
+    unit = [0] * len(cols)
+    while state.r < state.m:
+        for _ in range(spec.n):
+            state.step(next(replay, None))
+        row = state.rows[-1]
+        for i, S in enumerate(cols):
+            hit = [c for c in S if row >> c & 1]
+            if len(hit) == 1:
+                unit[i] |= 1 << hit[0]
+            got = unit[i].bit_count()
+            if got >= v[len(S) - 1]:
+                assert state._code[i] == dead, (spec, state.r, i)
+                continue
+            k, u = code_of(state, state._code[i])
+            alive = sum(1 << t for t, c in enumerate(S) if not unit[i] >> c & 1)
+            assert (state._classes[k], u) == ((len(S), got), alive), \
+                (spec, state.r, i)
+        assert state._unsat == len(cols) - state._code.count(dead), spec
+        assert all(a < v[j - 1] for j, a in
+                   (state._classes[k] for k, _ in codes(state).values())), spec
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_satisfied_subsets_hold_the_dead_key(spec):
+    _satisfied_hold_the_dead_key(spec)
+    _satisfied_hold_the_dead_key(spec, _random_bits(spec, 0, 1 / spec.p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_drawn_spec_satisfied_subsets_hold_the_dead_key(n, data):
+    spec = _drawn_spec(n, data)
+    _satisfied_hold_the_dead_key(spec)
+    _satisfied_hold_the_dead_key(spec, _random_bits(
+        spec, data.draw(st.integers(0, 2 ** 32)),
+        data.draw(st.sampled_from((0.1, 0.3, 0.5, 0.8)))))
 
 
 def test_fill_work_on_the_corpus():

@@ -131,26 +131,38 @@ def test_small_spec_rows_match_scan_kernel(n, data):
     _same_rows(SuperSelectorSpec(n, p, v))
 
 
+def _live_classes(state, ref) -> list:
+    # The scan's number of each of the fill's classes: the fill keeps the
+    # unsatisfied ones only, in the scan's order.
+    return [k for k, (j, a) in enumerate(ref.classes)
+            if a < state.spec.v[j - 1]]
+
+
 def _same_row_tables(spec):
     # Every row's tables, loaded by step() at each row boundary, equal
     # the pair-expanded ones float for float: the term of each code the
     # fill has numbered is the w * g of the scan's code with the same
-    # (class, u), each of the p lone-key blocks is -x^q * g, and the dead
+    # (class, u), each of the p lone-key blocks holds one key per
+    # unsatisfied class, K = sum_j v_j in all, with -x^q * g, and the dead
     # key 0.0. Every numbered key has a term.
     state, ref = DerandState(spec), ReferenceTerms(fill_spec(spec))
-    lone, p, dead = len(state._classes), spec.p, state._dead
+    p, dead = spec.p, state._dead
+    live, lone = _live_classes(state, ref), sum(state.spec.v)
+    assert state._classes == [ref.classes[k] for k in live], spec
+    assert dead == p * lone == p * len(live), spec
     for r in range(state.m):
         assert state.r == r and state.c == 0
         wg, xg = ref.row_tables(r)
         for s, (k, u) in codes(state).items():
-            at = ref.index[k << p | u]
+            at = ref.index[live[k] << p | u]
             assert [tq[s] for tq in state._terms] == [w[at] for w in wg], \
                 (spec, r, k, u)
         for t in range(p):
             block = slice(t * lone, (t + 1) * lone)
-            assert [[-y for y in tq[block]] for tq in state._terms] == xg, \
-                (spec, r, t)
-        assert all(len(tq) == len(state._done) and tq[dead] == 0.0
+            assert [[-y for y in tq[block]] for tq in state._terms] == \
+                [[xq[k] for k in live] for xq in xg], (spec, r, t)
+        keys = dead + 1 + len(state._code_cls)
+        assert all(len(tq) == keys and tq[dead] == 0.0
                    for tq in state._terms), (spec, r)
         for _ in range(spec.n):
             state.step()
@@ -184,24 +196,31 @@ def test_small_spec_row_tables_match_pair_tables(n, data):
 
 
 def _same_codes(state, ref):
-    # Every code the fill has numbered is one code of the scan of all 2^j
-    # patterns, found by (class, u), with the same satisfied flag; each
-    # edge a realization can take (a still-needed column of an
-    # unsatisfied code) points at the scan's next code when the fill has
-    # numbered that one too, and every other entry at the dead key.
+    # Every code the fill has numbered is one unsatisfied code of the
+    # scan of all 2^j patterns, found by (class, u). Each edge a
+    # realization can take (a still-needed column) points at the dead
+    # key when the scan's next code is satisfied, else at that code when
+    # the fill has numbered it too, else at 0, a lone key; every other
+    # entry at a lone key or the dead key, never a code. A subset holds
+    # the dead key or a numbered code.
     p, dead = state.spec.p, state._dead
+    live = _live_classes(state, ref)
     numbered = codes(state)
-    number = {cu: s for s, cu in numbered.items()}
+    number = {(live[k], u): s for s, (k, u) in numbered.items()}
     assert len(number) == len(numbered), state.spec
     for s, (k, u) in numbered.items():
-        at = ref.index[k << p | u]
-        assert state._done[s] == ref.done[at], (state.spec, k, u)
+        at = ref.index[live[k] << p | u]
+        assert not ref.done[at], (state.spec, k, u)
         for t in range(p):
-            want = dead
-            if u >> t & 1 and not ref.done[at]:
+            edge = state._next[s * p + t]
+            if u >> t & 1:
                 to = ref.next[at * p + t]
-                want = number.get((ref.code_cls[to], ref.code_u[to]), dead)
-            assert state._next[s * p + t] == want, (state.spec, k, u, t)
+                want = dead if ref.done[to] else \
+                    number.get((ref.code_cls[to], ref.code_u[to]), 0)
+                assert edge == want, (state.spec, k, u, t)
+            else:
+                assert edge <= dead, (state.spec, k, u, t)
+    assert all(s == dead or s in numbered for s in state._code), state.spec
 
 
 def _same_codes_as_the_fill_goes(spec):
@@ -210,7 +229,9 @@ def _same_codes_as_the_fill_goes(spec):
     # of random bits, which reaches codes in another order.
     ref = ReferenceTerms(fill_spec(spec))
     state = DerandState(spec)
-    assert [code_of(state, s) for s in state._code] == \
+    live = _live_classes(state, ref)
+    start = [code_of(state, s) for s in state._code]
+    assert [(live[k], u) for k, u in start] == \
         [(ref.code_cls[s], ref.code_u[s]) for s in ref.start], spec
     _same_codes(state, ref)
     state.run()
