@@ -2,11 +2,11 @@
 the fully deterministic conditional-expectations fill.
 
 The deterministic fill fixes entries in row-major order. For every
-tracked column subset S, identified by its column mask, it maintains the
-exact probability that a random completion of the matrix still realizes
-enough distinct unit rows inside M(S), read off one `success_table` per
-level, and it picks each bit to maximize the sum of those
-probabilities: bit 1 exactly when the difference d of the two
+tracked column subset S, numbered level by level in colex order, it
+maintains the exact probability that a random completion of the matrix
+still realizes enough distinct unit rows inside M(S), read off one
+`success_table` per level, and it picks each bit to maximize the sum of
+those probabilities: bit 1 exactly when the difference d of the two
 hypothesis sums exceeds a tie slack. At the threshold row count
 the sum starts above (number of subsets) - 1 and a greedy choice never
 lowers it, so it ends with every subset satisfied; the fill checks that
@@ -154,19 +154,21 @@ class DerandState:
     code. At the row's end every key is reset to its code. A satisfied
     subset is inert: the dead key's terms are 0.0, a 1 keeps it dead and
     it realizes nothing, so it may stay listed at the cost of its
-    evaluations until a rebuild drops it. Its columns all lie at or
-    before the column c that satisfied it, so the whole row prefix up to
-    c is marked stale, a few columns more than S holds. A stale column is
-    rebuilt, one scan of its buckets that keeps the subsets off the dead
-    key, by the rent-or-buy rule: a visit pays about f = 1 - unsat/since
-    of a scan in stale evaluations, since being the unsatisfied count at
-    the column's last rebuild, and the column is rebuilt at the visit
-    where the f summed since then reaches 1. So a column is scanned only
-    once its stale visits have cost about one scan, and it pays less than
-    one scan in stale evaluations between two rebuilds: the break-even
-    rule of rent-or-buy. The estimate is one division per stale visit and
-    no work per satisfaction. Once no unsatisfied subset is left, every
-    later d is exactly 0.0 and `run` appends the all-zero rows.
+    evaluations until a rebuild of a column drops it: one scan of the
+    column's buckets that keeps the subsets off the dead key. One integer
+    rule decides every rebuild, the break-even rule of rent-or-buy. With
+    since[c] the unsatisfied count at column c's last rebuild, about a
+    share (since[c] - unsat)/since[c] of c's entries are stale, so in
+    units of 1/since[c] of a scan a visit wastes since[c] - unsat and a
+    scan costs since[c]. owed[c] sums that waste over c's visits since
+    its last rebuild, and the visit whose own waste would bring the sum
+    to a scan, owed[c] + since[c] - unsat >= since[c], that is
+    owed[c] >= unsat, rebuilds instead. So a column pays about one scan
+    at most in stale evaluations between two rebuilds. The rule reads
+    one global count: it costs one integer test a visit and no work per
+    satisfaction, and may rebuild a column none of whose subsets was
+    satisfied. Once no unsatisfied subset is left, every later d is
+    exactly 0.0 and `run` appends the all-zero rows.
 
     `expectation` is the running sum of per-subset success probabilities
     under the bits fixed so far, from sum_j C(n,j) * f(m, v_j, j). Each
@@ -269,12 +271,11 @@ class DerandState:
         for bucket in itertools.chain.from_iterable(hits):
             bucket.reverse()
         self._key = list(self._code)
-        # Columns whose index may still list a subset that became
-        # satisfied, and per column _unsat at its last rebuild and the
-        # estimated stale share it has summed since (see _advance).
-        self._stale = 0
+        # Per column, _unsat at its last rebuild and the stale evaluations,
+        # in units of 1/_since[c] of a scan, its visits have owed since
+        # (see _advance).
         self._since = [ns] * n
-        self._waste = [0.0] * n
+        self._owed = [0] * n
         # A greedy difference d within this slack resolves to bit 0; it
         # absorbs summation-order noise so exact ties do so reproducibly.
         self._tie_tol = 1e-12 * max(1, self.ns)
@@ -364,29 +365,26 @@ class DerandState:
         n, p, x, omx = self.n, self.spec.p, self.x, self._omx
         code, key, hits = self._code, self._key, self._hits
         nxt, dead = self._next, self._dead
-        since, waste = self._since, self._waste
+        since, owed = self._since, self._owed
         turn, (real0, real1) = self._turn, self._real
         terms = self._terms
         tie, floor = self._tie_tol, self.ns - 1
         forced = bit is not None
         r, c, rb = self.r, self.c, self.row_bits
-        e, stale, unsat = self.expectation, self._stale, self._unsat
+        e, unsat = self.expectation, self._unsat
         try:
             for _ in range(count):
                 cbit = 1 << c
                 buckets = hits[c]
-                if stale & cbit:
-                    # Rent or buy: about 1 - unsat/since[c] of c's entries
-                    # are stale, so rebuild once the stale shares summed
-                    # since the last rebuild reach one scan.
-                    f = 1.0 - unsat / since[c]
-                    if waste[c] + f >= 1.0:
-                        buckets = hits[c] = [[i for i in b if code[i] != dead]
-                                             for b in buckets]
-                        stale ^= cbit
-                        since[c], waste[c] = unsat, 0.0
-                    else:
-                        waste[c] += f
+                # Rent or buy: this visit wastes since[c] - unsat of a scan
+                # of since[c], so rebuild once that would bring the waste
+                # owed since the last rebuild to one scan.
+                if owed[c] >= unsat:
+                    buckets = hits[c] = [[i for i in b if code[i] != dead]
+                                         for b in buckets]
+                    since[c], owed[c] = unsat, 0
+                else:
+                    owed[c] += since[c] - unsat
                 d = 0.0
                 for b, tq in zip(buckets, terms):
                     for i in b:
@@ -417,8 +415,6 @@ class DerandState:
                                 # First reach of the code S moves to.
                                 s = self._reach(code[i], t)
                             else:
-                                # S lies within columns 0 .. c.
-                                stale |= (cbit << 1) - 1
                                 unsat -= 1
                         code[i] = s
                 c += 1
@@ -433,7 +429,7 @@ class DerandState:
                         terms = self._terms
         finally:
             self.r, self.c, self.row_bits = r, c, rb
-            self.expectation, self._stale, self._unsat = e, stale, unsat
+            self.expectation, self._unsat = e, unsat
         return bit
 
     def step(self, bit: int = None) -> int:

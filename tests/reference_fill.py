@@ -14,7 +14,10 @@ masks, so `BranchState` builds its own from `fill_probe.masks`. It reads
 the fill's codes through `fill_probe.codes` and `fill_probe.weights`,
 and numbers a code it reaches first through the fill's own `_reach`, as
 the keyed kernel does; a subset that a realization satisfies moves to
-the fill's dead key, as there. Do not use it outside the tests.
+the fill's dead key, as there. It keeps its own exact staleness, a
+column mask rebuilt at its next visit, where the fill rebuilds by its
+rent-or-buy count; a listed satisfied subset adds nothing to either
+kernel, so the two fills agree. Do not use it outside the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ class BranchState(DerandState):
 
     def __init__(self, spec, **kwargs):
         super().__init__(spec, **kwargs)
+        # The frozen kernel's own staleness marks (see the module docstring).
+        self._stale = 0
         self._mask = masks(self)
         self._alive = list(self._mask)
 
