@@ -31,7 +31,7 @@ import itertools
 import random
 from array import array
 from functools import reduce
-from math import comb
+from math import ceil, comb
 from operator import add, mul
 
 from .core import (
@@ -39,7 +39,6 @@ from .core import (
     BitMatrix,
     InputError,
     SuperSelectorSpec,
-    _TO_DIGITS,
     _budget_guard,
     _subset_counts,
     is_superselector,
@@ -456,17 +455,33 @@ class DerandState:
 def sample_random_matrix(m: int, n: int, p: int, seed: int) -> BitMatrix:
     """m x n matrix with i.i.d. entries, zero with probability (p-1)/p.
 
-    Entries are drawn row-major (column-ascending), so a seed pins the
-    whole matrix. The m·n draws are written straight into the matrix
-    text, one 0 or 1 per entry, n to a row line; the row and column views
-    are read from that text when first used.
+    Seed contract: entry (r, c) is 1 exactly when draw r·n + c of
+    `random.Random(seed).random()` is >= (p-1)/p, so a seed pins the whole
+    matrix. Draw i is k / 2^53 with k = (a>>5)·2^26 + (b>>6), where a and
+    b are the 32-bit words 2i and 2i+1 of `getrandbits(64·m·n)` (word 0
+    lowest), so it is >= (p-1)/p exactly when k >= ceil((p-1)/p·2^53); the
+    scaling by 2^53 is exact. The top byte of a is k >> 45, so one byte
+    translation decides every entry but the about one in 256 whose top
+    byte ties the threshold's, and those are settled from both words. The
+    flags are written straight into the matrix text, n to a row line; the
+    row and column views are read from that text when first used.
     """
     if m < 1 or n < 1 or p < 1:
         raise InputError("m, n, p must be positive")
-    x = (p - 1) / p
-    draw = random.Random(seed).random
-    flags = bytes([draw() >= x for _ in range(m * n)]).translate(_TO_DIGITS).decode()
-    text = "\n".join([flags[i:i + n] for i in range(0, m * n, n)])
+    size = m * n
+    raw = random.Random(seed).getrandbits(64 * size).to_bytes(8 * size, "little")
+    least = ceil((p - 1) / p * 2.0 ** 53)
+    # By the top byte of a alone: "0" below least's, "1" above it, "?" on a tie.
+    table = (b"0" * (least >> 45) + b"?" + b"1" * 255)[:256]
+    flags = bytearray(raw[3::8]).translate(table)
+    i = flags.find(b"?")
+    while i >= 0:
+        w = int.from_bytes(raw[8 * i:8 * i + 8], "little")
+        k = (w >> 5 & 0x7FFFFFF) << 26 | w >> 38  # (a >> 5) << 26 | b >> 6
+        flags[i] = 49 if k >= least else 48
+        i = flags.find(b"?", i + 1)
+    flags = flags.decode()
+    text = "\n".join([flags[i:i + n] for i in range(0, size, n)])
     return BitMatrix._from_text(m, n, text)
 
 
