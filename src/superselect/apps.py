@@ -9,14 +9,20 @@ codecs take the Boolean sum of a column set from `core.rows_hit` and
 read every word and vector they are given through `core.row_mask` with
 `what` set, which refuses any entry other than 0 or 1. Tracing has no
 decoder of its own: `mut_decode` is `identify_from_union`.
+
+A codec call costs one `row_mask` of its input and one `identify` per
+matrix it reads (one for `compress`/`decompress`, one per level for the
+monotone chain) plus O(p) or O(k) Python work on the candidate list and
+the members. `CompressedWord` is a named tuple of (y, z): immutable,
+and equal to the plain tuple of its fields; `bits` is y + z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress as select
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     BitMatrix,
@@ -193,8 +199,7 @@ def monotone_decode(n: int, k: int, word: Sequence[int]) -> tuple:
     return monotone_chain(n, k).decode(word)
 
 
-@dataclass(frozen=True)
-class CompressedWord:
+class CompressedWord(NamedTuple):
     """Compressed form of a sparse binary vector: the Boolean sum y of
     the support columns, plus a 2p-bit mask z selecting the true support
     inside the sorted candidate list that y determines."""
@@ -230,16 +235,14 @@ def compress(M: BitMatrix, p: int, x: Sequence[int]) -> CompressedWord:
     if mask.bit_count() > p:
         raise InputError(f"support size {mask.bit_count()} exceeds p={p}")
     cols = M.cols
-    hit = rows_hit(cols, [c for c in range(M.n) if mask >> c & 1])
+    hit = rows_hit(cols, select(range(M.n), x))
     L = identify(cols, hit)[1]
     if len(L) > 2 * p:
         raise InputError(
             f"candidate list has {len(L)} entries; matrix is not a "
             f"(2p, p+1) selector for p={p}"
         )
-    z = tuple(
-        1 if k < len(L) and mask >> L[k] & 1 else 0 for k in range(2 * p)
-    )
+    z = tuple([mask >> c & 1 for c in L]) + (0,) * (2 * p - len(L))
     return CompressedWord(row_vector(hit, M.m), z)
 
 
@@ -264,7 +267,8 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
         raise InconsistentObservationError(
             f"union part covers {len(L)} candidates, more than 2p = {2 * p}"
         )
-    support = set()
+    # The support's column mask, and the rows its columns hit.
+    support = y = 0
     for k, bit in enumerate(w.z):
         if not bit:
             continue
@@ -272,13 +276,14 @@ def decompress(M: BitMatrix, p: int, w: CompressedWord) -> tuple:
             raise InconsistentObservationError(
                 f"mask bit {k} selects beyond the {len(L)} candidates"
             )
-        support.add(L[k])
-    if len(support) > p:
+        support |= 1 << L[k]
+        y |= cols[L[k]]
+    if support.bit_count() > p:
         raise InconsistentObservationError(
-            f"mask selects {len(support)} columns, more than p = {p}"
+            f"mask selects {support.bit_count()} columns, more than p = {p}"
         )
-    if rows_hit(cols, support) != hit:
+    if y != hit:
         raise InconsistentObservationError(
             "the selected columns do not OR to the union part"
         )
-    return tuple(1 if c in support else 0 for c in range(M.n))
+    return row_vector(support, M.n)

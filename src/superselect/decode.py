@@ -9,13 +9,18 @@ decoded again, which recovers S exactly on matrices built for it.
 Every decoder reduces its observation to the mask of rows it hits and
 calls `core.identify`, which reads the matrix's cached column view: one
 identification costs O(n + |candidates|) word operations, not a pass
-over the m rows.
+over the m rows. A decoder call costs one `row_mask` and one `identify`
+per round (`additive_decode` runs one round per batch of pinned columns,
+the others one) plus O(1) Python work, apart from `additive_decode`'s
+subtraction of each pinned column one 1 at a time. `DecodeResult` is a
+named tuple: immutable, and equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from operator import lt
+from typing import NamedTuple, Sequence
 
 from .core import (
     BitMatrix,
@@ -30,8 +35,7 @@ class InconsistentObservationError(InputError):
     """The observation cannot be a valid sum under the stated promise."""
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """Outcome of one identification pass.
 
     identified: columns provably in S (each owns a private 1).
@@ -75,8 +79,8 @@ def approx_decode(M: BitMatrix, spec: SuperSelectorSpec, a: Sequence[int],
     """
     if e0 < 0 or e1 < 0:
         raise InputError("error budgets must be nonnegative")
-    result = identify_from_union(M, spec, a)
-    return result.identified, result.candidates
+    _check_observation(M, spec, a)
+    return identify(M.cols, row_mask(a))
 
 
 def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
@@ -91,7 +95,9 @@ def additive_decode(M: BitMatrix, spec: SuperSelectorSpec,
     pinned before, so at most n + 1 rounds run.
     """
     _check_observation(M, spec, s)
-    if any(e < 0 for e in s):
+    # The generator's verdict and TypeError text, without its frames;
+    # min(s) < 0 would miss a -1 after a NaN.
+    if any(map(lt, s, repeat(0))):
         raise InconsistentObservationError("negative count in observation")
     residual = list(s)
     found = set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import re
@@ -455,6 +456,36 @@ def test_decompress_rejects_malformed_words(compressor):
 def test_compressed_word_concatenates_parts():
     w = CompressedWord((1, 0, 1), (0, 1))
     assert w.bits == (1, 0, 1, 0, 1)
+
+
+def test_compressed_word_contract(compressor):
+    # Fields y then z, by position or by keyword; bits is derived, not a
+    # field; read-only; equal words compare and hash alike.
+    assert list(inspect.signature(CompressedWord).parameters) == ["y", "z"]
+    w = CompressedWord((1, 0, 1), (0, 1))
+    assert w == CompressedWord(y=(1, 0, 1), z=(0, 1))
+    assert w == CompressedWord((1, 0, 1), z=(0, 1))
+    assert (w.y, w.z) == ((1, 0, 1), (0, 1))
+    assert w.bits == w.y + w.z
+    for field in ("y", "z", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, ())
+    assert w != CompressedWord((1, 0, 1), (1, 0))
+    M, p = compressor
+    x = tuple(1 if c in (2, 5) else 0 for c in range(M.n))
+    made = compress(M, p, x)
+    built = CompressedWord(made.y, made.z)
+    assert made == built and hash(made) == hash(built)
+    assert made.bits == made.y + made.z
+    assert len({made, built, w}) == 2
+
+
+def test_compressed_word_is_the_tuple_of_its_fields():
+    w = CompressedWord((1, 0, 1), (0, 1))
+    assert w == ((1, 0, 1), (0, 1))
+    y, z = w
+    assert (y, z) == tuple(w)
+    assert hash(w) == hash(((1, 0, 1), (0, 1)))
 
 
 # ------------------------------------------------------------- list disjunct

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from superselect import (
     BitMatrix,
+    DecodeResult,
     InconsistentObservationError,
     InputError,
     SuperSelectorSpec,
@@ -121,6 +123,40 @@ def test_approx_decode_rejects_negative_budgets(certified):
         approx_decode(M, spec, (0,) * M.m, -1, 0)
     with pytest.raises(InputError):
         approx_decode(M, spec, (0,) * M.m, 0, -1)
+
+
+# ------------------------------------------------------------ result type
+
+
+def test_decode_result_contract():
+    # Fields in this order, by position or by keyword; read-only; equal
+    # results compare and hash alike, whether built or decoded.
+    assert list(inspect.signature(DecodeResult).parameters) == [
+        "identified", "candidates", "spurious_bound"]
+    res = DecodeResult((1, 3), (1, 3, 4), 1)
+    assert res == DecodeResult(identified=(1, 3), candidates=(1, 3, 4),
+                               spurious_bound=1)
+    assert res == DecodeResult((1, 3), candidates=(1, 3, 4), spurious_bound=1)
+    assert (res.identified, res.candidates, res.spurious_bound) == (
+        (1, 3), (1, 3, 4), 1)
+    for field in ("identified", "candidates", "spurious_bound"):
+        with pytest.raises(AttributeError):
+            setattr(res, field, ())
+    assert res != DecodeResult((1, 3), (1, 3, 4), 0)
+    M = BitMatrix.identity(5)
+    decoded = identify_from_union(M, SuperSelectorSpec(5, 2, (1, 2)),
+                                  boolean_sum(M, (1, 3)))
+    built = DecodeResult((1, 3), (1, 3), 0)
+    assert decoded == built and hash(decoded) == hash(built)
+    assert len({decoded, built, res}) == 2
+
+
+def test_decode_result_is_the_tuple_of_its_fields():
+    res = DecodeResult((1, 3), (1, 3, 4), 1)
+    assert res == ((1, 3), (1, 3, 4), 1)
+    identified, candidates, spurious = res
+    assert (identified, candidates, spurious) == tuple(res)
+    assert hash(res) == hash(((1, 3), (1, 3, 4), 1))
 
 
 # --------------------------------------------------------- additive decode

@@ -175,6 +175,45 @@ def test_decoder_specs_decode_planted_sets_like_row_scan(key):
                 assert additive_decode(M, spec, s) == S
 
 
+def _signed_observations(s):
+    """Variants of the additive sum s that test the sign check: negative
+    floats, -0.0, a NaN ahead of a -1, and a str before and after a
+    negative count."""
+    nan, last = float("nan"), len(s) - 1
+
+    def put(changes):
+        a = list(s)
+        for r, e in changes.items():
+            a[r] = e
+        return a
+
+    yield put({0: -0.5})
+    yield put({last: -1e-300})
+    yield [float(e) for e in s[:-1]] + [-2.0]
+    yield put({0: -0.0})
+    yield [-0.0] * len(s)
+    yield [-0.0 if e == 0 else e for e in s]
+    yield put({0: nan, 1: -1})
+    yield put({0: nan, last: -1})
+    yield put({0: nan})
+    yield put({1: nan, 2: -1})
+    yield put({0: "x", 1: -1})
+    yield put({0: -1, 1: "x"})
+    yield put({0: "1"})
+    yield put({1: -1.5, last: "2"})
+
+
+def test_sign_check_matches_reference():
+    spec = DECODER_SPECS["additive"][0]
+    M = decoder_matrix("additive")
+    assert M.m >= 3
+    for S in ((), (4,), (2, 9)):
+        for a in _signed_observations(arithmetic_sum(M, S)):
+            for obs in (a, tuple(a)):
+                assert (outcome(additive_decode, M, spec, obs)
+                        == outcome(ref.additive_decode, M, spec, obs)), a
+
+
 # ------------------------------------------------------- application codecs
 
 
