@@ -234,10 +234,12 @@ def test_zero_matrix_fails_every_constrained_spec(m):
 
 
 @pytest.mark.parametrize("spec", [SuperSelectorSpec(64, 3, (1, 2, 2)),
-                                  SuperSelectorSpec(12, 4, (1, 2, 2, 3))], ids=str)
+                                  SuperSelectorSpec(12, 4, (1, 2, 2, 3)),
+                                  SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))], ids=str)
 def test_verifiers_leave_no_reference_cycles(spec):
     # With the cyclic collector off, a verifier call must leave nothing
-    # for it: the per-call pair tables are freed when the call returns.
+    # for it: the per-call pair tables are freed when the call returns,
+    # and so is the row-cover search of the v_6 = 6 level.
     M = sample_random_matrix(derand_threshold(spec), spec.n, spec.p, 3)
     gc.collect()
     gc.disable()

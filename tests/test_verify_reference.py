@@ -9,12 +9,16 @@ settled by counting covered columns; they are also checked against the
 kernel's own isolated-column walk, `_PairKernel._walk`. Level 2 is read
 off the column view at v_2 = 1 and whenever a column repeats; drawn
 matrices with a planted repeated, nested or all-zero column check it
-against the row scan."""
+against the row scan. The kept v_j = j levels from level 4 on go to the
+row-cover search `_disjunct` first; it is checked against the row scan
+under small and unbounded node budgets, and pinned to build no pair
+kernel on threshold-size (p, p, n)-selector samples."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +43,7 @@ from superselect import (
     selector_spec,
 )
 from superselect import core
-from superselect.core import _filled_v, _pair_masks, _PairKernel
+from superselect.core import _disjunct, _filled_v, _pair_masks, _PairKernel
 from test_fill_reference import CORPUS_DIGESTS
 
 # The benchmark's certify specs, sampled at threshold size. Seeds 0-3
@@ -286,14 +290,26 @@ def test_drawn_specs_match_every_level_row_scan(n, data):
 
 
 def test_only_kept_levels_from_three_on_are_walked(monkeypatch):
-    walked = []
-    holds = _PairKernel.holds
-    monkeypatch.setattr(_PairKernel, "holds",
-                        lambda self, j, k: walked.append(j) or holds(self, j, k))
-    # v_2 = 1 is settled from the column view, so only level 6 is walked.
+    # v_2 = 1 is settled from the column view and level 6, with v_6 = 6,
+    # by the row-cover search, so only level 6 is decided from level 3
+    # on, by the search or by the pair walk.
     spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
+    built = construct_derandomized(spec)
+    decided = []
+    holds, disjunct = _PairKernel.holds, core._disjunct
+    monkeypatch.setattr(_PairKernel, "holds",
+                        lambda self, j, k: decided.append(j) or holds(self, j, k))
+
+    def search(M, j, nodes):
+        found = disjunct(M, j, nodes)
+        if found is not None:
+            decided.append(j)
+        return found
+
+    monkeypatch.setattr(core, "_disjunct", search)
     assert is_superselector(BitMatrix.identity(12), spec)
-    assert walked == [6]
+    assert is_superselector(built, spec)
+    assert decided == [6, 6]
 
 
 def test_pair_masks_match_their_sums():
@@ -301,12 +317,14 @@ def test_pair_masks_match_their_sums():
         assert _pair_masks(n) == pair_masks_by_sums(n), n
 
 
+def _refuse_kernel(*args):
+    raise AssertionError("pair kernel built")
+
+
 def test_duplicate_column_reject_builds_no_tables(monkeypatch):
     # A repeated column fails level 2 from the column view, and v_2 = 1
     # is decided there whatever the answer, so neither builds a kernel.
-    def refuse(*args):
-        raise AssertionError("pair kernel built")
-    monkeypatch.setattr(_PairKernel, "__init__", refuse)
+    monkeypatch.setattr(_PairKernel, "__init__", _refuse_kernel)
     spec = CERTIFY_SPECS[0]
     for seed in SEEDS:
         M = _certify_sample(spec, seed)
@@ -411,3 +429,128 @@ def test_covered_levels_do_not_enter_the_walk(monkeypatch):
     for j, k in ((4, 2), (4, 4), (6, 6)):
         assert _PairKernel(M).holds(j, k)
     assert walked == [(4, 2), (4, 4), (6, 6)]
+
+
+# The v_j = j levels from level 4 on go to the row-cover search,
+# `_disjunct`, which covers each column with at most j-1 others and
+# gives up (None) past its node budget.
+#
+# The 12 lines of the affine plane over Z_3 as 9-row columns. Two lines
+# share at most one row, so covering a line takes three others: with
+# all lines present the plane is 2-disjunct and not 3-disjunct.
+AFFINE_LINES = tuple(sorted({
+    sum(1 << 3 * ((x + t * dx) % 3) + (y + t * dy) % 3 for t in range(3))
+    for x in range(3) for y in range(3) for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))}))
+KINDS = ("few", "few", "sparse", "dense", "zero", "repeat")
+
+
+@st.composite
+def disjunct_matrices(draw, n=None):
+    # A third of the matrices take distinct affine lines as columns. The
+    # rest draw columns one by one: 1 to w ones, w <= 3 drawn per matrix,
+    # as near the threshold density, where covers need several columns;
+    # sparse (each row 1 with chance 1/4); dense (3/4); zero; or a copy
+    # of an earlier column. Half of them take only the first kind.
+    n = n or draw(st.integers(1, 10))
+    mode = draw(st.sampled_from(("lines", "few", "mixed")))
+    if mode == "lines":
+        return _from_columns(9, draw(st.lists(st.sampled_from(AFFINE_LINES),
+                                              min_size=n, max_size=n, unique=True)))
+    m = draw(st.integers(1, 14))
+    word = st.integers(0, (1 << m) - 1)
+    few = st.sets(st.integers(0, m - 1), min_size=1, max_size=draw(st.integers(1, 3)))
+    cols = []
+    for _ in range(n):
+        kind = "few" if mode == "few" else draw(st.sampled_from(KINDS))
+        if kind == "repeat" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        elif kind == "zero":
+            cols.append(0)
+        elif kind == "dense":
+            cols.append(draw(word) | draw(word))
+        elif kind == "sparse":
+            cols.append(draw(word) & draw(word))
+        else:
+            cols.append(sum(1 << r for r in draw(few)))
+    return _from_columns(m, cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(M=disjunct_matrices(), data=st.data())
+def test_disjunct_search_matches_row_scan(M, data):
+    # Every j <= n, under budgets 0, 1, a drawn one and none: the search
+    # gives the row scan's answer or gives up, and never gives up unbounded.
+    drawn = data.draw(st.integers(2, 200))
+    for j in range(1, M.n + 1):
+        want = selector_holds(M, j, j)
+        for nodes in (0, 1, drawn):
+            assert _disjunct(M, j, nodes) in (None, want), (j, nodes)
+        assert _disjunct(M, j, inf) == want, j
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 9), data=st.data())
+def test_drawn_disjunct_specs_match_every_level_row_scan(n, data):
+    # v_j = j at a drawn j >= 4, and v_i < i above it, so level j is kept.
+    p = data.draw(st.integers(4, n))
+    j = data.draw(st.integers(4, p))
+    v = [data.draw(st.integers(0, i if i < j else i - 1)) for i in range(1, p + 1)]
+    v[j - 1] = j
+    spec = SuperSelectorSpec(n, p, tuple(v))
+    assert _filled_v(spec.v)[j - 1] == j
+    M = data.draw(disjunct_matrices(n))
+    assert is_superselector(M, spec) == superselector_holds(M, spec), v
+
+
+# Threshold-size (p, p, n)-selector samples whose level p the search
+# decides within its budget of C(n, p-2) nodes; seeds 0-2 pass and fail.
+DISJUNCT_SPECS = (
+    selector_spec(6, 6, 12),
+    selector_spec(7, 7, 14),
+    selector_spec(8, 8, 16),
+    selector_spec(6, 6, 24),
+)
+
+
+@pytest.mark.parametrize("spec", DISJUNCT_SPECS, ids=str)
+def test_disjunct_samples_build_no_tables(spec, monkeypatch):
+    inputs = [_certify_sample(spec, seed) for seed in range(3)]
+    inputs.append(_duplicate_last_column(inputs[0]))
+    want = [_PairKernel(M).holds(spec.p, spec.p) for M in inputs]
+    assert want[-1] is False
+    monkeypatch.setattr(_PairKernel, "__init__", _refuse_kernel)
+    assert [is_superselector(M, spec) for M in inputs] == want
+
+
+def test_corpus_disjunct_level_is_searched_within_budget(monkeypatch):
+    # The build workload's (12,6,(1,1,2,4,5,6)) matrix keeps taking the
+    # search: it decides level 6 within C(12, 4) nodes (87 of them).
+    spec = SuperSelectorSpec(12, 6, (1, 1, 2, 4, 5, 6))
+    M = construct_derandomized(spec)
+    assert _disjunct(M, 6, comb(12, 4)) is True
+    monkeypatch.setattr(_PairKernel, "__init__", _refuse_kernel)
+    assert is_superselector(M, spec)
+
+
+def test_disjunct_search_past_its_budget_falls_back_to_the_walk(monkeypatch):
+    # At (5,5,20) seed 0 the search needs more than C(20, 3) nodes.
+    spec = selector_spec(5, 5, 20)
+    M = _certify_sample(spec, 0)
+    assert _disjunct(M, 5, comb(20, 3)) is None
+    walked = []
+    holds = _PairKernel.holds
+    monkeypatch.setattr(_PairKernel, "holds",
+                        lambda self, j, k: walked.append(j) or holds(self, j, k))
+    assert is_superselector(M, spec) is _disjunct(M, 5, inf) is True
+    assert walked == [5]
+
+
+@pytest.mark.slow
+def test_at_scale_disjunct_sample_is_searched_within_budget():
+    # A passing (8,8,16) sample: about 600 of the 8,008 nodes, against
+    # C(16, 6) prefixes for the walk.
+    spec = selector_spec(8, 8, 16)
+    M = _certify_sample(spec, 0)
+    assert _disjunct(M, 8, comb(16, 6)) is True
+    assert _PairKernel(M).holds(8, 8)
+    assert selector_holds(M, 8, 8)
