@@ -8,12 +8,16 @@ in one write on an O_APPEND file descriptor, to the manifest file for
 every run that passes flag parsing, including failed runs, whose verdict
 is `error:<Class>` (rejected flags write none). Input files are read
 with `os.read` until their end and outputs are written through a file
-descriptor, in place, with no Python file object. The manifest digests
-a matrix as the text `format_matrix` writes for it, which a parsed
-matrix holds already, so a file's layout never changes the digest. A
-command prints one machine-readable result line (`bounds` prints its
-four labeled lines) on standard output, or one `error: ...` line on
-standard error.
+descriptor, in place, with no Python file object. A spec or matrix
+file in canonical form, the text `format_spec` or `format_matrix`
+writes, is accepted by one check of the whole text; every other file,
+and every rejection, goes through the per-line checks, which give each
+error its line. Every run reads and checks its files anew. The manifest
+digests a matrix as the text `format_matrix` writes for it, which a
+parsed matrix holds already, so a file's layout never changes the
+digest. A command prints one machine-readable result line (`bounds`
+prints its four labeled lines) on standard output, or one `error: ...`
+line on standard error.
 
 Exit status: 0 on success, 1 when a verification or decode fails, 2 on
 usage errors (bad flags, malformed files, out-of-range parameters).
@@ -41,6 +45,7 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from .core import (
     DEFAULT_SUBSET_BUDGET,
@@ -89,16 +94,19 @@ from .apps import (
 
 DEFAULT_MANIFEST = "runs.tsv"
 
-_FIELD_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t",
-                                "\n": "\\n", "\r": "\\r"})
-
 
 @dataclass
 class RunManifest:
     r"""One line of provenance per run, tab-separated in field order.
 
-    Backslash, tab, LF and CR inside a field are written as `\\`, `\t`,
-    `\n` and `\r`, so every run is one line of exactly seven fields.
+    Backslash, tab, LF and CR inside the output path are written as
+    `\\`, `\t`, `\n` and `\r`, so every run is one line of exactly seven
+    fields. Only that field is escaped: every other one comes from a
+    closed set that holds none of those characters. The line is written
+    only after `_parse` has accepted the argv, so the command is a name
+    of `_COMMAND_TABLE`; a digest is 12 hex digits or '-'; the seed is
+    a decimal int or '-'; the wall time is a formatted float; the
+    verdict is 'ok', 'fail' or 'error:' and an exception class name.
     """
 
     command: str
@@ -110,15 +118,11 @@ class RunManifest:
     verdict: str = "-"
 
     def line(self) -> str:
-        return "\t".join(field.translate(_FIELD_ESCAPES) for field in [
-            self.command,
-            self.spec_digest,
-            self.matrix_digest,
-            self.seed,
-            f"{self.wall_time:.6f}",
-            self.output_path,
-            self.verdict,
-        ])
+        # Backslash first, so no escape written here is escaped again.
+        path = (self.output_path.replace("\\", "\\\\").replace("\t", "\\t")
+                .replace("\n", "\\n").replace("\r", "\\r"))
+        return "\t".join([self.command, self.spec_digest, self.matrix_digest,
+                          self.seed, f"{self.wall_time:.6f}", path, self.verdict])
 
 
 def _digest(text: str) -> str:
@@ -390,7 +394,7 @@ def _direct(command: str, args: list):
     by_flag, defaults = _DIRECT[command]
     flags, values = args[::2], args[1::2]
     if (len(flags) != len(values) or not all(map(by_flag.__contains__, flags))
-            or any(value.startswith("-") for value in values)):
+            or any(map(str.startswith, values, repeat("-")))):
         return None
     parsed = dict(defaults)
     for flag, value in zip(flags, values):
@@ -422,12 +426,18 @@ def _parse(argv: list) -> argparse.Namespace:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A library caller can pass what no shell can: reject it like bad flags.
-    for i, item in enumerate(argv):
-        if not isinstance(item, str) or "\x00" in item:
-            what = ("holds a NUL character" if isinstance(item, str)
-                    else f"is not a str ({type(item).__name__})")
-            print(f"error: argv[{i}] {what}", file=sys.stderr)
-            return 2
+    # One join screens every item; the loop finds the first bad one.
+    try:
+        clean = "\x00" not in "".join(argv)
+    except TypeError:  # an item that is not a str
+        clean = False
+    if not clean:
+        for i, item in enumerate(argv):
+            if not isinstance(item, str) or "\x00" in item:
+                what = ("holds a NUL character" if isinstance(item, str)
+                        else f"is not a str ({type(item).__name__})")
+                print(f"error: argv[{i}] {what}", file=sys.stderr)
+                return 2
     try:
         args = _parse(argv)
     except SystemExit as exc:

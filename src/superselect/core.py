@@ -75,7 +75,8 @@ class InputError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Refusal to run a brute-force enumeration past the subset budget."""
+    """Refusal to run a brute-force enumeration past the subset budget, or
+    a check past the deepest level it can recurse through."""
 
 
 class ParseError(ValueError):
@@ -664,6 +665,12 @@ def _disjunct(M: BitMatrix, j: int, nodes: int):
     return True
 
 
+# The walk recurses j-2 deep at level j and the row-cover search up to
+# j-1 deep; this keeps both well inside the interpreter's default
+# recursion limit of 1,000 frames.
+_MAX_LEVEL = 500
+
+
 def _filled_v(v: tuple) -> tuple:
     """v with every implied level's v_i set to 0.
 
@@ -716,7 +723,12 @@ def is_superselector(
     from (6,6,12) to (8,8,32), 15-200 times faster than the walk on
     passing samples; at p = 4 it gives up on most samples (n = 16:
     250-310 nodes against 120; n = 32: about 2,000 against 496), and at
-    (5,5,20) on some."""
+    (5,5,20) on some.
+
+    Both recurse a frame per column, so a level j > 500 that the loop
+    reaches raises BudgetError, as an enumeration past the budget does;
+    the levels before it keep their verdicts, and a failing one is
+    still reported as a failure."""
     if spec.n != M.n:
         raise InputError(f"spec width {spec.n} != matrix width {M.n}")
     levels = spec.levels()
@@ -731,6 +743,9 @@ def is_superselector(
             # Two columns have an isolated one exactly when they differ.
             ok = k == 1 and len(set(M.cols)) == M.n
         else:
+            if j > _MAX_LEVEL:
+                raise BudgetError(f"level {j} needs a recursion {j - 1} deep; "
+                                  f"levels above {_MAX_LEVEL} are refused")
             ok = _disjunct(M, j, math.comb(M.n, j - 2)) if k == j >= 4 else None
             if ok is None:
                 pairs = pairs or _PairKernel(M)
@@ -814,8 +829,26 @@ def _header(lines: list, source: str, label: str) -> tuple:
 def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
     """The matrix in `text`, holding its checked rows joined by LF as its
     text, which `format_matrix` writes back after the header; each view
-    is built from it when first read. The rows are checked together; the
-    first bad one is found only then."""
+    is built from it when first read.
+
+    Canonical text, the header "m n" of ASCII digits one space apart and
+    then m rows of exactly n characters from {0,1}, each ending in LF,
+    with nothing after them, is accepted by one check of the whole body.
+    Any other text, and every rejection, takes the per-line checks,
+    where the rows are checked together and the first bad one is found
+    only then."""
+    head, _, body = text.partition("\n")
+    first, _, second = head.partition(" ")
+    if _is_digits(first) and _is_digits(second):
+        try:
+            m, n = int(first), int(second)
+        except ValueError:  # a field past int()'s digit limit
+            m = n = 0
+        # m LFs, each at the end of an n-character row, and every other
+        # character a 0 or a 1.
+        if (m > 0 and n > 0 and len(body) == m * (n + 1) and body.count("\n") == m
+                and body[n::n + 1] == "\n" * m and not body.translate(_NOT_ROWS)):
+            return BitMatrix._from_text(m, n, body[:-1])
     lines = _lines(text)
     m, n = _header(lines, source, "m n")
     if m < 1 or n < 1:
@@ -843,6 +876,17 @@ def format_matrix(M: BitMatrix) -> str:
 
 
 def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
+    # Canonical text, "n p" and then the p values, each line of ASCII
+    # digits one space apart and ending in LF, is accepted by one check;
+    # any other text, and every rejection, takes the per-line checks.
+    lines = text.split("\n")
+    if len(lines) == 3 and not lines[2]:
+        head, values = lines[0].split(" "), lines[1].split(" ")
+        if len(head) == 2 and _is_digits("".join(head) + "".join(values)):
+            try:
+                return SuperSelectorSpec(*map(int, head), tuple(map(int, values)))
+            except ValueError:  # an empty field, one past int()'s digit
+                pass            # limit, or the InputError of a bad spec
     lines = _lines(text)
     n, p = _header(lines, source, "n p")
     if len(lines) < 2 or not lines[1].strip():
@@ -863,7 +907,7 @@ def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
 
 
 def format_spec(spec: SuperSelectorSpec) -> str:
-    return f"{spec.n} {spec.p}\n" + " ".join(str(t) for t in spec.v) + "\n"
+    return f"{spec.n} {spec.p}\n" + " ".join(map(str, spec.v)) + "\n"
 
 
 def parse_vector(text: str, source: str = "<vector>") -> tuple:

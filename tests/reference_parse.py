@@ -1,10 +1,12 @@
 """Frozen reference for the differential parser tests: `parse_matrix`
 and `parse_vector` as they were before the matrix rows were checked
-together and the vector got its one-check path, and the matrix views and
-writer as they were before a matrix held its canonical text.
+together and the vector got its one-check path, `parse_spec` as it was
+before canonical spec text got its one-check path, and the matrix views
+and writer as they were before a matrix held its canonical text.
 
 `parse_matrix` checks one row line at a time and leaves the column view
-to be built on first use; `parse_vector` reads one line at a time. Both
+to be built on first use; `parse_vector` reads one line at a time, and
+`parse_spec` its header, its v line and then every later line. All three
 raise the same `ParseError` (source, line, message) the package does.
 `_columns` transposes a matrix's rows into its column view, `_text_rows`
 reads the rows from a body of row lines joined last row first, and
@@ -15,7 +17,7 @@ not use them outside the tests.
 
 from __future__ import annotations
 
-from superselect import BitMatrix, ParseError
+from superselect import BitMatrix, InputError, ParseError, SuperSelectorSpec
 
 _NOT_BITS = str.maketrans("", "", "01")
 
@@ -54,6 +56,38 @@ def parse_matrix(text: str, source: str = "<matrix>") -> BitMatrix:
         if lines[extra].strip():
             raise ParseError(source, extra + 1, "trailing content after matrix")
     return BitMatrix(n, rows)
+
+
+def _int(token: str, source: str, line: int) -> int:
+    try:
+        return int(token)
+    except ValueError:  # past int()'s digit limit
+        raise ParseError(source, line, f"integer of {len(token)} digits is too long") from None
+
+
+def parse_spec(text: str, source: str = "<spec>") -> SuperSelectorSpec:
+    lines = _lines(text)
+    if not lines or not lines[0].strip():
+        raise ParseError(source, 1, "missing 'n p' header")
+    head = lines[0].split()
+    if len(head) != 2 or not all(map(_is_digits, head)):
+        raise ParseError(source, 1, f"bad header {lines[0]!r}, expected 'n p'")
+    n, p = _int(head[0], source, 1), _int(head[1], source, 1)
+    if len(lines) < 2 or not lines[1].strip():
+        raise ParseError(source, 2, "missing v line")
+    parts = lines[1].split()
+    if len(parts) != p:
+        raise ParseError(source, 2, f"expected {p} values, got {len(parts)}")
+    if not all(_is_digits(t.removeprefix("-")) for t in parts):
+        raise ParseError(source, 2, f"non-integer entry in {lines[1]!r}")
+    try:
+        spec = SuperSelectorSpec(n, p, tuple(_int(t, source, 2) for t in parts))
+    except InputError as exc:
+        raise ParseError(source, 2, str(exc))
+    for extra in range(2, len(lines)):
+        if lines[extra].strip():
+            raise ParseError(source, extra + 1, "trailing content after spec")
+    return spec
 
 
 def parse_vector(text: str, source: str = "<vector>") -> tuple:

@@ -12,6 +12,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -939,6 +940,85 @@ def test_manifest_escapes_control_characters(tmp_path, manifest, capsys,
     assert fields[5] == str(tmp_path / escaped)
 
 
+# The closed set of each manifest field but the output path, field 5,
+# which is the only one escaped: none of them can hold a tab, LF, CR or
+# backslash.
+_CLOSED_FIELDS = {
+    0: "|".join(map(re.escape, cli._COMMAND_TABLE)),
+    1: "[0-9a-f]{12}|-",
+    2: "[0-9a-f]{12}|-",
+    3: "-?[0-9]+|-",
+    4: "[0-9]+[.][0-9]{6}",
+    6: "ok|fail|error:[A-Za-z_][A-Za-z0-9_]*",
+}
+
+
+def _every_command_argvs(tmp_path):
+    """argv lists of every command, ending in ok, fail and error:<Class>,
+    each made when the one before it has run: some share file names."""
+    spec = SuperSelectorSpec(5, 2, (1, 2))
+    M = BitMatrix.identity(5)
+    mpath, spath = matrix_file(tmp_path, M, "m5.txt"), spec_file(tmp_path, spec, "s5.txt")
+    union = vector_file(tmp_path, boolean_sum(M, (1, 3)), "u.txt")
+    codec = construct_derandomized(selector_spec(4, 3, 10))
+    cpath = matrix_file(tmp_path, codec, "codec.txt")
+    x = tuple(int(c in (3, 8)) for c in range(10))
+    xpath = vector_file(tmp_path, x, "x.txt")
+    wpath = vector_file(tmp_path, compress(codec, 2, x).bits, "w.txt")
+    decode = ["decode", "--matrix", mpath, "--spec", spath, "--obs", union]
+    yield ["bounds", "--spec", spath]
+    yield _superscript_spec_header(tmp_path)
+    yield ["build", "--spec", spath, "--out", str(tmp_path / "d.txt")]
+    yield ["build", "--spec", spath, "--method", "random", "--seed", "7",
+           "--out", str(tmp_path / "r.txt")]
+    yield ["build", "--spec", spath, "--method", "random", "--seed=-5",
+           "--out", str(tmp_path / "n.txt")]
+    yield _attempts_exhausted(tmp_path)
+    yield _surrogate_out(tmp_path)
+    yield ["verify", "--matrix", mpath, "--spec", spath]
+    yield _failing_verify(tmp_path)
+    yield _over_budget(tmp_path)
+    yield _malformed_matrix(tmp_path)
+    yield decode
+    yield decode + ["--mode", "approx", "--e0", "1", "--e1", "1"]
+    yield decode + ["--mode", "additive"]
+    yield _inconsistent_additive(tmp_path)
+    yield _not_utf8_obs(tmp_path)
+    yield ["compress", "--matrix", cpath, "--p", "2", "--in", xpath,
+           "--out", str(tmp_path / "cw.txt")]
+    yield ["compress", "--matrix", cpath, "--p", "2", "--in", str(tmp_path / "nope"),
+           "--out", str(tmp_path / "cw.txt")]
+    yield ["decompress", "--matrix", cpath, "--p", "2", "--in", wpath,
+           "--out", str(tmp_path / "cx.txt")]
+    yield ["me-encode", "--n", "6", "--k", "2", "--set", "1,4"]
+    yield ["me-encode", "--n", "6", "--k", "2", "--set", "1,1"]
+    yield ["me-decode", "--n", "8", "--k", "4", "--word", "01a1"]
+    yield ["mut-decode", "--matrix", mpath, "--spec", spath, "--obs", union]
+
+
+def test_manifest_fields_but_the_output_path_are_closed(tmp_path, manifest,
+                                                        capsys):
+    argvs, codes = [], []
+    for argv in _every_command_argvs(tmp_path):
+        argvs.append(argv)
+        codes.append(main(argv + ["--manifest", manifest]))
+    capsys.readouterr()
+    lines = Path(manifest).read_bytes().decode("utf-8", "surrogateescape").split("\n")
+    assert lines.pop() == "" and len(lines) == len(argvs)
+    fields = [line.split("\t") for line in lines]
+    assert {len(f) for f in fields} == {7}
+    for f in fields:
+        for i, pattern in _CLOSED_FIELDS.items():
+            assert re.fullmatch(pattern, f[i], re.ASCII), (i, f)
+    # Every command, every exit code and every kind of verdict; a seed,
+    # a negative one too, and the output paths of the runs that write.
+    assert {f[0] for f in fields} == set(cli._COMMAND_TABLE)
+    assert set(codes) == {0, 1, 2}
+    assert {f[6].partition(":")[0] for f in fields} == {"ok", "fail", "error"}
+    assert [f[3] for f in fields if f[3] != "-"] == ["7", "-5"]
+    assert str(tmp_path / "cx.txt") in {f[5] for f in fields}
+
+
 def test_unwritable_manifest_is_one_line_usage_error(tmp_path, capsys):
     spec_path = spec_file(tmp_path, SuperSelectorSpec(8, 2, (1, 2)))
     # A directory, and a path that cannot be encoded.
@@ -1253,6 +1333,21 @@ def test_oversized_and_huge_inputs_end_in_one_line(tmp_path, manifest, capsys,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == (code != 0)
+
+
+def test_level_too_deep_to_check_is_one_line_usage_error(tmp_path, manifest,
+                                                         capsys):
+    # A row of ones over a row of zeros, 1,100 columns wide, against its
+    # one constrained level, 1,100: the budget admits its one subset, but
+    # the check would recurse past the interpreter's limit.
+    n = 1100
+    argv = ["verify", "--matrix", write(tmp_path / "m.txt", f"2 {n}\n{'1' * n}\n{'0' * n}\n"),
+            "--spec", spec_file(tmp_path, SuperSelectorSpec(n, n, (0,) * (n - 1) + (1,))),
+            "--manifest", manifest]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: level 1100 needs a recursion 1099 deep; "
+                                       "levels above 500 are refused\n")
+    assert Path(manifest).read_text().split("\t")[6] == "error:BudgetError\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

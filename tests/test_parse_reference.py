@@ -1,10 +1,11 @@
-"""Differential tests of `parse_matrix` and `parse_vector` against the
-frozen per-line parsers in `reference_parse.py`: on drawn texts, both
-return the same value or raise a `ParseError` with the same source, line
-and message, and every parsed matrix gives, in whichever order its views
-are read, the rows of the reference and the column view that the frozen
-`_columns` computes from them. Matrices built and parsed give the rows,
-the column view and the text of the frozen views and writer."""
+"""Differential tests of `parse_matrix`, `parse_vector` and `parse_spec`
+against the frozen per-line parsers in `reference_parse.py`: on drawn
+texts, both return the same value or raise a `ParseError` with the same
+source, line and message, and every parsed matrix gives, in whichever
+order its views are read, the rows of the reference and the column view
+that the frozen `_columns` computes from them. Matrices built and parsed
+give the rows, the column view and the text of the frozen views and
+writer."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_parse
-from superselect import BitMatrix, ParseError, format_matrix, format_vector, core
+from superselect import (BitMatrix, ParseError, SuperSelectorSpec, core,
+                         format_matrix, format_spec, format_vector)
 
 # Characters a row or a vector line may not hold, each once rejected
 # or misread by a per-character shortcut: int() reads "_" and non-ASCII
@@ -153,6 +155,18 @@ def test_matrix_edge_texts_match_per_line_parser(text):
     _same_matrix_outcome(text)
 
 
+@pytest.mark.parametrize("text", [
+    "1 1\n\n\n", "1 3\n0\n\n\n", "2 2\n0\n\n01\n", "2 2\n\n\n\n\n", "2 1\n0\n1",
+    "2 1\n0\n1\n\n", "1 2\n01\n\n", "1 2 \n01\n", "01 02\n01\n", "1 2\n0\r\n",
+    "2 2\n0\n011\n", "2 2\n011\n0\n", "1 1\n0\n0", "1 2\n01\n0", "0 2\n", "2 0\n\n\n",
+])
+def test_canonical_shaped_matrix_texts_match_per_line_parser(text):
+    # Texts that pass some of the one-check path's tests and not the
+    # others: an LF where a row character belongs, rows of the wrong
+    # lengths, content or a blank line after the rows, a zero dimension.
+    _same_matrix_outcome(text)
+
+
 @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("m", [1, 3, 80])
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2000])
@@ -174,3 +188,81 @@ def test_matrix_views_and_text_match_frozen_code(n, m, density):
         for M in (BitMatrix(n, rows), core.parse_matrix(text)):
             views[first](M)
             assert tuple(view(M) for view in views.values()) == want, first
+
+
+# ------------------------------------------------------------------ specs
+
+_LONG = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+def _spec_outcome(parse, text):
+    # Any exception, so that a different error class shows as a mismatch.
+    try:
+        return "value", parse(text, source="f.txt")
+    except Exception as exc:
+        return "error", (type(exc), getattr(exc, "line", None), str(exc))
+
+
+def _same_spec_outcome(text):
+    new = _spec_outcome(core.parse_spec, text)
+    assert new == _spec_outcome(reference_parse.parse_spec, text), text
+    return new
+
+
+@st.composite
+def spec_texts(draw):
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, n))
+    # Mostly well-formed lines, so that the range checks and the
+    # successful parses are reached often.
+    header = draw(st.sampled_from([f"{n} {p}"] * 10 + [
+        f"0{n} {p}", f" {n} {p}", f"{n} {p} ", f"{n}  {p}", f"{n}\t{p}",
+        f"+{n} {p}", f"-{n} {p}", f"{n} -{p}", f"{n}", f"{n} {p} 1", "",
+        f"{_LONG} {p}", f"{n} {_LONG}", f"{n} {p}\u00b2", f"{p - 1} {p}",
+        f"{n} 0", f"{n} \u0663"]))
+    values = []
+    for i in range(1, p + draw(st.sampled_from([0] * 8 + [-1, 1, -p])) + 1):
+        good = str(draw(st.integers(0, i)))
+        values.append(draw(st.sampled_from([good] * 12 + [
+            "0" + good, "+" + good, "-" + good, "-0", str(i + 1), _LONG,
+            "x", "\u00b2", "1_0"])))
+    v_line = draw(st.sampled_from([" "] * 8 + ["  ", "\t", " \t"])).join(values)
+    v_line = draw(st.sampled_from([v_line] * 8 + [f" {v_line}", f"{v_line} ",
+                                                  f"{v_line}\t"]))
+    lines = [header, v_line][:draw(st.sampled_from([2] * 8 + [1]))]
+    lines += draw(st.sampled_from([[]] * 6 + [
+        [""], ["  "], ["\t"], ["x"], ["", ""], ["", "1"], ["1 2"]]))
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])) for _ in lines]
+    if not draw(st.sampled_from([True] * 4 + [False])):
+        ends[-1] = ""
+    return "".join(a + b for a, b in zip(lines, ends))
+
+
+@settings(deadline=None)
+@given(text=spec_texts())
+def test_drawn_spec_texts_match_per_line_parser(text):
+    _same_spec_outcome(text)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_canonical_spec_texts_match_per_line_parser(data, n):
+    p = data.draw(st.integers(1, n))
+    spec = SuperSelectorSpec(n, p, tuple(data.draw(st.integers(0, i))
+                                         for i in range(1, p + 1)))
+    assert _same_spec_outcome(format_spec(spec)) == ("value", spec)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "\n\n", "3 2", "3 2\n", "3 2\n1 2", "3 2\n1 2\n\n", "3 2\n1 2\n\nx",
+    "3 2\n1 2\n\n\n", "3 2\n1 2\n \n", "3 2\r\n1 2\r\n", "3 2\r1 2\r", "3\n1 2\n",
+    "3 2 1\n1 2\n", "3 2\n\n",
+    "3 2\n1  2\n", "3 2\n 1 2\n", "3 2\n1 2 \n", "3 2\n1\t2\n", " 3 2\n1 2\n",
+    "3 2 \n1 2\n", "3\t2\n1 2\n", "3 2\n1 3\n", "3 2\n1\n", "3 2\n1 2 2\n",
+    "2 3\n1 2 3\n", "3 0\n\n", "3 0\n0\n", "0 0\n\n", "03 2\n01 02\n",
+    "3 2\n-1 2\n", "3 2\n+1 2\n", "3 2\n-0 2\n", "+3 2\n1 2\n", "3 2\n\u0661 2\n",
+    f"{_LONG} 2\n1 2\n", f"3 {_LONG}\n1 2\n", f"3 2\n1 {_LONG}\n",
+    f"3 2\n1 -{_LONG}\n", "3 2\n1 2\n\u00a0\n", "3 2\n1 2\x0b\n",
+])
+def test_spec_edge_texts_match_per_line_parser(text):
+    _same_spec_outcome(text)

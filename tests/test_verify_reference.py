@@ -34,6 +34,7 @@ from reference_verify import (
 )
 from superselect import (
     BitMatrix,
+    BudgetError,
     SuperSelectorSpec,
     construct_derandomized,
     derand_threshold,
@@ -554,3 +555,42 @@ def test_at_scale_disjunct_sample_is_searched_within_budget():
     assert _disjunct(M, 8, comb(16, 6)) is True
     assert _PairKernel(M).holds(8, 8)
     assert selector_holds(M, 8, 8)
+
+
+def _top_level(n, k):
+    return SuperSelectorSpec(n, n, (0,) * (n - 1) + (k,))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_deepest_walked_level_gets_a_verdict(k):
+    # Level 500, the deepest one checked, recurses 498 deep through the
+    # walk. Unit rows on columns 0 to k-1 isolate k columns of the full
+    # set, and a row of ones over a zero row isolates none. k = 1 takes
+    # the covered side, k = 2 counts.
+    n = core._MAX_LEVEL
+    assert is_superselector(BitMatrix(n, [1 << r for r in range(k)]), _top_level(n, k))
+    assert not is_superselector(BitMatrix(n, [1 << r for r in range(k - 1)] + [0]),
+                                _top_level(n, k))
+    assert not is_superselector(BitMatrix(n, [(1 << n) - 1, 0]), _top_level(n, k))
+
+
+def test_deepest_searched_level_gets_a_verdict():
+    # Column 0 holds rows 0 to n-2 and column c row c-1, so only all n-1
+    # other columns cover column 0: the search recurses n-1 deep.
+    n = core._MAX_LEVEL
+    M = BitMatrix(n, [1 | 1 << r for r in range(1, n)])
+    assert _disjunct(M, n, comb(n, n - 2)) is False
+    assert not is_superselector(M, _top_level(n, n))
+    assert is_superselector(BitMatrix.identity(n), _top_level(n, n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 1101])
+def test_level_past_the_deepest_is_refused(k):
+    n = 1101
+    ones = BitMatrix(n, [(1 << n) - 1, 0])
+    with pytest.raises(BudgetError, match="^level 1101 needs a recursion 1100 deep; "
+                                          "levels above 500 are refused$"):
+        is_superselector(ones, _top_level(n, k))
+    # A level the loop reaches first still decides: column 0 is zero.
+    spec = SuperSelectorSpec(n, n, (1,) + (0,) * (n - 2) + (k,))
+    assert not is_superselector(BitMatrix(n, [(1 << n) - 2, 0]), spec)
