@@ -27,9 +27,9 @@ parsers are built from it once, when this module is imported, and every
 `main` call reuses them. A known command whose flags are all exact
 `--flag value` pairs, with no value starting with '-', valid choices and
 every required flag given, is parsed straight from the table, with no
-argparse pass. Any other argv of a known command goes to that command's
-own parser, one argparse pass; help, no command and an unknown command
-go to the top-level parser. So help and every usage error are
+argparse pass, into the Namespace argparse would give. Every other
+argv, help, no command and an unknown command included, goes to the
+top-level parser, one argparse pass. So help and every usage error are
 argparse's. An argv item that is not a str, or holds a NUL, is rejected
 before any parse with one `error: ...` line, exit 2.
 """
@@ -365,8 +365,8 @@ def _add_flags(parser, flags, direct: dict, defaults: dict):
 
 
 def _build_parser() -> tuple:
-    """The top-level parser, its subparsers by command name, and by
-    command name the direct parse's flags and defaults."""
+    """The top-level parser and, by command name, the direct parse's
+    flags and defaults."""
     parser = argparse.ArgumentParser(
         prog="superselect",
         description="Build, verify, and decode superselector matrices.",
@@ -377,13 +377,14 @@ def _build_parser() -> tuple:
     direct = {}
     for name, (text, func, extra, flags) in _COMMAND_TABLE.items():
         q = sub.add_parser(name, parents=[common], help=text)
-        direct[name] = {**shared[0]}, {**shared[1], "func": func, **extra}
+        direct[name] = {**shared[0]}, {**shared[1], "command": name,
+                                       "func": func, **extra}
         _add_flags(q, flags, *direct[name])
         q.set_defaults(func=func, **extra)
-    return parser, sub.choices, direct
+    return parser, direct
 
 
-_PARSER, _COMMANDS, _DIRECT = _build_parser()
+_PARSER, _DIRECT = _build_parser()
 
 
 def _direct(command: str, args: list):
@@ -410,17 +411,8 @@ def _direct(command: str, args: list):
 def _parse(argv: list) -> argparse.Namespace:
     """Flag parsing for `main`: the direct parse when it applies, else
     one argparse pass, which raises SystemExit for help and usage errors."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is None:
-        return _PARSER.parse_args(argv)
-    args = _direct(argv[0], argv[1:])
-    if args is None:
-        # The top-level parser reports what a command's parser leaves
-        # over, as its own pass would.
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = _direct(argv[0], argv[1:]) if argv and argv[0] in _DIRECT else None
+    return _PARSER.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

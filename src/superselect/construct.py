@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from array import array
 from functools import reduce
 from math import ceil, comb
 from operator import add, mul
@@ -132,15 +131,16 @@ class DerandState:
     end: init numbers one start code per level, and a row's tables cover
     only the codes reached so far. A transition table gives the code
     after a code realizes one of its columns, or the dead key if that
-    satisfies the subset, set when the code is numbered. An edge to a
-    code not yet reached holds 0, a lone key's number, which no
-    realization can lead to, so a next key at or below the dead key is
-    the one rare case a realization tests for: the dead key satisfies
-    the subset, and a lower one is a first reach. There the code is
-    numbered, its entries are appended, its edges to the codes already
-    numbered are filled and theirs to it are patched. That slow path
-    runs once per code, and the evaluation, turn and realization loops
-    do no extra work per subset.
+    satisfies the subset. A code of its level's last unsatisfied class
+    has every edge dead when it is numbered; any other code's edges
+    hold 0, a lone key's number, which no realization can lead to,
+    until a realization first takes them. So a next key at or below the
+    dead key is the one rare case a realization tests for: the dead key
+    satisfies the subset, and a lower one is an edge taken for the first
+    time. There the target code is looked up by its class and alive
+    pattern, numbered if no subset has reached it yet, and written into
+    the edge. That slow path runs once per edge taken, and the
+    evaluation, turn and realization loops do no extra work per subset.
 
     Keys change only where a 1 is fixed: the subsets in buckets q >= 1 of
     its column step through a table per q, a code to lone key
@@ -217,18 +217,19 @@ class DerandState:
         # new for S, and for a satisfied S in every row. A code is
         # numbered when the fill first reaches it (_add_code), so the code
         # range grows at the end and the tables hold only the codes
-        # reached. The kernel's tables are indexed by key: _next (p entries
-        # a key), _turn[q] and _real[bit]. _code_cls, _code_u and _w[q]
-        # hold code dead + 1 + i at index i: its class, its alive pattern u
-        # (bit t set while its t-th column from the end is still needed)
-        # and its weight in bucket q (see _wtab).
+        # reached. The kernel's tables are indexed by key: _next, _turn[q]
+        # and _real[bit]. _code_cls, _code_u and _w[q] hold code
+        # dead + 1 + i at index i: its class, its alive pattern u (bit t
+        # set while its t-th column from the end is still needed) and its
+        # weight in bucket q (see _wtab).
         self._dead = dead = p * ncls
         self._code_cls, self._code_u = [], []
         self._w = [[] for _ in range(p)]
-        # _next[s * p + t]: the code after code s realizes its local column
-        # t, dead if that satisfies the subset, and 0, a lone key's number
-        # that no realization can target, while that code is not reached.
-        self._next = array("I", [0]) * (p * (dead + 1))
+        # _next[s][t]: the code after code s realizes its local column t,
+        # dead if that satisfies the subset, and 0, a lone key's number
+        # that no realization can target, until a realization first takes
+        # that edge (_reach). None for the lone keys and the dead key.
+        self._next = [None] * (dead + 1)
         # _turn[q][key] is the key after a 1 at the subset's column with q
         # columns after it: a code goes to lone key (q, class) if that
         # column is still needed, else to dead, and a lone key goes dead.
@@ -289,30 +290,17 @@ class DerandState:
 
     def _add_code(self, k: int, u: int) -> int:
         """Number the code (class k, alive pattern u), the next key: append
-        its entries to every table, fill its edges to the codes already
-        numbered and point theirs at it; return its number."""
-        p, dead, index, nxt = self.spec.p, self._dead, self._index, self._next
+        its entries to every table, its edges all dead if any realization
+        satisfies its subset, else all 0 until taken; return its number."""
+        p, dead = self.spec.p, self._dead
         j, a = self._classes[k]
         s = dead + 1 + len(self._code_cls)
-        index[k << p | u] = s
+        self._index[k << p | u] = s
         self._code_cls.append(k)
         self._code_u.append(u)
         self._real[0].append(None)
         self._real[1].append(0 if u & 1 else None)
-        if a + 1 == self.spec.v[j - 1]:
-            # Any realization satisfies the subset.
-            nxt.extend([dead] * p)
-        else:
-            up = (k + 1) << p | u
-            nxt.extend([index.get(up ^ 1 << t, 0) for t in range(p)])
-        if a:
-            # Its predecessors: class k - 1, one more column alive.
-            down = (k - 1) << p | u
-            for t in range(j):
-                if not u >> t & 1:
-                    pred = index.get(down | 1 << t)
-                    if pred is not None:
-                        nxt[pred * p + t] = s
+        self._next.append([dead if a + 1 == self.spec.v[j - 1] else 0] * p)
         # Bucket by bucket: the weight, and the key after a 1 (lone key
         # q * ncls + k while column q is alive).
         after, lone, ncls = 0, k, len(self._classes)
@@ -329,10 +317,17 @@ class DerandState:
         return s
 
     def _reach(self, s: int, t: int) -> int:
-        """Number the code that code s leads to by realizing its local
-        column t, which the fill has just reached for the first time."""
+        """Resolve the edge that code s takes, for the first time, by
+        realizing its local column t: the code of the next class with
+        column t no longer needed, numbered if no subset has reached it
+        yet. Write it into the edge and return it."""
         i = s - self._dead - 1
-        return self._add_code(self._code_cls[i] + 1, self._code_u[i] ^ 1 << t)
+        k, u = self._code_cls[i] + 1, self._code_u[i] ^ 1 << t
+        to = self._index.get(k << self.spec.p | u)
+        if to is None:
+            to = self._add_code(k, u)
+        self._next[s][t] = to
+        return to
 
     def _load_row(self):
         """Tabulate the terms of the current row, rem rows after it, from
@@ -408,10 +403,10 @@ class DerandState:
                 for i in buckets[0]:
                     t = real[key[i]]
                     if t is not None:
-                        s = nxt[code[i] * p + t]
+                        s = nxt[code[i]][t]
                         if s <= dead:
                             if s < dead:
-                                # First reach of the code S moves to.
+                                # The first time this edge is taken.
                                 s = self._reach(code[i], t)
                             else:
                                 unsat -= 1

@@ -38,8 +38,9 @@ def codes(state) -> dict:
     follow the p blocks of lone keys and the dead key, in the order the
     fill first reached them, so fills that reach them in another order
     number them differently: compare codes by (class, u). The kernel's
-    tables (`_next` by p, `_turn`, `_real` and each row's `_terms`) are
-    indexed by these numbers."""
+    tables (`_next`, `_turn`, `_real` and each row's `_terms`) are
+    indexed by these numbers; `_next` holds a code's p edges as one
+    list, and None for a lone key or the dead key."""
     return dict(enumerate(zip(state._code_cls, state._code_u), state._dead + 1))
 
 

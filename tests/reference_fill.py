@@ -110,7 +110,7 @@ class BranchState(DerandState):
                     pre = rb & mask
                     alive[i] ^= pre
                     t = (mask >> pre.bit_length()).bit_count()
-                    s = nxt[code[i] * p + t]
+                    s = nxt[code[i]][t]
                     if s < dead:
                         s = self._reach(code[i], t)
                     code[i] = s

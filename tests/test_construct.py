@@ -552,8 +552,9 @@ def test_derandomized_budget_charges_the_index_work():
 def _numbers_only_reached_codes(state):
     # After every entry the codes the fill has numbered are exactly the
     # codes some subset has held so far, the dead key aside; the kernel's
-    # tables hold one entry per key (p per key in _next), the per-code
-    # ones one per code.
+    # tables hold one entry per key (in _next a p-entry edge list per
+    # code, None for the lone keys and the dead key), the per-code ones
+    # one per code.
     dead = state._dead
     reached = set(state._code) - {dead}
     while state.r < state.m:
@@ -564,7 +565,9 @@ def _numbers_only_reached_codes(state):
     assert set(codes(state)) == reached, state.spec
     keys, p = dead + 1 + len(reached), state.spec.p
     assert len(state._real[0]) == len(state._real[1]) == keys
-    assert len(state._next) == keys * p
+    assert len(state._next) == keys
+    assert state._next[:dead + 1] == [None] * (dead + 1)
+    assert [len(e) for e in state._next[dead + 1:]] == [p] * len(reached)
     assert [len(t) for t in state._turn] == [keys] * p
     assert len(state._code_cls) == len(state._code_u) == len(reached)
     assert [len(w) for w in state._w] == [len(reached)] * p
@@ -588,6 +591,64 @@ def test_code_tables_hold_only_reachable_codes(p, k):
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
 def test_fill_numbers_only_the_codes_it_reaches(spec):
     _numbers_only_reached_codes(DerandState(spec))
+
+
+def _fill_resolving_edges(spec, replay=()):
+    # A fill, greedy or forcing `replay`, with `_reach` wrapped: each
+    # (code, column) edge reaches it at most once, since it writes the
+    # edge, and every code but the start codes init numbers is numbered
+    # there. Returns the rows.
+    state = DerandState(spec)
+    dead, reach = state._dead, state._reach
+    start, taken, numbered = set(codes(state)), set(), set()
+
+    def once(s, t):
+        assert (s, t) not in taken, (spec, s, t)
+        taken.add((s, t))
+        before = len(state._code_cls)
+        to = reach(s, t)
+        numbered.update(range(dead + 1 + before, dead + 1 + len(state._code_cls)))
+        assert to > dead and state._next[s][t] == to, (spec, s, t)
+        return to
+
+    state._reach = once
+    if replay:
+        for bit in replay:
+            state.step(bit)
+    else:
+        state.run()
+    assert set(codes(state)) == start | numbered, spec
+    return state.rows
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_drawn_spec_fill_resolves_each_edge_once(n, data):
+    spec = _drawn_spec(n, data)
+    plain = DerandState(spec)
+    plain.run()
+    assert _fill_resolving_edges(spec) == plain.rows, spec
+    bits = _random_bits(spec, data.draw(st.integers(0, 2 ** 32)),
+                        data.draw(st.sampled_from((0.1, 0.3, 0.5, 0.8))))
+    plain = DerandState(spec)
+    for bit in bits:
+        plain.step(bit)
+    assert _fill_resolving_edges(spec, bits) == plain.rows, spec
+
+
+@pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
+def test_no_lone_key_of_column_zero_ever_occurs(spec):
+    # Keys turn only in buckets q >= 1, so a lone key (t, class) always
+    # has t >= 1: after every entry, greedy or of a sparse forced replay,
+    # no key lies below K, the number of unsatisfied classes, and the
+    # first block of lone keys, `_turn[0]` and every `_terms[0]`'s first
+    # K entries go unread.
+    for replay in ((), _random_bits(spec, 0, 1 / spec.p)):
+        state = DerandState(spec)
+        floor, replay = len(state._classes), iter(replay)
+        while state.r < state.m:
+            state.step(next(replay, None))
+            assert min(state._key) >= floor, (spec, state.r, state.c)
 
 
 def test_selector_16_9_16_builds_from_the_codes_it_reaches():

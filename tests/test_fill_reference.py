@@ -195,38 +195,47 @@ def test_small_spec_row_tables_match_pair_tables(n, data):
     _same_row_tables(SuperSelectorSpec(n, p, v))
 
 
-def _same_codes(state, ref):
+def _same_codes(state, ref, resolve=False):
     # Every code the fill has numbered is one unsatisfied code of the
     # scan of all 2^j patterns, found by (class, u). Each edge a
     # realization can take (a still-needed column) points at the dead
-    # key when the scan's next code is satisfied, else at that code when
-    # the fill has numbered it too, else at 0, a lone key; every other
-    # entry at a lone key or the dead key, never a code. A subset holds
-    # the dead key or a numbered code.
+    # key when the scan's next code is satisfied, from the moment the
+    # code is numbered; otherwise at 0 until a realization first takes
+    # it, then at the code with the scan's next (class, u). With
+    # `resolve`, each such edge still at 0 is resolved through `_reach`
+    # first, so every edge is checked against the scan. Every other
+    # entry holds a lone key or the dead key, never a code. A subset
+    # holds the dead key or a numbered code.
     p, dead = state.spec.p, state._dead
     live = _live_classes(state, ref)
     numbered = codes(state)
-    number = {(live[k], u): s for s, (k, u) in numbered.items()}
-    assert len(number) == len(numbered), state.spec
+    assert len(set(numbered.values())) == len(numbered), state.spec
     for s, (k, u) in numbered.items():
         at = ref.index[live[k] << p | u]
         assert not ref.done[at], (state.spec, k, u)
         for t in range(p):
-            edge = state._next[s * p + t]
-            if u >> t & 1:
-                to = ref.next[at * p + t]
-                want = dead if ref.done[to] else \
-                    number.get((ref.code_cls[to], ref.code_u[to]), 0)
-                assert edge == want, (state.spec, k, u, t)
-            else:
+            edge = state._next[s][t]
+            if not u >> t & 1:
                 assert edge <= dead, (state.spec, k, u, t)
+                continue
+            to = ref.next[at * p + t]
+            if ref.done[to]:
+                assert edge == dead, (state.spec, k, u, t)
+                continue
+            if edge == 0 and resolve:
+                edge = state._reach(s, t)
+            if edge or resolve:
+                kt, ut = code_of(state, edge)
+                assert (live[kt], ut) == (ref.code_cls[to], ref.code_u[to]), \
+                    (state.spec, k, u, t)
     assert all(s == dead or s in numbered for s in state._code), state.spec
 
 
 def _same_codes_as_the_fill_goes(spec):
     # At the start each subset holds the scan's start code; then the
     # codes are checked after a greedy fill, and after a forced replay
-    # of random bits, which reaches codes in another order.
+    # of random bits, which reaches codes in another order, each time
+    # with the edges not yet taken resolved.
     ref = ReferenceTerms(fill_spec(spec))
     state = DerandState(spec)
     live = _live_classes(state, ref)
@@ -236,11 +245,13 @@ def _same_codes_as_the_fill_goes(spec):
     _same_codes(state, ref)
     state.run()
     _same_codes(state, ref)
+    _same_codes(state, ref, resolve=True)
     draw = random.Random(spec.n).random
     state = DerandState(spec)
     while state.r < state.m:
         state.step(int(draw() < 0.5))
     _same_codes(state, ref)
+    _same_codes(state, ref, resolve=True)
 
 
 @pytest.mark.parametrize("spec", SUITE + APP_SPECS, ids=str)
